@@ -7,8 +7,10 @@ partitions, the normalization constants h_n via their recurrence
 
 truncated power-series exponentiation for moment generating functions, and
 the positive-coefficient series bound used as a cross-check of the
-saddle-point machinery.  All series coefficients are ScaledReal-backed since
-they span hundreds of binary orders of magnitude already by degree 200.
+saddle-point machinery.  Series coefficients span thousands of binary
+orders of magnitude, so they are kept as mantissa/exponent array pairs and
+computed by one blockwise, exponentially tilted FFT kernel
+(`exp_coefficients`).
 """
 
 from __future__ import annotations
@@ -20,16 +22,21 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .scaled import (ScaledReal, normalize_arrays, scaled_array_from_logs,
-                     scaled_dot)
+from .scaled import ScaledReal
 from .weights import WeightSequence, theta_array, theta_log
 
 DEFAULT_ENUMERATION_CAP = 60
 SERIES_CAP = 220
 
 _MAGIC = b"CWHT"
-_CACHE_VERSION = 1
-_FAMILY_TAGS = {"polynomial": 0, "ewens": 1, "table": 2}
+_CACHE_VERSION = 2
+_HEADER = struct.Struct("<I32sQ")  # version, weight digest, n_max
+_ROW = np.dtype([("m", "<f8"), ("e", "<i8")])
+
+_WINDOW_BITS = 64
+_TILT_BITS = 20
+_BLOCK_MAX = 4096
+_NOISE_BITS = 8
 
 
 class CapacityError(ValueError):
@@ -139,6 +146,15 @@ def enumerate_cycle_types(w: WeightSequence, n: int,
     return [(ct, math.exp(lw - log_h)) for ct, lw in entries]
 
 
+def _weight_digest(w: WeightSequence) -> bytes:
+    """SHA-256 of the family name and its exact parameters or table values."""
+    import hashlib  # only the cache needs it; loads libcrypto, so kept off import
+    params = {"polynomial": (w.alpha,), "ewens": (w.vartheta,),
+              "table": w.values}[w.family]
+    return hashlib.sha256(w.family.encode()
+                          + np.asarray(params, dtype="<f8").tobytes()).digest()
+
+
 @dataclass
 class HTable:
     """Normalization constants h_0..h_n_max for one weight sequence."""
@@ -151,41 +167,30 @@ class HTable:
     def value(self, n: int) -> ScaledReal:
         if not 0 <= n <= self.n_max:
             raise CapacityError(f"n={n} outside table range 0..{self.n_max}")
-        out = ScaledReal()
-        out.mantissa = float(self.mant[n])
-        out.exponent = int(self.expo[n])
-        return out
+        return ScaledReal(float(self.mant[n]), int(self.expo[n]))
 
     def log_array(self) -> np.ndarray:
-        """Natural logs of h_0..h_n_max."""
-        return np.log(self.mant) + self.expo * math.log(2.0)
+        """Natural logs of h_0..h_n_max; -inf where h_m = 0."""
+        logm = np.log(self.mant, out=np.full(self.n_max + 1, -np.inf),
+                      where=self.mant > 0)
+        return logm + self.expo * math.log(2.0)
 
     def recurrence_residual(self, n: int, theta: np.ndarray = None) -> float:
-        """Relative residual of n*h_n against the convolution sum."""
+        """Relative residual of n*h_n against the full convolution sum."""
         if theta is None:
             theta = theta_array(self.weight, self.n_max)
-        tm, te = normalize_arrays(theta[1:n + 1], np.zeros(n, dtype=np.int64))
-        # h_{n-k} for k=1..n is self[n-1], self[n-2], ..., self[0]
-        rhs = scaled_dot(tm, te, self.mant[:n][::-1], self.expo[:n][::-1])
-        lhs = self.value(n) * float(n)
-        return abs(math.expm1(rhs.log() - lhs.log()))
+        total = ScaledReal(*_scaled_dot(theta[:n + 1], self.mant[n::-1],
+                                        self.expo[n::-1]))
+        if self.mant[n] == 0.0:  # right iff every term is zero too
+            return 0.0 if total.is_zero() else math.inf
+        return abs((total / (self.value(n) * n)).to_float() - 1.0)
 
     def save(self, path: str) -> None:
-        tag = _FAMILY_TAGS[self.weight.family]
-        if self.weight.family == "polynomial":
-            param = self.weight.alpha
-        elif self.weight.family == "ewens":
-            param = self.weight.vartheta
-        else:
-            param = 0.0
         with open(path, "wb") as f:
             f.write(_MAGIC)
-            f.write(struct.pack("<I", _CACHE_VERSION))
-            f.write(struct.pack("<B", tag))
-            f.write(struct.pack("<d", param))
-            f.write(struct.pack("<Q", self.n_max))
-            pairs = np.empty(self.n_max + 1,
-                             dtype=np.dtype([("m", "<f8"), ("e", "<i8")]))
+            f.write(_HEADER.pack(_CACHE_VERSION, _weight_digest(self.weight),
+                                 self.n_max))
+            pairs = np.empty(self.n_max + 1, dtype=_ROW)
             pairs["m"] = self.mant
             pairs["e"] = self.expo
             pairs.tofile(f)
@@ -196,22 +201,20 @@ class HTable:
         with open(path, "rb") as f:
             if f.read(4) != _MAGIC:
                 raise ValueError(f"{path}: bad magic, not an HTable cache")
-            (version,) = struct.unpack("<I", f.read(4))
-            if version != _CACHE_VERSION:
-                raise ValueError(f"{path}: unsupported cache version {version}")
-            (tag,) = struct.unpack("<B", f.read(1))
-            (param,) = struct.unpack("<d", f.read(8))
-            (n_max,) = struct.unpack("<Q", f.read(8))
-            if tag != _FAMILY_TAGS[weight.family]:
-                raise ValueError(f"{path}: cached family tag {tag} does not "
-                                 f"match {weight.family}")
-            expected = (weight.alpha if weight.family == "polynomial"
-                        else weight.vartheta if weight.family == "ewens" else 0.0)
-            if expected is not None and abs(param - expected) > 1e-15:
-                raise ValueError(f"{path}: cached parameter {param} does not "
-                                 f"match {expected}")
-            pairs = np.fromfile(f, dtype=np.dtype([("m", "<f8"), ("e", "<i8")]),
-                                count=n_max + 1)
+            head = f.read(_HEADER.size)
+            payload = f.read()
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: truncated HTable cache header")
+        version, digest, n_max = _HEADER.unpack(head)
+        if version != _CACHE_VERSION:
+            raise ValueError(f"{path}: unsupported cache version {version}")
+        if digest != _weight_digest(weight):
+            raise ValueError(f"{path}: cached table was built for other "
+                             f"weights than {weight}")
+        if len(payload) != (n_max + 1) * _ROW.itemsize:
+            raise ValueError(f"{path}: header promises {n_max + 1} rows, "
+                             f"file holds {len(payload) / _ROW.itemsize:g}")
+        pairs = np.frombuffer(payload, dtype=_ROW)
         tab = cls(weight=weight, n_max=int(n_max),
                   mant=pairs["m"].copy(), expo=pairs["e"].copy())
         if validate:
@@ -226,46 +229,116 @@ class HTable:
         return tab
 
 
-def exp_series(coeff_mant: np.ndarray, coeff_expo: np.ndarray, n_max: int):
-    """Coefficients of exp(A(t)) to degree n_max.
+def _times_pow2(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m * 2**x without intermediate overflow; floor(x) must be exact."""
+    fl = np.floor(x)
+    return np.ldexp(m * np.exp2(x - fl), fl.astype(np.int64))
 
-    The input arrays hold k*a_k for k=0..n_max (entry 0 ignored) where
-    A(t) = sum a_k t^k with a_0 = 0 and a_k >= 0.  Uses the recurrence
-    n*b_n = sum_{k=1}^n (k a_k) b_{n-k} with scaled arithmetic throughout.
+
+def _scaled_dot(coef: np.ndarray, mant: np.ndarray,
+                expo: np.ndarray) -> Tuple[float, int]:
+    """sum_i coef_i * mant_i 2**expo_i as (float, binary exponent); terms
+    more than 1100 binary orders below the largest vanish."""
+    cm, ce = np.frexp(coef)
+    m = cm * mant
+    ex = ce + expo
+    nz = m != 0.0
+    if not np.any(nz):
+        return 0.0, 0
+    top = int(np.max(ex[nz]))
+    return float(np.sum(np.ldexp(m, np.maximum(ex - top, -1100)))), top
+
+
+def _middle_product(x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Entries lo..hi-1 of the linear convolution x*y, for len(x) <= lo: a
+    cyclic FFT of length >= len(y) aliases only onto indices below len(x)."""
+    size = 1 << (len(y) - 1).bit_length()
+    f = np.fft.rfft(x, size) * np.fft.rfft(y, size)
+    return np.fft.irfft(f, size)[lo:hi]
+
+
+def exp_coefficients(c: np.ndarray, n_max: int):
+    """Coefficients b_0..b_n_max of exp(A(t)) as (mantissa, exponent) arrays.
+
+    c holds k*a_k >= 0 (entry 0 ignored): n*b_n = sum_{k=1}^n c_k b_{n-k}.
+    Blocks of rows grow from 1 to _BLOCK_MAX.  Each divides rows b_j by
+    b_a 2**((j-a)*tilt), a the last nonzero row, and c_k by 2**(k*tilt),
+    which leaves the recurrence unchanged; tilt, a multiple of
+    2**-_TILT_BITS so j*tilt is exact, is the slope of log2 b extrapolated
+    to the block's middle.  History enters by one FFT middle product over a
+    window that drops a row once its term, with the largest tilted c_k it
+    can still meet, is below 2**-_WINDOW_BITS of row a; rows inside the
+    block come from a short loop.  A block not far above the FFT round-off,
+    or overflowing, is summed row by row exactly.  Zero rows stay exact.
     """
-    bm = np.zeros(n_max + 1)
-    be = np.zeros(n_max + 1, dtype=np.int64)
-    bm[0] = 1.0
-    for n in range(1, n_max + 1):
-        s = scaled_dot(coeff_mant[1:n + 1], coeff_expo[1:n + 1],
-                       bm[:n][::-1], be[:n][::-1])
-        s = s / float(n)
-        bm[n] = s.mantissa
-        be[n] = s.exponent
-    return bm, be
+    c = np.array(c[:n_max + 1], dtype=np.float64)
+    c[0] = 0.0
+    log_c = np.log2(c, out=np.full(n_max + 1, -np.inf), where=c > 0)
+    gaps = not np.all(c[1:] > 0)
+    mant = np.zeros(n_max + 1)
+    expo = np.zeros(n_max + 1, dtype=np.int64)
+    mant[0] = 1.0
+    lo, s, size = 0, 1, 1  # window start, block start, block size
+    prev = (0, 0.0)  # anchor and slope of the previous block
+    while s <= n_max:
+        e = min(s + size, n_max + 1)
+        nz = np.flatnonzero(mant[lo:s]) + lo
+        a = int(nz[-1])
+        b = int(nz[-2]) if len(nz) > 1 else a
+        slope = ((int(expo[a] - expo[b]) + math.log2(mant[a] / mant[b])) / (a - b)
+                 if b < a else 0.0)
+        bend = (prev[1] - slope) / (a - prev[0]) if prev[0] < a else 0.0
+        prev = (a, slope)
+        tilt = (round((slope - bend * (e - 1 - a) / 2) * 2 ** _TILT_BITS)
+                / 2 ** _TILT_BITS)
+        if a > lo:
+            with np.errstate(divide="ignore"):  # zero rows have log -inf
+                lhist = (np.log2(mant[lo:a] / mant[a]) + (expo[lo:a] - expo[a])
+                         - np.arange(lo - a, 0) * tilt)
+            lu = log_c[1:n_max + 1 - lo] - np.arange(1, n_max + 1 - lo) * tilt
+            reach = np.maximum.accumulate(lu[::-1])[::-1]  # max of lu[k:]
+            lo += int(np.argmax(lhist + reach[a - lo - 1::-1]
+                                >= math.log2(a) - _WINDOW_BITS))
+        H, B = s - lo, e - s
+        with np.errstate(over="ignore", invalid="ignore"):
+            hist = _times_pow2(mant[lo:s] / mant[a], (expo[lo:s] - expo[a])
+                               - np.arange(lo - a, s - a) * tilt)
+            u = _times_pow2(c[:e - lo], -np.arange(e - lo) * tilt)
+            cross = _middle_product(hist, u, H, H + B)
+            # round-off must not fill rows whose every term is zero
+            zero = gaps and _middle_product((mant[lo:s] != 0).astype(np.float64),
+                                            (c[:e - lo] != 0).astype(np.float64),
+                                            H, H + B) < 0.5
+            cross = np.where(zero, 0.0, np.maximum(cross, 0.0))
+            rev = np.empty(B)  # block rows in reverse order
+            for i in range(B):
+                rev[B - 1 - i] = (cross[i] + np.dot(u[1:i + 1], rev[B - i:])) / (s + i)
+            # each FFT entry carries round-off of about eps*|hist|*|u|
+            noise = np.linalg.norm(hist) * np.linalg.norm(u) * 2.0 ** -_NOISE_BITS
+            fast = (math.isfinite(noise) and np.max(rev) < 2.0 ** 1000
+                    and np.all(zero | (rev[::-1] * np.arange(s, e) >= noise)))
+        if fast:
+            x = (np.arange(s, e) - a) * tilt
+            fl = np.floor(x)
+            m, ex = np.frexp(rev[::-1] * mant[a] * np.exp2(x - fl))
+            mant[s:e] = 2.0 * m
+            expo[s:e] = np.where(m != 0, ex - 1 + expo[a] + fl.astype(np.int64), 0)
+        else:
+            for n in range(s, e):
+                row = ScaledReal(*_scaled_dot(c[n - lo:0:-1], mant[lo:n],
+                                              expo[lo:n])) / n
+                mant[n], expo[n] = row.mantissa, row.exponent
+        s = e
+        size = min(2 * size, _BLOCK_MAX)
+    return mant, expo
 
 
 def build_h_table(w: WeightSequence, n_max: int) -> HTable:
-    """HTable from the recurrence; O(n_max^2) scaled multiply-adds."""
+    """HTable from the recurrence, by the blockwise kernel exp_coefficients."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    theta = theta_array(w, max(n_max, 1))
-    with np.errstate(divide="ignore"):
-        tlog = np.where(theta > 0, np.log(theta), -np.inf)
-    tm, te = scaled_array_from_logs(tlog)
-    hm, he = exp_series(tm, te, n_max)
+    hm, he = exp_coefficients(theta_array(w, max(n_max, 1)), n_max)
     return HTable(weight=w, n_max=n_max, mant=hm, expo=he)
-
-
-def series_multiply(am, ae, bm, be, n_max: int):
-    """Product of two nonnegative-coefficient series, truncated at n_max."""
-    cm = np.zeros(n_max + 1)
-    ce = np.zeros(n_max + 1, dtype=np.int64)
-    for n in range(n_max + 1):
-        s = scaled_dot(am[:n + 1], ae[:n + 1], bm[n::-1], be[n::-1])
-        cm[n] = s.mantissa
-        ce[n] = s.exponent
-    return cm, ce
 
 
 def exact_statistic_pmf(w: WeightSequence, n: int, statistic: str,
@@ -303,20 +376,11 @@ def mgf_series(w: WeightSequence, n: int, x: float, s: float,
         raise CapacityError(f"n={n} exceeds series cap {cap}")
     if x < 0:
         raise ValueError("x must be >= 0")
-    theta = theta_array(w, n)
-    factor = np.ones(n + 1)
-    k = np.arange(n + 1)
-    lo = max(1, math.ceil(x))
-    factor[k >= lo] = math.exp(s)  # 1 + (e^s - 1)
-    coeff = theta * factor  # k * a_k
-    with np.errstate(divide="ignore"):
-        clog = np.where(coeff > 0, np.log(coeff), -np.inf)
-    cm, ce = scaled_array_from_logs(clog)
-    num_m, num_e = exp_series(cm, ce, n)
-    h = build_h_table(w, n)
+    coeff = theta_array(w, n)  # k * a_k
+    coeff[max(1, math.ceil(x)):] *= math.exp(s)  # 1 + (e^s - 1)
+    num_m, num_e = exp_coefficients(coeff, n)
     num = ScaledReal(float(num_m[n]), int(num_e[n]))
-    den = h.value(n)
-    return (num / den).to_float()
+    return (num / build_h_table(w, n).value(n)).to_float()
 
 
 def corollary_bound_check(w: WeightSequence, n: int, u: float, v: float,
@@ -342,25 +406,12 @@ def corollary_bound_check(w: WeightSequence, n: int, u: float, v: float,
     window = (k >= max(1.0, math.ceil(x_lo))) & (k < x_hi)
     fcoef = np.zeros(n + 1)
     fcoef[window] = theta[window] / k[window]
-    with np.errstate(divide="ignore"):
-        flog = np.where(fcoef > 0, np.log(fcoef), -np.inf)
-    fm, fe = scaled_array_from_logs(flog)
-    # G = F + F^2 = F(1+F); f = G^2
-    f2m, f2e = series_multiply(fm, fe, fm, fe, n)
-    gm = np.zeros(n + 1)
-    ge = np.zeros(n + 1, dtype=np.int64)
-    for i in range(n + 1):
-        s = ScaledReal(float(fm[i]), int(fe[i])) + ScaledReal(float(f2m[i]), int(f2e[i]))
-        gm[i] = s.mantissa
-        ge[i] = s.exponent
-    fm2, fe2 = series_multiply(gm, ge, gm, ge, n)
+    # G = F + F^2 = F(1+F); f = G^2, with float-sized coefficients
+    gcoef = fcoef + np.convolve(fcoef, fcoef)[:n + 1]
+    f = np.convolve(gcoef, gcoef)[:n + 1]
     h = build_h_table(w, n)
-    lhs_sr = scaled_dot(fm2, fe2, h.mant[n::-1], h.expo[n::-1])
-    r = sd.r_n
-    ks = np.arange(1, n + 1)
-    Fr = float(np.sum(fcoef[1:] * r ** ks))
+    Fr = float(np.sum(fcoef[1:] * sd.r_n ** k[1:]))
     f_at_r = (Fr * (1.0 + Fr)) ** 2
-    rhs_sr = h.value(n) * (2.0 * f_at_r)
-    lhs = lhs_sr.to_float()
-    rhs = rhs_sr.to_float()
+    lhs = ScaledReal(*_scaled_dot(f, h.mant[::-1], h.expo[::-1])).to_float()
+    rhs = (h.value(n) * (2.0 * f_at_r)).to_float()
     return lhs, rhs, lhs <= rhs

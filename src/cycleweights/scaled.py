@@ -2,21 +2,17 @@
 
 The normalization constants h_n grow super-geometrically, so plain doubles
 overflow long before the sizes we care about.  A ScaledReal keeps a
-normalized mantissa in [1, 2) together with an unbounded integer exponent,
-which makes the O(n^2) recurrence a cheap fused multiply-add instead of a
-log-sum-exp in the inner loop.
+normalized mantissa in [1, 2) together with an unbounded integer exponent;
+it is the scalar form of one row of an HTable's mantissa/exponent arrays.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 _LN2 = math.log(2.0)
 
-# ldexp shifts far below this underflow to exactly zero anyway; clipping
-# keeps the shift inside the range np.ldexp accepts.
+# an addend shifted down further than this underflows to exactly zero anyway
 _MIN_SHIFT = -1500
 
 
@@ -119,52 +115,3 @@ class ScaledReal:
     def __repr__(self):
         return f"ScaledReal({self.mantissa!r}, {self.exponent})"
 
-
-def normalize_arrays(values: np.ndarray, exps: np.ndarray):
-    """Renormalize elementwise so mantissas are in [1, 2) (or exactly 0)."""
-    values = np.asarray(values, dtype=np.float64)
-    exps = np.asarray(exps, dtype=np.int64)
-    mant = np.empty_like(values)
-    out_exp = np.empty_like(exps)
-    nz = values != 0.0
-    m, e = np.frexp(values)
-    mant[nz] = 2.0 * m[nz]
-    out_exp[nz] = e[nz] - 1 + exps[nz]
-    mant[~nz] = 0.0
-    out_exp[~nz] = 0
-    return mant, out_exp
-
-
-def scaled_dot(m1: np.ndarray, e1: np.ndarray,
-               m2: np.ndarray, e2: np.ndarray) -> ScaledReal:
-    """Sum of elementwise products of two scaled arrays.
-
-    Terms more than ~1500 binary orders below the largest vanish; that loss
-    is far inside the stated 1e-10 relative tolerances.
-    """
-    mm = m1 * m2
-    ee = e1 + e2
-    nz = mm != 0.0
-    if not np.any(nz):
-        return ScaledReal()
-    top = int(np.max(ee[nz]))
-    shift = np.clip(ee - top, _MIN_SHIFT, 0)
-    total = float(np.sum(np.ldexp(mm, shift.astype(np.int64))))
-    return ScaledReal(total, top)
-
-
-def scaled_array_from_floats(values: np.ndarray):
-    return normalize_arrays(np.asarray(values, dtype=np.float64),
-                            np.zeros(len(values), dtype=np.int64))
-
-
-def scaled_array_from_logs(logs: np.ndarray):
-    """Scaled array from natural logs (use -inf entries for zeros)."""
-    logs = np.asarray(logs, dtype=np.float64)
-    exps = np.zeros(len(logs), dtype=np.int64)
-    mant = np.zeros(len(logs), dtype=np.float64)
-    finite = np.isfinite(logs)
-    e = np.floor(logs[finite] / _LN2)
-    mant[finite] = np.exp(logs[finite] - e * _LN2)
-    exps[finite] = e.astype(np.int64)
-    return normalize_arrays(mant, exps)

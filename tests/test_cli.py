@@ -41,6 +41,17 @@ def test_htable_cache_and_sample(tmp_path, capsys):
     assert all(sum(m * c for m, c in r["cycles"]) == 200 for r in rows)
 
 
+def test_htable_truncated_cache_is_validation_error(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["htable", "--alpha", "1", "--n", "200", "--cache-dir", str(cache)]
+    assert run_command(argv) == 0
+    (path,) = cache.iterdir()
+    path.write_bytes(path.read_bytes()[:-100])
+    capsys.readouterr()
+    assert run_command(argv) == 2
+    assert "201 rows" in capsys.readouterr().err
+
+
 def test_verify_profile_small(tmp_path, capsys):
     # small n keeps this fast; wide tolerance so it exercises the pipeline
     rc = run_command(["verify", "profile", "--alpha", "1", "--n", "500",

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -83,6 +84,60 @@ def test_recurrence_residual_invariant(htable_2000):
         assert htable_2000.recurrence_residual(n) < 1e-10
 
 
+KERNEL_WEIGHTS = {
+    "poly0.5": cw.polynomial(0.5), "poly1": cw.polynomial(1.0),
+    "poly2": cw.polynomial(2.0), "poly3": cw.polynomial(3.0),
+    "ewens0.3": cw.ewens(0.3), "ewens2": cw.ewens(2.0),
+    "table01": cw.table([0.0, 1.0]), "table110": cw.table([1.0, 1.0, 0.0]),
+    "table24": cw.table([2.0, 4.0]),
+    "table00103": cw.table([0.0, 0.0, 1.0, 0.0, 3.0]),  # h_4 = 0 amid nonzero rows
+    # zero runs in theta: rows feed later rows across the gap
+    "table1001": cw.table([1.0, 0.0, 0.0, 1.0]),
+    "table1z9": cw.table([1.0] + [0.0] * 9 + [1.0]),
+    "table1z300": cw.table([1.0] + [0.0] * 300 + [1.0]),  # h jumps by ~2**2000
+}
+
+
+def mp_h_table(w, n_max):
+    """h_0..h_n_max from the plain O(n^2) recurrence at 40 digits."""
+    with mpmath.workdps(40):
+        theta = [mpmath.mpf(float(t)) for t in weights.theta_array(w, n_max)]
+        h = [mpmath.mpf(1)]
+        for n in range(1, n_max + 1):
+            h.append(mpmath.fdot(theta[1:n + 1], h[::-1]) / n)
+    return h
+
+
+@pytest.mark.parametrize("name", KERNEL_WEIGHTS)
+def test_kernel_matches_mpmath_recurrence(name):
+    w, n_max = KERNEL_WEIGHTS[name], 1500
+    tab = cw.build_h_table(w, n_max)
+    ref = mp_h_table(w, n_max)
+    zero = [x == 0 for x in ref]
+    assert np.array_equal(tab.mant == 0, zero)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for m in range(n_max + 1):
+            if not zero[m]:
+                got = mpmath.ldexp(mpmath.mpf(float(tab.mant[m])), int(tab.expo[m]))
+                worst = max(worst, float(abs(got / ref[m] - 1)))
+    assert worst <= 1e-12
+
+
+def test_kernel_full_sum_residual_alpha3():
+    tab = cw.build_h_table(cw.polynomial(3.0), 20000)
+    theta = weights.theta_array(tab.weight, tab.n_max)
+    rows = np.random.default_rng(5).choice(np.arange(1, 20001), 200, replace=False)
+    assert max(tab.recurrence_residual(int(n), theta) for n in rows) <= 1e-12
+
+
+def test_log_array_zero_rows():
+    tab = cw.build_h_table(cw.table([0.0, 1.0]), 10)
+    logs = tab.log_array()
+    assert logs[1] == -math.inf and tab.mant[1] == 0.0
+    assert logs[2] == pytest.approx(math.log(0.5), abs=1e-15)
+
+
 def test_series_identity_vs_table():
     # [t^n] exp(g) via the tilt-free MGF numerator equals the table entry
     w = cw.polynomial(1.5)
@@ -139,6 +194,13 @@ def test_corollary_empty_window():
     assert lhs == 0.0 and holds
 
 
+def test_corollary_zero_row():
+    # theta_k = 0 for k < 10, so h_5 = 0 and every series term vanishes
+    w = cw.table([0.0] * 9 + [1.0, 2.0])
+    assert cw.build_h_table(w, 5).mant[5] == 0.0
+    assert cw.corollary_bound_check(w, 5, 0.5, 2.0) == (0.0, 0.0, True)
+
+
 def test_htable_cache_roundtrip(tmp_path):
     w = cw.polynomial(1.0)
     tab = cw.build_h_table(w, 300)
@@ -172,6 +234,25 @@ def test_htable_cache_detects_corruption(tmp_path):
     tab.save(path)
     with pytest.raises(ValueError, match="residual"):
         cw.HTable.load(path, cw.polynomial(1.0), rng_seed=123)
+
+
+def test_htable_cache_rejects_other_table(tmp_path):
+    tab = cw.build_h_table(cw.table([1.0, 2.0, 3.0]), 100)
+    path = str(tmp_path / "t.cwht")
+    tab.save(path)
+    for seed in range(20):
+        with pytest.raises(ValueError, match="other weights"):
+            cw.HTable.load(path, cw.table([1.0, 5.0, 3.0]), rng_seed=seed)
+    assert cw.HTable.load(path, cw.table([1.0, 2.0, 3.0])).n_max == 100
+
+
+def test_htable_cache_rejects_truncated(tmp_path):
+    path = tmp_path / "t.cwht"
+    cw.build_h_table(cw.polynomial(1.0), 253).save(str(path))
+    path.write_bytes(path.read_bytes()[:-53 * 16])
+    with pytest.raises(ValueError, match=r"254 rows.* 201") as err:
+        cw.HTable.load(str(path), cw.polynomial(1.0))
+    assert str(path) in str(err.value)
 
 
 def test_cycle_type_invariant():

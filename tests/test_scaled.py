@@ -1,11 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cycleweights.scaled import (ScaledReal, scaled_array_from_floats,
-                                 scaled_array_from_logs, scaled_dot)
+from cycleweights.scaled import ScaledReal
 
 positive = st.floats(min_value=1e-300, max_value=1e300,
                      allow_nan=False, allow_infinity=False)
@@ -62,16 +60,3 @@ def test_comparisons():
     assert a < b and a <= b and not b <= a
     assert ScaledReal() < a
 
-
-def test_scaled_dot_small():
-    m1, e1 = scaled_array_from_floats(np.array([1.0, 2.0, 3.0]))
-    m2, e2 = scaled_array_from_floats(np.array([4.0, 5.0, 6.0]))
-    assert scaled_dot(m1, e1, m2, e2).to_float() == pytest.approx(32.0)
-
-
-def test_scaled_dot_huge_range():
-    logs = np.array([0.0, 2000.0, -2000.0])
-    m, e = scaled_array_from_logs(logs)
-    ones_m, ones_e = scaled_array_from_floats(np.ones(3))
-    # dominated by the e^2000 entry
-    assert scaled_dot(m, e, ones_m, ones_e).log() == pytest.approx(2000.0, abs=1e-9)
