@@ -16,9 +16,8 @@ from .asymptotics import (SaddleData, admissibility_diagnostics, ell_n,
                           expected_tail_count, partial_sum_asymp,
                           polylog_asymp, saddle_h_estimate, solve_saddle,
                           threshold_x)
-from .stats import (ProcessSample, VerificationReport, bn_event_frequency,
+from .stats import (VerificationReport, bn_event_frequency,
                     cumulative_profile, ks_distance, ks_two_sample,
-                    longest_cycles, process_path, tv_distance, verify_gumbel,
-                    verify_poisson_increments)
+                    tv_distance, verify_gumbel, verify_poisson_increments)
 
 __version__ = "0.1.0"

@@ -213,9 +213,15 @@ def threshold_x(sd: SaddleData, y: float) -> float:
     """Cycle-length threshold x_n(y) = n*(ell_n + min(-log y, ell_n)).
 
     y = 0 maps to the cap 2 n* ell_n; larger y lowers the threshold.
+    Weights without polynomial growth (Ewens, most tables) have no ell_n
+    and raise ValueError.
     """
     if y < 0:
         raise ValueError("y must be >= 0")
+    if math.isnan(sd.ell_n):
+        raise ValueError(f"ell_n is undefined for {sd.weight!r}: x_n(y) "
+                         f"needs weights growing like k^alpha with "
+                         f"alpha log n* > 0")
     if y == 0.0:
         return 2.0 * sd.n_star * sd.ell_n
     return sd.n_star * (sd.ell_n + min(-math.log(y), sd.ell_n))

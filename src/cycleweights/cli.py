@@ -152,14 +152,14 @@ def cmd_sample(args) -> int:
     w = _weight_from_args(args)
     tab = _load_or_build_htable(w, args.n, args.cache_dir)
     cfg = sampler.SamplerConfig(n=args.n, num_samples=args.samples,
-                                seed=args.seed, workers=args.workers)
+                                seed=args.seed)
     stream = sampler.sample_batch(w, tab, cfg)
     if args.out:
-        count = sampler.dump_samples(stream, args.out)
+        with open(args.out, "w") as f:
+            count = sampler.dump_samples(stream, f)
         print(f"wrote {count} samples to {args.out}")
     else:
-        for i, ct in enumerate(stream):
-            print(json.dumps({"i": i, "cycles": [[m, c] for m, c in ct.counts]}))
+        sampler.dump_samples(stream, sys.stdout)
     return EXIT_OK
 
 
@@ -168,7 +168,7 @@ def cmd_verify(args) -> int:
     tols = _parse_tols(args.tol)
     tab = _load_or_build_htable(w, args.n, args.cache_dir)
     cfg = sampler.SamplerConfig(n=args.n, num_samples=args.samples,
-                                seed=args.seed, workers=args.workers)
+                                seed=args.seed)
     batch = list(sampler.sample_batch(w, tab, cfg))
     sd = asymptotics.solve_saddle(w, args.n)
     if args.experiment == "poisson":
@@ -235,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--out", default=None)
     sp.add_argument("--cache-dir", default=None)
     sp.set_defaults(func=cmd_sample)
@@ -245,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--y-grid", default=None)
     sp.add_argument("--x-grid", default=None)
     sp.add_argument("--k-longest", type=int, default=3)

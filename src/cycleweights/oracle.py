@@ -64,12 +64,6 @@ class CycleType:
                 return c
         return 0
 
-    def lengths_desc(self) -> List[int]:
-        out: List[int] = []
-        for m, c in reversed(self.counts):
-            out.extend([m] * c)
-        return out
-
     def num_cycles(self) -> int:
         return sum(c for _, c in self.counts)
 

@@ -7,18 +7,17 @@ of the cycle type.  Lengths are drawn by an inverse-CDF scan in increasing
 k with early stopping; scan lengths telescope with the removed cycle
 lengths, so the expected total work per sample is O(n).
 
-Batch sampling derives one counter-based random stream per sample index
-from (seed, index), which makes the output independent of worker count and
-scheduling.
+Batches are drawn serially.  Sample i comes from its own counter-based
+random stream keyed by (seed, i), so its value depends only on the seed
+and its index, not on the batch size or on any other sample.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -38,7 +37,6 @@ class SamplerConfig:
     n: int
     num_samples: int
     seed: int
-    workers: int = 1
 
     def validate(self, h: HTable) -> None:
         if self.n < 1 or self.n > h.n_max:
@@ -46,8 +44,6 @@ class SamplerConfig:
                 f"n={self.n} outside table range 1..{h.n_max}")
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def _splitmix64(z: int) -> int:
@@ -160,36 +156,23 @@ def _shared_sampler(w: WeightSequence, h: HTable) -> CycleTypeSampler:
 
 
 def sample_batch(w: WeightSequence, h: HTable,
-                 cfg: SamplerConfig,
-                 chunk_size: int = 4096) -> Iterator[CycleType]:
+                 cfg: SamplerConfig) -> Iterator[CycleType]:
     """Deterministic batch of samples, emitted in index order.
 
-    Sample i is drawn from the substream keyed by (cfg.seed, i); the output
-    sequence is identical for every worker count.
+    Sample i is drawn from the substream keyed by (cfg.seed, i), so a
+    shorter batch with the same seed is a prefix of a longer one.
     """
     cfg.validate(h)
     sampler = _shared_sampler(w, h)
-
-    def draw(i: int) -> CycleType:
-        return sampler.sample(cfg.n, substream_rng(cfg.seed, i))
-
-    if cfg.workers == 1:
-        for i in range(cfg.num_samples):
-            yield draw(i)
-        return
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        for lo in range(0, cfg.num_samples, chunk_size):
-            hi = min(lo + chunk_size, cfg.num_samples)
-            yield from pool.map(draw, range(lo, hi))
+    for i in range(cfg.num_samples):
+        yield sampler.sample(cfg.n, substream_rng(cfg.seed, i))
 
 
-def dump_samples(samples: Iterator[CycleType], path: str) -> int:
+def dump_samples(samples: Iterable[CycleType], f: TextIO) -> int:
     """Write one JSON object per line: {"i": idx, "cycles": [[m, C_m], ...]}."""
     count = 0
-    with open(path, "w") as f:
-        for i, ct in enumerate(samples):
-            f.write(json.dumps({"i": i,
-                                "cycles": [[m, c] for m, c in ct.counts]}))
-            f.write("\n")
-            count += 1
+    for i, ct in enumerate(samples):
+        f.write(json.dumps({"i": i, "cycles": [[m, c] for m, c in ct.counts]}))
+        f.write("\n")
+        count += 1
     return count

@@ -1,11 +1,13 @@
 """Observable extraction and statistical verification of the limit laws.
 
-Turns sampled cycle types into the observables of interest (ordered longest
-cycles, the threshold-counting step process, tail counts) and runs the
-Monte Carlo checks: Poisson increments over a y-grid, the Gumbel law of the
-rescaled longest cycle, the cumulative-count profile against its direct-sum
-prediction, and the frequency of the rare event that any cycle exceeds the
-cap 2 n* ell_n.
+Every report reads one columnar form of its batch: the (m, C_m) pairs of
+all cycle types in int32 CSR arrays (row starts, m ascending within a
+row, C_m).  Tail counts #{cycles of length >= x} and the K longest cycles
+are numpy reductions over those arrays.  The reports are the Monte Carlo
+checks: Poisson increments over a y-grid, the Gumbel law of the rescaled
+longest cycle, the cumulative-count profile against its direct-sum
+prediction, and the frequency of the rare event that any cycle exceeds
+the cap 2 n* ell_n.
 """
 
 from __future__ import annotations
@@ -13,29 +15,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence)
 
 import numpy as np
 
 from .asymptotics import SaddleData, expected_tail_count, solve_saddle, threshold_x
 from .oracle import CycleType
 from .weights import WeightSequence
-
-
-@dataclass(frozen=True)
-class ProcessSample:
-    """Sorted cycle lengths of one sample, longest first, with multiplicity."""
-
-    cycle_lengths_desc: Tuple[int, ...]
-    n: int
-
-    @classmethod
-    def from_cycle_type(cls, ct: CycleType) -> "ProcessSample":
-        return cls(tuple(ct.lengths_desc()), ct.n)
-
-    def tail_count(self, x: float) -> int:
-        lengths = np.asarray(self.cycle_lengths_desc)
-        return int(np.sum(lengths >= x))
 
 
 @dataclass
@@ -58,8 +46,8 @@ class VerificationReport:
     checks: List[Check] = field(default_factory=list)
     distances: Dict[str, float] = field(default_factory=dict)
 
-    def add(self, name: str, observed: float, target: float, tol: float,
-            larger_ok: bool = False) -> None:
+    def add(self, name: str, observed: float, target: float,
+            tol: float) -> None:
         passed = abs(observed - target) <= tol
         self.checks.append(Check(name, float(observed), float(target),
                                  float(tol), bool(passed)))
@@ -133,52 +121,55 @@ def gumbel_cdf(x: float) -> float:
 # ---------------------------------------------------------------------------
 # observables
 
-def longest_cycles(ct: CycleType, K: int) -> Tuple[List[int], bool]:
-    """Lengths of the K longest cycles (with multiplicity), longest first.
+class Columns(NamedTuple):
+    """A batch of cycle types as int32 CSR arrays of (m, C_m) pairs.
 
-    Entries past the actual cycle count are 0; the flag reports whether any
-    padding happened.
+    Row i holds pairs starts[i] up to starts[i + 1] (or the end), with m
+    ascending, so a row's longest cycles are its last pairs.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    lengths = ct.lengths_desc()
-    padded = len(lengths) < K
-    out = lengths[:K] + [0] * max(0, K - len(lengths))
-    return out, padded
+
+    starts: np.ndarray
+    m: np.ndarray
+    c: np.ndarray
+    n: int  # size of the first cycle type
 
 
-def longest_via_tail_counts(ct: CycleType, j: int) -> int:
-    """L_j as max{m : #cycles of length >= m is >= j}; 0 if fewer cycles."""
-    best = 0
-    for m in range(1, ct.n + 1):
-        if ct.tail_count(m) >= j:
-            best = m
-    return best
+def columns(batch: Iterable[CycleType]) -> Columns:
+    """Flatten cycle types into Columns without expanding the pairs."""
+    cts = list(batch)
+    if not cts:
+        raise ValueError("empty batch")
+    sizes = np.fromiter((len(ct.counts) for ct in cts), np.int32, len(cts))
+    if not sizes.all():
+        raise ValueError("batch holds a cycle type with no cycles")
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(
+        ct.counts for ct in cts)), np.int32, 2 * int(sizes.sum()))
+    starts = np.zeros(len(cts), np.int32)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return Columns(starts, flat[0::2], flat[1::2], cts[0].n)
 
 
-@dataclass
-class ProcessPath:
-    """Step-function view y -> P_y of one sample's long cycles."""
-
-    sample: ProcessSample
-    sd: SaddleData
-    alpha: float
-    jump_times: Tuple[float, ...]  # y_j for the j-th longest cycle, clamped
-
-    def evaluate(self, y: float) -> int:
-        """P_y = number of cycles of length >= x_n(y)."""
-        return self.sample.tail_count(threshold_x(self.sd, y))
+def tail_counts(cols: Columns, x: float) -> np.ndarray:
+    """Per row, the number of cycles of length >= x."""
+    # a row sums to at most n; the default int64 accumulator would copy
+    # the whole column
+    return np.add.reduceat(np.where(cols.m >= x, cols.c, 0), cols.starts,
+                           dtype=np.int32)
 
 
-def process_path(ct: CycleType, sd: SaddleData, alpha: float) -> ProcessPath:
-    sample = ProcessSample.from_cycle_type(ct)
-    cap = 2.0 * sd.n_star * sd.ell_n
-    jumps = []
-    for L in sample.cycle_lengths_desc:
-        eff = min(float(L), cap)  # lengths past the cap clamp to y = e^{-ell}
-        jumps.append(math.exp(sd.ell_n - eff / sd.n_star))
-    return ProcessPath(sample=sample, sd=sd, alpha=alpha,
-                       jump_times=tuple(jumps))
+def longest(cols: Columns, K: int) -> np.ndarray:
+    """(rows, K) lengths of each row's K longest cycles with multiplicity,
+    longest first; 0 past a row's last cycle."""
+    ends = np.append(cols.starts[1:], len(cols.m))
+    # every pair holds >= 1 cycle, so the K longest lie in the last K pairs
+    idx = ends[:, None] - 1 - np.arange(K)
+    valid = idx >= cols.starts[:, None]
+    idx = np.where(valid, idx, 0)
+    m = np.where(valid, cols.m[idx], 0)
+    cum = np.cumsum(np.where(valid, cols.c[idx], 0), axis=1)
+    # cycle j sits in the first pair whose running count reaches j
+    pos = (cum[:, None, :] < np.arange(1, K + 1)[:, None]).sum(axis=2)
+    return np.take_along_axis(np.pad(m, ((0, 0), (0, 1))), pos, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -203,37 +194,25 @@ def _tol(overrides: Optional[dict], key: str) -> float:
     return DEFAULT_TOLERANCES[key]
 
 
-def _collect(batch: Iterable) -> List[ProcessSample]:
-    out = []
-    for item in batch:
-        if isinstance(item, CycleType):
-            item = ProcessSample.from_cycle_type(item)
-        out.append(item)
-    if not out:
-        raise ValueError("empty batch")
-    return out
-
-
 def verify_poisson_increments(batch: Iterable, sd: SaddleData,
                               y_grid: Sequence[float],
                               alpha: Optional[float] = None,
                               tolerances: Optional[dict] = None
                               ) -> VerificationReport:
     """Increments of P_y over the grid vs independent Poisson targets."""
-    samples = _collect(batch)
+    cols = columns(batch)
     if alpha is None:
         alpha = sd.alpha
     ys = list(y_grid)
     if any(b < a for a, b in zip(ys, ys[1:])):
         raise ValueError("y_grid must be nondecreasing")
-    thresholds = [threshold_x(sd, y) for y in ys]
-    counts = np.array([[s.tail_count(x) for x in thresholds] for s in samples])
-    incs = np.diff(np.concatenate(
-        [np.zeros((len(samples), 1), dtype=counts.dtype), counts], axis=1), axis=1)
+    counts = np.stack([tail_counts(cols, threshold_x(sd, y)) for y in ys],
+                      axis=1)
+    incs = np.diff(counts, axis=1, prepend=0)
     targets = np.diff([0.0] + ys)
     rep = VerificationReport(
         "poisson_increments",
-        {"n": sd.n, "alpha": alpha, "num_samples": len(samples),
+        {"n": sd.n, "alpha": alpha, "num_samples": len(cols.starts),
          "y_grid": ys})
     mean_tol = _tol(tolerances, "increment_mean_rel")
     vm_lo = _tol(tolerances, "var_mean_lo")
@@ -248,9 +227,8 @@ def verify_poisson_increments(batch: Iterable, sd: SaddleData,
             vm = float(np.var(col)) / mean
             mid = 0.5 * (vm_lo + vm_hi)
             rep.add(f"var_mean_inc_{j}", vm, mid, vm_hi - mid)
-        emp: Dict[int, float] = {}
-        for v in col:
-            emp[int(v)] = emp.get(int(v), 0.0) + 1.0 / len(col)
+        emp = {k: int(f) / len(col)
+               for k, f in enumerate(np.bincount(col)) if f}
         k_max = max(int(col.max()), int(10 * max(target, 0.1)) + 10)
         tv = tv_distance(emp, poisson_pmf(float(target), k_max))
         rep.distances[f"tv_inc_{j}"] = tv
@@ -280,25 +258,22 @@ def verify_gumbel(batch: Iterable, sd: SaddleData, K: int,
     """Rescaled longest cycles vs the Gumbel / exponential-partial-sum laws."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    samples = _collect(batch)
+    cols = columns(batch)
+    num = len(cols.starts)
     rep = VerificationReport(
         "gumbel_longest_cycles",
-        {"n": sd.n, "num_samples": len(samples), "K": K})
-    rescaled = np.full((len(samples), K), -np.inf)
-    jump_violations = 0
-    for i, s in enumerate(samples):
-        lengths = s.cycle_lengths_desc[:K]
-        vals = [(L - sd.n_star * sd.ell_n) / sd.n_star for L in lengths]
-        rescaled[i, :len(vals)] = vals
-        # jump times y_j = exp(ell - L_j/n*) must be nondecreasing in j
-        ys = [math.exp(sd.ell_n - L / sd.n_star) for L in lengths]
-        if any(b < a for a, b in zip(ys, ys[1:])):
-            jump_violations += 1
+        {"n": sd.n, "num_samples": num, "K": K})
+    L = longest(cols, K)
+    rescaled = np.where(L > 0, (L - threshold_x(sd, 1.0)) / sd.n_star, -np.inf)
+    # jump times y_j = exp(ell - L_j/n*) must be nondecreasing in j; a
+    # missing cycle has y_j = inf
+    ys = np.exp(-rescaled)
+    jump_violations = int(np.sum(np.any(ys[:, 1:] < ys[:, :-1], axis=1)))
     ks1 = ks_distance(rescaled[:, 0], gumbel_cdf)
     rep.distances["ks_L1_gumbel"] = ks1
     rep.add_bound("ks_L1_gumbel", ks1, _tol(tolerances, "gumbel_ks_1"))
     for j in range(2, K + 1):
-        ref = exponential_partial_sum_reference(j, len(samples))
+        ref = exponential_partial_sum_reference(j, num)
         ksj = ks_two_sample(rescaled[:, j - 1], ref)
         rep.distances[f"ks_L{j}_ref"] = ksj
         rep.add_bound(f"ks_L{j}_ref", ksj, _tol(tolerances, "gumbel_ks_j"))
@@ -315,20 +290,20 @@ def cumulative_profile(batch: Iterable, alpha: float,
     prediction at the saddle radius."""
     from . import weights as weights_mod
 
-    samples = _collect(batch)
-    n = samples[0].n
+    cols = columns(batch)
+    n = cols.n
     if w is None:
         w = weights_mod.polynomial(alpha)
     sd = solve_saddle(w, n)
     scale = n ** (1.0 / (1.0 + alpha))
     rep = VerificationReport(
         "cumulative_profile",
-        {"n": n, "alpha": alpha, "num_samples": len(samples),
+        {"n": n, "alpha": alpha, "num_samples": len(cols.starts),
          "x_grid": list(x_grid)})
     rel_tol = _tol(tolerances, "profile_rel")
     for x in x_grid:
         thr = max(1.0, x * scale)
-        emp = float(np.mean([s.tail_count(thr) for s in samples]))
+        emp = float(np.mean(tail_counts(cols, thr)))
         pred = expected_tail_count(w, sd, thr)
         rep.add(f"w_n({x})", emp, pred, rel_tol * max(pred, 1e-12))
     return rep
@@ -342,17 +317,17 @@ def bn_event_frequency(batch: Iterable, sd: SaddleData,
     Markov-type bound 2 * sum_{k > cap} (theta_k/k) e^{-k v_n}."""
     from . import weights as weights_mod
 
-    samples = _collect(batch)
+    cols = columns(batch)
+    num = len(cols.starts)
     if w is None:
         w = sd.weight or weights_mod.polynomial(sd.alpha)
-    cap = 2.0 * sd.n_star * sd.ell_n
-    freq = float(np.mean([1.0 if s.tail_count(math.floor(cap) + 1) >= 1
-                          else 0.0 for s in samples]))
+    cap = threshold_x(sd, 0.0)
+    freq = float(np.mean(tail_counts(cols, math.floor(cap) + 1) >= 1))
     bound = 2.0 * expected_tail_count(w, sd, math.floor(cap) + 1)
-    limit = max(3.0 * bound, 5.0 / math.sqrt(len(samples)))
+    limit = max(3.0 * bound, 5.0 / math.sqrt(num))
     rep = VerificationReport(
         "bn_event",
-        {"n": sd.n, "num_samples": len(samples), "cap": cap})
+        {"n": sd.n, "num_samples": num, "cap": cap})
     rep.distances["markov_bound"] = bound
     rep.add_bound("bn_frequency", freq,
                   min(_tol(tolerances, "bn_freq"), limit)

@@ -30,5 +30,5 @@ def desk_saddle(poly1):
 @pytest.fixture(scope="session")
 def desk_batch(poly1, htable_desk):
     cfg = cw.SamplerConfig(n=DESK_N, num_samples=DESK_SAMPLES,
-                           seed=DESK_SEED, workers=2)
+                           seed=DESK_SEED)
     return list(cw.sample_batch(poly1, htable_desk, cfg))

@@ -43,7 +43,7 @@ def test_criterion_2_sampler_exactness():
     w = cw.polynomial(1.0)
     tab = cw.build_h_table(w, 6)
     num = 10**6
-    cfg = cw.SamplerConfig(n=6, num_samples=num, seed=20240601, workers=2)
+    cfg = cw.SamplerConfig(n=6, num_samples=num, seed=20240601)
     counts = collections.Counter()
     for ct in cw.sample_batch(w, tab, cfg):
         counts[ct.counts] += 1

@@ -41,6 +41,24 @@ def test_htable_cache_and_sample(tmp_path, capsys):
     assert all(sum(m * c for m, c in r["cycles"]) == 200 for r in rows)
 
 
+def test_sample_stdout_matches_out_file(tmp_path, capsys):
+    argv = ["sample", "--alpha", "1", "--n", "50", "--samples", "7",
+            "--seed", "4"]
+    assert run_command(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "samples.jsonl"
+    assert run_command(argv + ["--out", str(out)]) == 0
+    assert printed == out.read_text()
+    assert len(printed.splitlines()) == 7
+
+
+def test_verify_zero_growth_is_validation_error(capsys):
+    # Ewens weights have no ell_n, so x_n(y) and the rescaling are undefined
+    assert run_command(["verify", "gumbel", "--vartheta", "2", "--n", "300",
+                        "--samples", "50"]) == 2
+    assert "ell_n is undefined" in capsys.readouterr().err
+
+
 def test_htable_truncated_cache_is_validation_error(tmp_path, capsys):
     cache = tmp_path / "cache"
     argv = ["htable", "--alpha", "1", "--n", "200", "--cache-dir", str(cache)]

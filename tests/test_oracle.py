@@ -194,6 +194,13 @@ def test_corollary_empty_window():
     assert lhs == 0.0 and holds
 
 
+def test_corollary_rejects_zero_growth_weights():
+    # Ewens weights have no ell_n, so the window x_{n,v} <= k < x_{n,u} is
+    # undefined
+    with pytest.raises(ValueError, match="ewens"):
+        cw.corollary_bound_check(cw.ewens(1.0), 31, 0.5, 2.0)
+
+
 def test_corollary_zero_row():
     # theta_k = 0 for k < 10, so h_5 = 0 and every series term vanishes
     w = cw.table([0.0] * 9 + [1.0, 2.0])
@@ -259,6 +266,6 @@ def test_cycle_type_invariant():
     with pytest.raises(ValueError):
         oracle.CycleType.from_dict({2: 1, 3: 1}, 6)
     ct = oracle.CycleType.from_dict({2: 1, 3: 2}, 8)
-    assert ct.lengths_desc() == [3, 3, 2]
+    assert ct.counts == ((2, 1), (3, 2))
     assert ct.num_cycles() == 3
     assert ct.tail_count(3) == 2

@@ -12,26 +12,39 @@ def ct(counts, n):
     return CycleType.from_dict(counts, n)
 
 
+def path_value(sample, sd, y):
+    """P_y = number of cycles of length >= x_n(y), via the columnar form."""
+    cols = stats.columns([sample])
+    return int(stats.tail_counts(cols, cw.threshold_x(sd, y))[0])
+
+
 def test_longest_cycles_basic():
-    lengths, padded = cw.longest_cycles(ct({2: 1, 3: 2}, 8), 3)
-    assert lengths == [3, 3, 2]
-    assert not padded
+    cols = stats.columns([ct({2: 1, 3: 2}, 8)])
+    assert stats.longest(cols, 3).tolist() == [[3, 3, 2]]
 
 
 def test_longest_cycles_padding():
-    lengths, padded = cw.longest_cycles(ct({1: 5}, 5), 7)
-    assert lengths == [1, 1, 1, 1, 1, 0, 0]
-    assert padded
+    cols = stats.columns([ct({1: 5}, 5)])
+    assert stats.longest(cols, 7).tolist() == [[1, 1, 1, 1, 1, 0, 0]]
 
 
 def test_longest_identity_exhaustive():
-    # max{m : #cycles >= m is >= j} equals the j-th sorted length
+    # columnar tail counts and longest-K against CycleType.tail_count and
+    # the sorted cycle lengths, over every cycle type up to n = 10, with
+    # all types of one n as the rows of one batch
     w = cw.polynomial(1.0)
     for n in range(1, 11):
-        for cyc, _ in cw.enumerate_cycle_types(w, n):
-            sorted_lengths, _ = cw.longest_cycles(cyc, n)
-            for j in range(1, cyc.num_cycles() + 1):
-                assert stats.longest_via_tail_counts(cyc, j) == sorted_lengths[j - 1]
+        types = [cyc for cyc, _ in cw.enumerate_cycle_types(w, n)]
+        cols = stats.columns(types)
+        for x in [0.5] + list(range(1, n + 2)):
+            assert stats.tail_counts(cols, x).tolist() == \
+                [cyc.tail_count(x) for cyc in types]
+        expect = []
+        for cyc in types:
+            lengths = sorted((m for m, c in cyc.counts for _ in range(c)),
+                             reverse=True)
+            expect.append(lengths + [0] * (n - len(lengths)))
+        assert stats.longest(cols, n).tolist() == expect
 
 
 def test_tv_distance_hand_computed():
@@ -66,41 +79,29 @@ def test_process_path_monotone(desk_saddle):
     # pad with fixed points so the counts sum to n
     counts = {1: 20000 - 200 - 700 - 900, 100: 2, 700: 1, 900: 1}
     sample = ct(counts, 20000)
-    path = cw.process_path(sample, desk_saddle, 1.0)
     ys = np.linspace(0.01, 5.0, 60)
-    vals = [path.evaluate(y) for y in ys]
+    vals = [path_value(sample, desk_saddle, y) for y in ys]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert all(isinstance(v, int) for v in vals)
 
 
 def test_process_path_brute_force_recount(desk_saddle):
     counts = {1: 20000 - 650 - 801, 650: 1, 801: 1}
     sample = ct(counts, 20000)
-    path = cw.process_path(sample, desk_saddle, 1.0)
     for y in (0.2, 0.7, 1.0, 2.5):
         x = cw.threshold_x(desk_saddle, y)
         brute = sum(c for m, c in sample.counts if m >= x)
-        assert path.evaluate(y) == brute
+        assert path_value(sample, desk_saddle, y) == brute
 
 
 def test_jump_threshold_duality(desk_saddle):
     counts = {1: 20000 - 700 - 850, 700: 1, 850: 1}
     sample = ct(counts, 20000)
-    path = cw.process_path(sample, desk_saddle, 1.0)
     sd = desk_saddle
     for j, L in enumerate((850, 700), start=1):
         y_j = math.exp(sd.ell_n - L / sd.n_star)
         eps = 1e-9
-        assert path.evaluate(y_j + eps) >= j
-        assert path.evaluate(y_j - eps) < j
-
-
-def test_jump_clamped_at_cap(desk_saddle):
-    cap = 2 * desk_saddle.n_star * desk_saddle.ell_n
-    big = int(cap) + 500
-    counts = {1: 20000 - big, big: 1}
-    path = cw.process_path(ct(counts, 20000), desk_saddle, 1.0)
-    assert path.jump_times[0] == pytest.approx(math.exp(-desk_saddle.ell_n))
+        assert path_value(sample, sd, y_j + eps) >= j
+        assert path_value(sample, sd, y_j - eps) < j
 
 
 def test_verify_poisson_degenerate_grid(desk_saddle):
@@ -115,6 +116,8 @@ def test_verify_poisson_degenerate_grid(desk_saddle):
 def test_verify_poisson_rejects_empty(desk_saddle):
     with pytest.raises(ValueError):
         cw.verify_poisson_increments([], desk_saddle, [1.0])
+    with pytest.raises(ValueError):  # a row without cycles
+        cw.verify_poisson_increments([ct({}, 0)], desk_saddle, [1.0])
 
 
 def test_verify_report_json_schema(desk_saddle):
