@@ -166,11 +166,14 @@ def cmd_sample(args) -> int:
 def cmd_verify(args) -> int:
     w = _weight_from_args(args)
     tols = _parse_tols(args.tol)
+    sd = asymptotics.solve_saddle(w, args.n)
+    if args.experiment in ("poisson", "gumbel", "bn"):
+        # rejects zero-growth weights before any sample is drawn
+        asymptotics.threshold_x(sd, 0)
     tab = _load_or_build_htable(w, args.n, args.cache_dir)
     cfg = sampler.SamplerConfig(n=args.n, num_samples=args.samples,
                                 seed=args.seed)
     batch = list(sampler.sample_batch(w, tab, cfg))
-    sd = asymptotics.solve_saddle(w, args.n)
     if args.experiment == "poisson":
         grid = _parse_grid(args.y_grid) if args.y_grid else [0.5, 1.0, 2.0]
         rep = stats.verify_poisson_increments(batch, sd, grid,

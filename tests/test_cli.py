@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from cycleweights import sampler
 from cycleweights.cli import run_command
 
 
@@ -55,6 +56,17 @@ def test_sample_stdout_matches_out_file(tmp_path, capsys):
 def test_verify_zero_growth_is_validation_error(capsys):
     # Ewens weights have no ell_n, so x_n(y) and the rescaling are undefined
     assert run_command(["verify", "gumbel", "--vartheta", "2", "--n", "300",
+                        "--samples", "50"]) == 2
+    assert "ell_n is undefined" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["poisson", "gumbel", "bn"])
+def test_verify_zero_growth_fails_before_sampling(experiment, monkeypatch,
+                                                  capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the weights were checked")
+    monkeypatch.setattr(sampler, "sample_batch", no_sampling)
+    assert run_command(["verify", experiment, "--vartheta", "2", "--n", "300",
                         "--samples", "50"]) == 2
     assert "ell_n is undefined" in capsys.readouterr().err
 

@@ -1,4 +1,7 @@
 import collections
+import hashlib
+import io
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +55,72 @@ def test_exactness_small_n(alpha, n):
     tv = empirical_tv(w, tab, n, 60000, seed=1234)
     # MC noise at this scale is well under 0.02
     assert tv < 0.02
+
+
+@pytest.mark.parametrize("values,n", [([1, 0, 0, 1], 8), ([0, 1], 8)])
+def test_exactness_irregular_weights(values, n):
+    # zero weights put -inf into log theta (and, for [0, 1], into log h_1)
+    w = cw.table(values)
+    tab = cw.build_h_table(w, n)
+    assert empirical_tv(w, tab, n, 60000, seed=1234) < 0.02
+    # the block scan over many rows at once draws the same samples
+    scan = smp.CycleTypeSampler(w, tab, cache_limit=0)
+    num = 5000
+    drawn = scan._sample_lockstep(
+        n, [smp.substream_rng(1234, i) for i in range(num)])
+    batch = cw.sample_batch(w, tab, cw.SamplerConfig(n=n, num_samples=num,
+                                                     seed=1234))
+    assert [ct.counts for ct in drawn] == [ct.counts for ct in batch]
+    assert scan.incidents == 0
+
+
+def reference_first_cycle(s, m, u):
+    """The one-row draw the kernel replaced: (k, scanned, CDF values seen)."""
+    if m == 1:
+        return 1, 0, []
+    if m <= s.cache_limit:
+        row = np.cumsum(np.exp(s.log_theta[1:m + 1] + s.log_h[m - 1::-1]
+                               - math.log(m) - s.log_h[m]))
+        idx = int(np.searchsorted(row, u, side="left"))
+        return min(idx + 1, m), idx + 1, list(row)
+    base = -math.log(m) - s.log_h[m]
+    acc = comp = 0.0
+    lo, block, scanned, seen = 1, smp._SCAN_BLOCK, 0, []
+    while lo <= m:
+        hi = min(lo + block - 1, m)
+        probs = np.exp(s.log_theta[lo:hi + 1]
+                       + s.log_h[m - lo:m - hi - 1 if m > hi else None:-1]
+                       + base)
+        cum = np.cumsum(probs) + acc
+        scanned += hi - lo + 1
+        seen += list(cum)
+        if cum[-1] >= u:
+            return lo + int(np.searchsorted(cum, u, side="left")), scanned, seen
+        y = float(np.sum(probs)) - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
+        lo, block = hi + 1, block * 2
+    return m, scanned, seen
+
+
+def test_kernel_matches_one_row_reference(htable_2000, poly1):
+    # uniforms on and just above every reference CDF value: the kernel must
+    # reproduce the reference's arithmetic to the last bit to match
+    s = smp.CycleTypeSampler(poly1, htable_2000)
+    rng = np.random.default_rng(5)
+    ms, us = [], []
+    for m in (1, 2, 3, 40, 1024, 1025, 1500, 2000):
+        for c in reference_first_cycle(s, m, 2.0)[2]:
+            ms += [m, m]
+            us += [c, np.nextafter(c, 1.0)]
+        ms += [m] * 20
+        us += list(rng.random(20))
+    expected = [reference_first_cycle(s, m, u)[:2] for m, u in zip(ms, us)]
+    k = [s._first_cycles(np.array(ms[i:i + 256]), np.array(us[i:i + 256]))
+         for i in range(0, len(ms), 256)]
+    assert np.concatenate(k).tolist() == [e[0] for e in expected]
+    assert s.scanned == sum(e[1] for e in expected)
 
 
 def test_output_depends_only_on_seed_and_index(small_table):
@@ -108,6 +177,72 @@ def test_chunked_scan_agrees_with_cached(htable_2000, poly1):
         a = cached.sample(1500, smp.substream_rng(3, i))
         b = chunked.sample(1500, smp.substream_rng(3, i))
         assert a.counts == b.counts
+
+
+# SHA-256 of the dump_samples JSONL of (weights, n, samples, seed)
+GOLDEN = [
+    (cw.polynomial(1.0), 2000, 300, 7,
+     "f953c537523763015135f2cd1b923aec7ecba32c438f871e3c940729e74cfc75"),
+    (cw.polynomial(0.5), 5000, 200, 3,
+     "351d8a681e2db42ef85d32d24595877c7fa2867d63d9e68d8a6875d17003873d"),
+    (cw.table([1, 0, 0, 1]), 3000, 50, 1,
+     "52c09dc601377d99af69e7d862b9d5d5ecba6b393db5997a1d47e0d7ee8b9590"),
+]
+
+
+@pytest.mark.parametrize("w,n,num,seed,digest", GOLDEN,
+                         ids=["poly1", "poly0.5", "table1001"])
+def test_golden_output(w, n, num, seed, digest):
+    # hashes recorded from the serial one-row sampler: fixed-seed output is
+    # bit-for-bit the same; n > cache limit, so both the block scan and the
+    # cached rows are used
+    tab = cw.build_h_table(w, n)
+    out = io.StringIO()
+    smp.dump_samples(cw.sample_batch(
+        w, tab, cw.SamplerConfig(n=n, num_samples=num, seed=seed)), out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def test_batch_counters_match_single_draws(poly1):
+    tab = cw.build_h_table(poly1, 2000)
+    single = smp.CycleTypeSampler(poly1, tab)
+    for i in range(100):
+        single.sample(2000, smp.substream_rng(7, i))
+    shared = smp._shared_sampler(poly1, tab)
+    list(cw.sample_batch(poly1, tab, cw.SamplerConfig(n=2000, num_samples=100,
+                                                      seed=7)))
+    assert shared.scanned == single.scanned > 0
+    assert shared.incidents == single.incidents == 0
+
+
+def test_batch_size_does_not_change_samples():
+    # 137-176 cycles per sample: more than one read-ahead of uniforms
+    w = cw.polynomial(3.0)
+    tab = cw.build_h_table(w, 2000)
+    chunk = smp._CHUNK
+
+    def batch(num):
+        cfg = cw.SamplerConfig(n=2000, num_samples=num, seed=21)
+        return [ct.counts for ct in cw.sample_batch(w, tab, cfg)]
+
+    full = batch(600)
+    for num in (1, chunk - 1, chunk, chunk + 1):
+        assert batch(num) == full[:num]
+    fresh = smp.CycleTypeSampler(w, tab)
+    for i in (0, chunk - 1, chunk, chunk + 1, 599):
+        assert fresh.sample(2000, smp.substream_rng(21, i)).counts == full[i]
+
+
+def test_refill_past_read_ahead():
+    # table([1, 0]) allows fixed points only: 1500 draws per sample, more
+    # than one read-ahead block of uniforms, through scan and cached rows
+    w = cw.table([1, 0])
+    tab = cw.build_h_table(w, 1500)
+    shared = smp._shared_sampler(w, tab)
+    cfg = cw.SamplerConfig(n=1500, num_samples=3, seed=2)
+    drawn = [ct.counts for ct in cw.sample_batch(w, tab, cfg)]
+    assert drawn == [((1, 1500),)] * 3
+    assert shared.incidents == 0
 
 
 def test_substream_keys_distinct():
