@@ -167,9 +167,9 @@ def cmd_verify(args) -> int:
     w = _weight_from_args(args)
     tols = _parse_tols(args.tol)
     sd = asymptotics.solve_saddle(w, args.n)
-    if args.experiment in ("poisson", "gumbel", "bn"):
-        # rejects zero-growth weights before any sample is drawn
-        asymptotics.threshold_x(sd, 0)
+    # every report needs polynomial growth: reject zero-growth weights
+    # before any sample is drawn
+    asymptotics.threshold_x(sd, 0)
     tab = _load_or_build_htable(w, args.n, args.cache_dir)
     cfg = sampler.SamplerConfig(n=args.n, num_samples=args.samples,
                                 seed=args.seed)

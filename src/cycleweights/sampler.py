@@ -7,13 +7,13 @@ of the cycle type.  Lengths are drawn by an inverse-CDF scan in increasing
 k with early stopping; scan lengths telescope with the removed cycle
 lengths, so the expected total work per sample is O(n).
 
-One vectorised kernel draws the first cycles of many rows at once: rows
-with m above the cache limit are scanned together in doubling blocks, and
-smaller rows search their cached cumulative rows.  A batch is drawn
-in chunks of samples advanced in lockstep, one first cycle per sample per
-step.  Sample i reads its uniforms, in order, from its own counter-based
-random stream keyed by (seed, i), so its value depends only on the seed
-and its index, not on the batch size, the chunking or any other sample.
+One vectorised kernel draws the first cycles of many rows at once,
+scanning them side by side in doubling blocks.  Samples are drawn in
+chunks advanced in lockstep, one first cycle per sample per step; a single
+draw is a chunk of one.  Sample i reads its uniforms, in order, from its
+own counter-based random stream keyed by (seed, i), so its value depends
+only on the seed and its index, not on the batch size, the chunking or
+any other sample.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, TextIO
+from typing import Iterable, Iterator, List, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,9 +32,8 @@ from .weights import WeightSequence, theta_log_array
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# below this size, per-m cumulative rows are cached densely
-_DEFAULT_CACHE_LIMIT = 1024
-_SCAN_BLOCK = 64
+# first scan block; later blocks double
+_SCAN_BLOCK = 16
 # samples advanced in lockstep; bounds the scan's (rows, block) arrays
 _CHUNK = 256
 # uniforms read ahead from each sample's stream per refill
@@ -48,11 +47,19 @@ class SamplerConfig:
     seed: int
 
     def validate(self, h: HTable) -> None:
-        if self.n < 1 or self.n > h.n_max:
-            raise CapacityError(
-                f"n={self.n} outside table range 1..{h.n_max}")
+        _check_n(self.n, h.weight, h.log_array())
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
+
+
+def _check_n(n: int, w: WeightSequence, log_h: np.ndarray) -> None:
+    """Reject n outside the table, or with h_n = 0: no cycle type of size n
+    has positive weight then, so there is nothing to sample."""
+    if n < 1 or n >= len(log_h):
+        raise CapacityError(f"n={n} outside table range 1..{len(log_h) - 1}")
+    if log_h[n] == -np.inf:
+        raise ValueError(f"h_{n} = 0 for {w!r}: no permutation of size {n} "
+                         f"has positive weight")
 
 
 def _splitmix64(z: int) -> int:
@@ -74,8 +81,7 @@ def substream_rng(seed: int, index: int) -> np.random.Generator:
 class CycleTypeSampler:
     """Reusable sampler bound to one weight sequence and HTable."""
 
-    def __init__(self, w: WeightSequence, h: HTable,
-                 cache_limit: int = _DEFAULT_CACHE_LIMIT):
+    def __init__(self, w: WeightSequence, h: HTable):
         if h.weight != w:
             raise ValueError("HTable was built for a different weight sequence")
         self.w = w
@@ -85,12 +91,6 @@ class CycleTypeSampler:
         self.n_max = n = h.n_max
         self.log_theta = theta_log_array(w, n)
         self.log_h = h.log_array()
-        self.cache_limit = cache_limit
-        # cumulative rows m = 1..min(cache_limit, n) packed back to back, row
-        # m at offset m(m-1)/2; each is built on first use
-        rows = max(min(cache_limit, n), 0)
-        self._cum = np.empty(rows * (rows + 1) // 2)
-        self._built = np.zeros(rows + 1, dtype=bool)
         # scan inputs: -log m - log h_m per m (NaN until first use), and the
         # log h windows: row n - m, column k holds log h_{m-k}, read from the
         # reversed log h padded with -inf, so that k > m has probability 0
@@ -103,50 +103,20 @@ class CycleTypeSampler:
         self.incidents = 0
 
     def _first_cycles(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """First-cycle lengths for remaining sizes m >= 1 and uniforms u."""
-        scan = m > max(self.cache_limit, 1)
-        if np.count_nonzero(scan) == len(m):
-            return self._scan_blocks(m, u)
-        k = np.ones_like(m)
-        cached = ~scan & (m > 1)
-        if cached.any():
-            k[cached] = self._search_rows(m[cached], u[cached])
-        if scan.any():
-            k[scan] = self._scan_blocks(m[scan], u[scan])
-        return k
+        """First-cycle lengths for remaining sizes m >= 1 and uniforms u.
 
-    def _search_rows(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
-        built = self._built[m]
-        if not built.all():
-            for r in np.unique(m[~built]).tolist():
-                logp = (self.log_theta[1:r + 1] + self.log_h[r - 1::-1]
-                        - math.log(r) - self.log_h[r])
-                start = r * (r - 1) // 2
-                np.cumsum(np.exp(logp), out=self._cum[start:start + r])
-                self._built[r] = True
-        # idx = number of row entries below u, the left insertion point:
-        # count the entries below u at a stride, then inside the stride the
-        # count ends in; a probe past the row's end reads its last entry
-        before = m * (m - 1) // 2 - 1
-        last = before + m
-        stride = 1 + math.isqrt(int(m.max()) - 1)
-        steps = np.arange(1, stride + 1)
-        idx = np.zeros_like(m)
-        for spacing in (stride, 1):
-            probe = np.minimum(before[:, None] + idx[:, None] + spacing * steps,
-                               last[:, None])
-            idx += spacing * (self._cum[probe] < u[:, None]).sum(axis=1)
-        idx = np.minimum(idx, m)
-        self.scanned += int(idx.sum()) + len(m)
-        # idx = m: round-off exhausted the row
-        self.incidents += np.count_nonzero(idx == m)
-        return np.minimum(idx + 1, m)
-
-    def _scan_blocks(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
-        # Rows are scanned side by side in doubling blocks, each with the
-        # arithmetic of a scan of its own: (log theta + log h) + base, a
-        # running sum plus the mass of earlier blocks, Kahan-summed.  A block
-        # reaching past k = m reads -inf there, adding exact zeros.
+        Rows with m > 1 are scanned side by side in doubling blocks, each
+        with the arithmetic of a scan of its own: (log theta + log h) + base,
+        a running sum plus the mass of earlier blocks, Kahan-summed.  A block
+        reaching past k = m reads -inf there, adding exact zeros.
+        """
+        # m = 1 takes k = 1 unscanned; a row whose CDF ends below u
+        # (round-off) takes k = m
+        k = m.copy()
+        rows = np.flatnonzero(m > 1)
+        if not rows.size:
+            return k
+        m, u = m[rows], u[rows]
         base = self._scan_base[m]
         fresh = np.isnan(base)
         if np.count_nonzero(fresh):
@@ -155,10 +125,8 @@ class CycleTypeSampler:
                            - self.log_h[mf])
             self._scan_base[mf] = base[fresh]
         base = base[:, None]
-        k = m.copy()  # a row whose CDF ends below u (round-off) takes k = m
-        rows = np.arange(len(m))
         start = self.n_max - m  # window row
-        resolved = 0
+        unresolved = len(m)
         acc = np.zeros(len(m))
         comp = np.zeros(len(m))
         top = int(m.max())
@@ -176,7 +144,7 @@ class CycleTypeSampler:
             if hits:
                 below = (cum < u[:, None]).sum(axis=1)
                 k[rows[hit]] = lo + below[hit]
-                resolved += hits
+                unresolved -= hits
             go = ~hit & (m >= lo + width)  # unresolved, with k left to scan
             left = np.count_nonzero(go)
             if left < len(m):
@@ -195,21 +163,19 @@ class CycleTypeSampler:
             acc = s
             lo += block
             block *= 2
-        self.incidents += len(k) - resolved
+        self.incidents += int(unresolved)
         return k
 
     def sample(self, n: int, rng: np.random.Generator) -> CycleType:
-        """One draw, taking one rng.random() per cycle."""
-        if n < 1 or n > self.n_max:
-            raise CapacityError(f"n={n} outside table range 1..{self.n_max}")
-        counts: Dict[int, int] = {}
-        m = n
-        while m > 0:
-            k = int(self._first_cycles(np.array([m]),
-                                       np.array([rng.random()]))[0])
-            counts[k] = counts.get(k, 0) + 1
-            m -= k
-        return CycleType.from_dict(counts, n)
+        """One draw: a lockstep chunk of one sample.
+
+        It reads ahead up to min(n, 128) uniforms from rng and discards the
+        unused ones.  A fresh stream gives the draw sample_batch makes from
+        it; a reused rng gives draws from the same distribution, but not
+        those of one rng.random() per cycle.
+        """
+        _check_n(n, self.w, self.log_h)
+        return self._sample_lockstep(n, [rng])[0]
 
     def _sample_lockstep(self, n: int,
                          rngs: List[np.random.Generator]) -> List[CycleType]:
@@ -252,12 +218,9 @@ class CycleTypeSampler:
 
 
 def sample_cycle_type(w: WeightSequence, h: HTable, n: int,
-                      rng: np.random.Generator,
-                      sampler: Optional[CycleTypeSampler] = None) -> CycleType:
-    """One exact cycle-type draw; pass a CycleTypeSampler to reuse tables."""
-    if sampler is None:
-        sampler = _shared_sampler(w, h)
-    return sampler.sample(n, rng)
+                      rng: np.random.Generator) -> CycleType:
+    """One exact cycle-type draw, by the table's shared sampler."""
+    return _shared_sampler(w, h).sample(n, rng)
 
 
 def _shared_sampler(w: WeightSequence, h: HTable) -> CycleTypeSampler:

@@ -295,6 +295,9 @@ def cumulative_profile(batch: Iterable, alpha: float,
     if w is None:
         w = weights_mod.polynomial(alpha)
     sd = solve_saddle(w, n)
+    # zero-growth weights raise here: their scale n^{1/(1+0)} = n puts every
+    # x >= 1 at or past n, where the observed count is 0 by construction
+    threshold_x(sd, 0.0)
     scale = n ** (1.0 / (1.0 + alpha))
     rep = VerificationReport(
         "cumulative_profile",

@@ -60,7 +60,7 @@ def test_verify_zero_growth_is_validation_error(capsys):
     assert "ell_n is undefined" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("experiment", ["poisson", "gumbel", "bn"])
+@pytest.mark.parametrize("experiment", ["poisson", "gumbel", "bn", "profile"])
 def test_verify_zero_growth_fails_before_sampling(experiment, monkeypatch,
                                                   capsys):
     def no_sampling(*args, **kwargs):

@@ -166,3 +166,11 @@ def test_cumulative_profile_trivial_tail():
     rep = cw.cumulative_profile(batch, 1.0, [50.0])
     w = [c for c in rep.checks if c.name.startswith("w_n")][0]
     assert w.observed == 0.0
+
+
+def test_cumulative_profile_rejects_zero_growth():
+    # Ewens weights scale x by n itself, so w_n(x >= 1) would be 0 by
+    # construction against a positive prediction
+    batch = [ct({1: 100}, 100)] * 10
+    with pytest.raises(ValueError, match="ell_n is undefined"):
+        cw.cumulative_profile(batch, 0.0, [0.5, 1.0], w=cw.ewens(2.0))
