@@ -14,6 +14,11 @@ draw is a chunk of one.  Sample i reads its uniforms, in order, from its
 own counter-based random stream keyed by (seed, i), so its value depends
 only on the seed and its index, not on the batch size, the chunking or
 any other sample.
+
+The streams are numpy's Philox4x64-10, bit for bit.  Philox maps (key,
+counter) to random words, so a batch computes its chunk's uniforms in one
+set of numpy array operations, keys and counters side by side;
+substream_rng gives the same stream as a Generator.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, TextIO
+from typing import Callable, Iterable, Iterator, List, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,6 +36,12 @@ from .weights import WeightSequence, theta_log_array
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# Philox4x64 round multipliers M and key bumps W (Weyl constants), one per
+# word pair, shaped to broadcast over (pair, row, block); M in 32-bit halves
+_M = np.array([[[0xD2E7470EE14C6C93]], [[0xCA5A826395121157]]], np.uint64)
+_W = np.array([[[0x9E3779B97F4A7C15]], [[0xBB67AE8584CAA73B]]], np.uint64)
+_LO32, _SH32 = np.uint64((1 << 32) - 1), np.uint64(32)
+_M_LO, _M_HI = _M & _LO32, _M >> _SH32
 
 # first scan block; later blocks double
 _SCAN_BLOCK = 16
@@ -62,20 +73,79 @@ def _check_n(n: int, w: WeightSequence, log_h: np.ndarray) -> None:
                          f"has positive weight")
 
 
-def _splitmix64(z: int) -> int:
-    z = (z + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+def substream_keys(seed: int, indices) -> np.ndarray:
+    """uint64 keys of the samples `indices`: splitmix64 of the seed mixed
+    with a golden-ratio multiple of the index.  The seed is taken mod 2^64,
+    so any Python int is a seed."""
+    z = np.asarray(indices).astype(np.uint64) * np.uint64(_GOLDEN)
+    z ^= np.uint64(seed & _MASK64)
+    z += np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def substream_key(seed: int, index: int) -> int:
-    """64-bit key for sample `index`: mix of seed and golden-ratio multiple."""
-    return _splitmix64((seed ^ ((index * _GOLDEN) & _MASK64)) & _MASK64)
+    """64-bit key of sample `index`."""
+    return int(substream_keys(seed, [index])[0])
 
 
 def substream_rng(seed: int, index: int) -> np.random.Generator:
+    """Sample `index`'s stream as a Generator, whose random() gives the
+    uniforms philox_uniforms computes for its key."""
     return np.random.Generator(np.random.Philox(key=substream_key(seed, index)))
+
+
+def _philox_mul(c: np.ndarray):
+    """(high, low) 64-bit words of the 128-bit products of the round
+    multipliers and counter words c, the high word from four
+    32 x 32 -> 64-bit products."""
+    c_lo, c_hi = c & _LO32, c >> _SH32
+    t = _M_LO * c_lo
+    t >>= _SH32
+    t += _M_HI * c_lo  # below 2^64, as is v
+    v = _M_LO * c_hi
+    v += t & _LO32
+    hi = _M_HI * c_hi
+    t >>= _SH32
+    hi += t
+    v >>= _SH32
+    hi += v
+    return hi, _M * c
+
+
+def philox_uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Uniforms start .. start + count - 1 of each key's stream, one row per
+    key: the values np.random.Generator(np.random.Philox(key=k)).random()
+    returns, computed for all keys at once.
+
+    Philox4x64-10 (Salmon et al., SC'11) turns a counter (c0, c1, c2, c3)
+    into four 64-bit words by ten rounds under key (k0, k1), bumped by
+    Weyl constants between rounds.  numpy bumps the counter before each
+    block, so uniform j is word j % 4 of counter (j // 4 + 1, 0, 0, 0)
+    under key (k, 0), taken as (x >> 11) * 2^-53.
+    """
+    first, skip = divmod(start, 4)
+    blocks = -(-(skip + count) // 4)
+    rows = len(keys)
+    # counter words (c0, c2) and (c1, c3), and key words (k0, k1)
+    even = np.zeros((2, rows, blocks), dtype=np.uint64)
+    even[0] = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)
+    key = np.zeros((2, rows, 1), dtype=np.uint64)
+    key[0, :, 0] = keys
+    for r in range(10):
+        if r:
+            key += _W
+        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0) for
+        # (hi0, lo0) = M0 * c0 and (hi1, lo1) = M1 * c2
+        hi, lo = _philox_mul(even)
+        hi ^= odd[::-1]
+        hi ^= key[::-1]
+        even, odd = hi[::-1], lo[::-1]
+    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=2)
+    words = words.reshape(rows, -1)[:, skip:skip + count]
+    return (words >> np.uint64(11)) * 2.0 ** -53
 
 
 class CycleTypeSampler:
@@ -175,25 +245,26 @@ class CycleTypeSampler:
         those of one rng.random() per cycle.
         """
         _check_n(n, self.w, self.log_h)
-        return self._sample_lockstep(n, [rng])[0]
+        return self._sample_lockstep(
+            n, 1, lambda rows, start, width: rng.random((1, width)))[0]
 
-    def _sample_lockstep(self, n: int,
-                         rngs: List[np.random.Generator]) -> List[CycleType]:
-        """One draw per generator, all advanced together: at step s every
-        unfinished sample takes its s-th uniform, read ahead in blocks."""
+    def _sample_lockstep(self, n: int, count: int,
+                         fill: Callable[[np.ndarray, int, int], np.ndarray]
+                         ) -> List[CycleType]:
+        """`count` draws, all advanced together: at step s every unfinished
+        sample takes its s-th uniform.  fill(rows, start, width) returns
+        uniforms start .. start + width - 1 of the samples `rows`; it is
+        called at steps 0, 128, 256, ... for the samples still running."""
         ahead = min(n, _LOOKAHEAD)
-        u = np.empty((len(rngs), ahead))
-        for i, rng in enumerate(rngs):
-            rng.random(out=u[i])
-        live = np.arange(len(rngs))
-        m = np.full(len(rngs), n)
+        live = np.arange(count)
+        u = fill(live, 0, ahead)
+        m = np.full(count, n)
         drawn = []  # per step: sample * (n + 1) + first-cycle length
         step = 0
         while live.size:
             col = step % ahead
             if step and not col:
-                for i in live.tolist():
-                    rngs[i].random(out=u[i])
+                u[live] = fill(live, step, ahead)
             k = self._first_cycles(m, u[live, col])
             drawn.append(live * (n + 1) + k)
             m = m - k
@@ -206,7 +277,7 @@ class CycleTypeSampler:
         # (sample, length) -> C_m, in sample then length order
         keys, counts = np.unique(np.concatenate(drawn), return_counts=True)
         del drawn
-        ends = np.searchsorted(keys, np.arange(1, len(rngs) + 1) * (n + 1))
+        ends = np.searchsorted(keys, np.arange(1, count + 1) * (n + 1))
         length = (keys % (n + 1)).tolist()
         del keys
         counts = counts.tolist()
@@ -236,14 +307,17 @@ def sample_batch(w: WeightSequence, h: HTable,
     """Deterministic batch of samples, emitted in index order.
 
     Sample i is drawn from the substream keyed by (cfg.seed, i), so a
-    shorter batch with the same seed is a prefix of a longer one.
+    shorter batch with the same seed is a prefix of a longer one.  Each
+    chunk's uniforms are computed together by philox_uniforms.
     """
     cfg.validate(h)
     sampler = _shared_sampler(w, h)
     for lo in range(0, cfg.num_samples, _CHUNK):
-        hi = min(lo + _CHUNK, cfg.num_samples)
+        keys = substream_keys(cfg.seed,
+                              np.arange(lo, min(lo + _CHUNK, cfg.num_samples)))
         yield from sampler._sample_lockstep(
-            cfg.n, [substream_rng(cfg.seed, i) for i in range(lo, hi)])
+            cfg.n, len(keys),
+            lambda rows, start, width: philox_uniforms(keys[rows], start, width))
 
 
 def dump_samples(samples: Iterable[CycleType], f: TextIO) -> int:

@@ -66,8 +66,10 @@ def test_exactness_irregular_weights(values, n):
     # one lockstep pass over 5000 rows draws what the batch's chunks draw
     scan = smp.CycleTypeSampler(w, tab)
     num = 5000
+    rngs = [smp.substream_rng(1234, i) for i in range(num)]
     drawn = scan._sample_lockstep(
-        n, [smp.substream_rng(1234, i) for i in range(num)])
+        n, num, lambda rows, start, width: np.stack(
+            [rngs[i].random(width) for i in rows.tolist()]))
     batch = cw.sample_batch(w, tab, cw.SamplerConfig(n=n, num_samples=num,
                                                      seed=1234))
     assert [ct.counts for ct in drawn] == [ct.counts for ct in batch]
@@ -245,6 +247,62 @@ def test_refill_past_read_ahead():
     drawn = [ct.counts for ct in cw.sample_batch(w, tab, cfg)]
     assert drawn == [((1, 1500),)] * 3
     assert shared.incidents == 0
+
+
+def reference_key(seed, index):
+    """substream_key in Python ints: splitmix64 of seed ^ index * golden."""
+    mask = (1 << 64) - 1
+    z = ((seed ^ (index * 0x9E3779B97F4A7C15)) + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("seed", [0, 99, -1, 2**64 + 5])
+def test_substream_keys_match_reference(seed):
+    idx = np.arange(10000)
+    keys = smp.substream_keys(seed, idx)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [reference_key(seed, i) for i in idx.tolist()]
+    assert [smp.substream_key(seed, i) for i in (0, 1, 9999)] == \
+        [reference_key(seed, i) for i in (0, 1, 9999)]
+
+
+@pytest.mark.parametrize("start", [0, 3, 128, 256])
+@pytest.mark.parametrize("width", [6, 37, 128])
+def test_philox_uniforms_match_numpy(start, width):
+    # the computed streams are numpy's Philox, bit for bit, also on a
+    # subset of rows as a refill reads them, and from inside a block
+    seed = 7
+    keys = smp.substream_keys(seed, np.arange(300))
+    rows = np.array([0, 1, 2, 57, 128, 255, 299])
+    got = smp.philox_uniforms(keys[rows], start, width)
+    assert got.shape == (len(rows), width)
+    for r, i in enumerate(rows.tolist()):
+        want = smp.substream_rng(seed, i).random(start + width)[start:]
+        assert np.array_equal(got[r], want)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 + 5])
+def test_seed_outside_uint64(small_table, seed):
+    # a seed is taken mod 2^64 by both paths
+    w = cw.polynomial(1.0)
+    fresh = smp.CycleTypeSampler(w, small_table)
+    batch = [ct.counts for ct in cw.sample_batch(
+        w, small_table, cw.SamplerConfig(n=40, num_samples=20, seed=seed))]
+    assert batch == [fresh.sample(40, smp.substream_rng(seed, i)).counts
+                     for i in range(20)]
+
+
+def test_batch_builds_no_generator(small_table, monkeypatch):
+    # a batch computes its streams; it never steps a numpy Generator
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_batch built a numpy bit generator")
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    monkeypatch.setattr(np.random, "Philox", refuse)
+    cfg = cw.SamplerConfig(n=40, num_samples=300, seed=3)
+    assert len(list(cw.sample_batch(cw.polynomial(1.0), small_table,
+                                    cfg))) == 300
 
 
 def test_substream_keys_distinct():
