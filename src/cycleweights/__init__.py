@@ -6,7 +6,7 @@ polynomially growing weights, plus statistical verification of the
 Poisson-process and longest-cycle limit behaviour.
 """
 
-from .weights import WeightSequence, ewens, g_theta_partial, polynomial, table, theta_eval
+from .weights import WeightSequence, ewens, g_theta_partial, polynomial, table
 from .scaled import ScaledReal
 from .oracle import (CycleType, HTable, build_h_table, corollary_bound_check,
                      enumerate_cycle_types, exact_statistic_pmf, h_exact,

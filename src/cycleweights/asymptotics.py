@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 
 from .scaled import ScaledReal
-from .weights import WeightSequence, g_theta_partial, theta_array_shifted
+from .weights import WeightSequence, exp_sums, g_theta_partial, theta_log_range
 
 # truncation rule for all infinite sums: smallest K with K*v >= TAIL_DECADES,
 # leaving tails below e^-60 times a polynomial factor
@@ -55,18 +55,6 @@ def truncation_K(v: float) -> int:
     return max(8, int(math.ceil(TAIL_DECADES / v)))
 
 
-def _weighted_exp_sums(w: WeightSequence, v: float) -> Tuple[float, float, int]:
-    """(sum theta_k e^{-kv}, sum k theta_k e^{-kv}, K) truncated at K."""
-    K = truncation_K(v)
-    k = np.arange(1, K + 1, dtype=np.float64)
-    # evaluate in log space so k^alpha * e^{-kv} never overflows mid-product
-    theta = theta_array_shifted(w, 1, K)
-    with np.errstate(divide="ignore"):
-        logs = np.where(theta > 0, np.log(theta), -np.inf) - k * v
-    terms = np.exp(logs)
-    return float(np.sum(terms)), float(np.sum(k * terms)), K
-
-
 def ell_n(n_star: float, alpha: float) -> float:
     """Centering scale alpha*log(n*) + (alpha-1)*log(alpha*log(n*))."""
     core = alpha * math.log(n_star)
@@ -83,40 +71,34 @@ def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    alpha = w.growth_alpha
     if w.family == "ewens":
-        # theta_k = const: closed form v = log(1 + vartheta/n)
+        # theta_k = const: closed form v = log(1 + vartheta/n), which the
+        # first evaluation accepts
         v = math.log1p(w.vartheta / n)
     else:
-        alpha = w.growth_alpha
-        v0 = (n / math.gamma(alpha + 1.0)) ** (-1.0 / (1.0 + alpha))
-        lo, hi = v0 / 10.0, 10.0 * v0
-        v = v0
-        converged = False
-        for _ in range(_MAX_NEWTON_ITERS):
-            s, sk, _ = _weighted_exp_sums(w, v)
-            f = s - n
-            if abs(f) <= 1e-12 * n:
-                converged = True
-                break
-            if f > 0:
-                lo = max(lo, v)
-            else:
-                hi = min(hi, v)
-            step = f / sk  # f' = -sk
-            v_new = v + step
-            if not (lo < v_new < hi):
-                v_new = 0.5 * (lo + hi)
-            if abs(v_new - v) <= 1e-15 * v:
-                v = v_new
-                converged = True
-                break
-            v = v_new
-        if not converged:
-            raise SaddleError(
-                f"saddle equation did not converge for n={n}: "
-                f"v={v}, bracket=({lo}, {hi})")
-    s, sk, K = _weighted_exp_sums(w, v)
-    alpha = w.growth_alpha
+        v = (n / math.gamma(alpha + 1.0)) ** (-1.0 / (1.0 + alpha))
+    lo, hi = v / 10.0, 10.0 * v
+    for _ in range(_MAX_NEWTON_ITERS):
+        # the sums of the last v evaluated are the returned a_n, b_n
+        s, sk = exp_sums(w, v, 1, truncation_K(v), (0, 1))
+        f = s - n
+        if abs(f) <= 1e-12 * n:
+            break
+        if f > 0:
+            lo = max(lo, v)
+        else:
+            hi = min(hi, v)
+        v_new = v + f / sk  # f' = -sk
+        if not (lo < v_new < hi):
+            v_new = 0.5 * (lo + hi)
+        if abs(v_new - v) <= 1e-15 * v:
+            break
+        v = v_new
+    else:
+        raise SaddleError(
+            f"saddle equation did not converge for n={n}: "
+            f"v={v}, bracket=({lo}, {hi})")
     n_star = 1.0 / v
     try:
         ell = ell_n(n_star, alpha) if alpha > 0 else math.nan
@@ -124,7 +106,8 @@ def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
         ell = math.nan
     return SaddleData(n=n, v_n=v, n_star=n_star, ell_n=ell,
                       r_n=math.exp(-v), a_n=s, b_n=sk,
-                      truncation_K=K, residual=abs(s - n) / n, weight=w)
+                      truncation_K=truncation_K(v), residual=abs(s - n) / n,
+                      weight=w)
 
 
 def zeta(s: float) -> float:
@@ -144,9 +127,7 @@ def polylog_asymp(delta: float, v: float) -> Tuple[float, float, float]:
         raise ValueError(f"delta={delta} is an excluded negative integer")
     if not 0.0 < v < 1.0:
         raise ValueError("v must be in (0, 1)")
-    K = truncation_K(v)
-    k = np.arange(1, K + 1, dtype=np.float64)
-    direct = float(np.sum(np.exp(delta * np.log(k) - k * v)))
+    direct = exp_sums(None, v, 1, truncation_K(v), (delta,))[0]
     approx = math.gamma(delta + 1.0) * v ** (-delta - 1.0) + zeta(-delta)
     return approx, direct, abs(direct - approx)
 
@@ -181,16 +162,8 @@ def partial_sum_asymp(delta: float, v: float, x: float,
                  for j in range(n_terms + 1))
     integral_part = f_x / v * series
     correction = BOUNDARY_C0 * f_x
-    K = truncation_K(v) + int(xc)
-    k = np.arange(int(xc), K + 1, dtype=np.float64)
-    direct = float(np.sum(np.exp(delta * np.log(k) - k * v)))
+    direct = exp_sums(None, v, int(xc), truncation_K(v) + int(xc), (delta,))[0]
     return integral_part, correction, direct, in_regime
-
-
-def g_at_radius(w: WeightSequence, r: float, eps: float = 1e-13) -> float:
-    """g(r) = sum (theta_k/k) r^k at the saddle radius."""
-    value, _, _ = g_theta_partial(w, r, eps)
-    return value
 
 
 def saddle_h_estimate(w: WeightSequence, n: int) -> Tuple[ScaledReal, SaddleData]:
@@ -201,7 +174,7 @@ def saddle_h_estimate(w: WeightSequence, n: int) -> Tuple[ScaledReal, SaddleData
     if n < 10:
         raise ValueError("saddle estimate needs n >= 10")
     sd = solve_saddle(w, n)
-    g_r = g_at_radius(w, sd.r_n)
+    g_r, _, _ = g_theta_partial(w, sd.r_n, 1e-13)
     log_est = (-0.5 * math.log(2.0 * math.pi)
                + n * sd.v_n
                - 0.5 * math.log(sd.b_n)
@@ -232,13 +205,7 @@ def expected_tail_count(w: WeightSequence, sd: SaddleData, x: float) -> float:
     if x < 0:
         raise ValueError("x must be >= 0")
     lo = max(1, int(math.ceil(x)))
-    K = truncation_K(sd.v_n) + lo
-    k = np.arange(lo, K + 1, dtype=np.float64)
-    theta = theta_array_shifted(w, lo, K)
-    with np.errstate(divide="ignore"):
-        logs = np.where(theta > 0, np.log(theta), -np.inf) \
-            - np.log(k) - k * sd.v_n
-    return float(np.sum(np.exp(logs)))
+    return exp_sums(w, sd.v_n, lo, truncation_K(sd.v_n) + lo, (-1,))[0]
 
 
 def default_xi(alpha: float) -> float:
@@ -285,11 +252,8 @@ def admissibility_diagnostics(w: WeightSequence, n: int, s: float, y: float,
     x_n = threshold_x(sd, y)
     K = truncation_K(sd.v_n)
     k = np.arange(1, K + 1, dtype=np.float64)
-    theta = theta_array_shifted(w, 1, K)
-    with np.errstate(divide="ignore"):
-        log_gk = np.where(theta > 0, np.log(theta), -np.inf) \
-            - np.log(k) - k * sd.v_n
-    gk_r = np.exp(log_gk)  # (theta_k/k) r^k
+    # (theta_k/k) r^k
+    gk_r = np.exp(theta_log_range(w, 1, K) - np.log(k) - k * sd.v_n)
     tilt = np.where(k >= math.ceil(x_n), math.expm1(s), 0.0)
     ck_r = gk_r * (1.0 + tilt)
     a_n = float(np.sum(k * ck_r))

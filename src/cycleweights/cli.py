@@ -54,16 +54,13 @@ def _cache_path(cache_dir: str, w: weights.WeightSequence, n_max: int) -> str:
     return os.path.join(cache_dir, f"htable_{tag}_n{n_max}.cwht")
 
 
-def _load_or_build_htable(w, n_max: int, cache_dir: Optional[str],
-                          build: bool = True) -> oracle.HTable:
+def _load_or_build_htable(w, n_max: int,
+                          cache_dir: Optional[str]) -> oracle.HTable:
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         path = _cache_path(cache_dir, w, n_max)
         if os.path.exists(path):
             return oracle.HTable.load(path, w)
-        if not build:
-            raise ValueError(f"no cached table at {path}; run `htable` first "
-                             "or pass --build")
         tab = oracle.build_h_table(w, n_max)
         tab.save(path)
         return tab

@@ -10,14 +10,15 @@ length k.  Three families are supported:
 
 The generating function g(t) = sum_k (theta_k / k) t^k has radius of
 convergence 1 for these families; partial sums come with a certified
-geometric tail bound.
+geometric tail bound.  Every sum of theta_k k^e e^{-kv} over a range of k
+goes through one kernel, ``exp_sums``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,9 +26,9 @@ POLYNOMIAL = "polynomial"
 EWENS = "ewens"
 TABLE = "table"
 
-# above this index k**alpha is formed from exp(alpha*log k) to dodge
-# pow() overflow paths for large alpha
-_LOG_SPACE_CUTOFF = 10**6
+# terms per chunk in exp_sums and g_theta_partial: bounds their temporaries
+# to a few arrays of this length, whatever the number of terms
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -98,50 +99,66 @@ def theta_log(w: WeightSequence, k: int) -> float:
     return math.log(v0) + w._fit_alpha * math.log(k / k0)
 
 
-def theta_eval(w: WeightSequence, k: int) -> Tuple[float, float]:
-    """(theta_k, ln theta_k); the value saturates to inf past double range."""
-    lg = theta_log(w, k)
-    if w.family == POLYNOMIAL and k <= _LOG_SPACE_CUTOFF:
-        return float(k) ** w.alpha, lg
-    if lg == -math.inf:
-        return 0.0, lg
-    return math.exp(lg) if lg < 709.0 else math.inf, lg
+def _theta_range(w: WeightSequence, lo: int, hi: int) -> np.ndarray:
+    """theta_k for k in [lo, hi] (lo >= 1) as a dense array."""
+    k = np.arange(lo, hi + 1, dtype=np.float64)
+    if w.family == POLYNOMIAL:
+        return k ** w.alpha
+    if w.family == EWENS:
+        return np.full(len(k), w.vartheta)
+    k0 = len(w.values)
+    head = max(0, min(hi, k0) - lo + 1)
+    out = np.empty(len(k))
+    out[:head] = w.values[lo - 1:lo - 1 + head]
+    out[head:] = w.values[-1] * (k[head:] / k0) ** w._fit_alpha
+    return out
 
 
 def theta_array(w: WeightSequence, k_max: int) -> np.ndarray:
     """theta_1..theta_k_max as a float array (index 0 unused, set to 0)."""
-    out = np.zeros(k_max + 1)
-    k = np.arange(1, k_max + 1, dtype=np.float64)
+    return np.concatenate(([0.0], _theta_range(w, 1, k_max)))
+
+
+def theta_log_range(w: WeightSequence, lo: int, hi: int) -> np.ndarray:
+    """ln theta_k for k in [lo, hi] (lo >= 1), -inf where theta_k = 0."""
     if w.family == POLYNOMIAL:
-        out[1:] = k ** w.alpha
-    elif w.family == EWENS:
-        out[1:] = w.vartheta
-    else:
-        m = min(k_max, len(w.values))
-        out[1:m + 1] = w.values[:m]
-        if k_max > m:
-            out[m + 1:] = w.values[-1] * (k[m:] / len(w.values)) ** w._fit_alpha
-    return out
+        return w.alpha * np.log(np.arange(lo, hi + 1, dtype=np.float64))
+    with np.errstate(divide="ignore"):
+        return np.log(_theta_range(w, lo, hi))
 
 
 def theta_log_array(w: WeightSequence, k_max: int) -> np.ndarray:
     """ln theta_1..ln theta_k_max (index 0 unused, set to -inf)."""
-    out = np.full(k_max + 1, -np.inf)
-    k = np.arange(1, k_max + 1, dtype=np.float64)
-    if w.family == POLYNOMIAL:
-        out[1:] = w.alpha * np.log(k)
-    else:
-        with np.errstate(divide="ignore"):
-            out[1:] = np.log(theta_array(w, k_max)[1:])
-    return out
+    return np.concatenate(([-np.inf], theta_log_range(w, 1, k_max)))
+
+
+def exp_sums(w: Optional[WeightSequence], v: float, lo: int, hi: int,
+             exps: Sequence[float]) -> List[float]:
+    """[sum_{k=lo}^{hi} theta_k k^e e^{-kv} for e in exps], theta = 1 when w
+    is None.
+
+    Each term is exp(ln theta_k + e ln k - k v), so k^e e^{-kv} never
+    overflows mid-product; the terms are summed chunk by chunk.
+    """
+    totals = [0.0] * len(exps)
+    for a in range(lo, hi + 1, _CHUNK):
+        b = min(a + _CHUNK - 1, hi)
+        k = np.arange(a, b + 1, dtype=np.float64)
+        base = -k * v if w is None else theta_log_range(w, a, b) - k * v
+        log_k = np.log(k)
+        for i, e in enumerate(exps):
+            totals[i] += float(np.sum(np.exp(base + e * log_k)))
+    return totals
 
 
 def g_theta_partial(w: WeightSequence, t: float, eps: float) -> Tuple[float, int, float]:
     """Partial sum of g(t) = sum (theta_k/k) t^k with a certified tail bound.
 
     Returns (value, K, tail_bound) where the dropped tail beyond K is at
-    most tail_bound <= eps.  Stops at the first K where the geometric ratio
-    bound a_{K} * q/(1-q), q = ((K+1)/K)^a * t, certifies the remainder.
+    most tail_bound <= eps.  K is the first k where the geometric ratio
+    bound a_k * q/(1-q), q = ((k+1)/k)^a * t, certifies the remainder.
+    The bound needs a_{k+1}/a_k <= q from k on, which a table only
+    guarantees past its last entry.
     """
     if not 0.0 <= t < 1.0:
         raise ValueError(f"t must be in [0, 1), got {t}")
@@ -150,44 +167,20 @@ def g_theta_partial(w: WeightSequence, t: float, eps: float) -> Tuple[float, int
     if t == 0.0:
         return 0.0, 0, 0.0
     a = w.growth_alpha
-    total = 0.0
-    comp = 0.0  # Kahan compensation
-    k = 0
-    term = 0.0
-    block = 256
-    while True:
-        ks = np.arange(k + 1, k + block + 1, dtype=np.float64)
-        terms = theta_array_shifted(w, k + 1, k + block) / ks * t ** ks
-        for x in terms:
-            y = x - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-        k += block
-        term = float(terms[-1])
+    k_min = len(w.values) if w.family == TABLE else 1
+    log_t = math.log(t)
+    # blocks double from 256 terms up to _CHUNK, so a small K tests few terms
+    lo, hi = 1, 256
+    while hi <= 10**8:
+        k = np.arange(lo, hi + 1, dtype=np.float64)
         q = ((k + 1) / k) ** a * t
-        if q < 1.0:
-            tail = term * q / (1.0 - q)
-            if tail <= eps:
-                # trim back to the minimal K inside this block
-                # (cheap second pass over the block)
-                for j in range(block):
-                    kk = k - block + 1 + j
-                    qq = ((kk + 1) / kk) ** a * t
-                    if qq < 1.0 and terms[j] * qq / (1.0 - qq) <= eps:
-                        extra = float(np.sum(terms[j + 1:]))
-                        return total - extra, kk, float(terms[j] * qq / (1.0 - qq))
-                return total, k, tail
-        if k > 10**8:
-            raise RuntimeError("g_theta_partial failed to certify tail")
-
-
-def theta_array_shifted(w: WeightSequence, k_lo: int, k_hi: int) -> np.ndarray:
-    """theta_k for k in [k_lo, k_hi] as a dense array."""
-    k = np.arange(k_lo, k_hi + 1, dtype=np.float64)
-    if w.family == POLYNOMIAL:
-        return k ** w.alpha
-    if w.family == EWENS:
-        return np.full(len(k), w.vartheta)
-    full = theta_array(w, k_hi)
-    return full[k_lo:k_hi + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tail = (np.exp(theta_log_range(w, lo, hi) - np.log(k) + k * log_t)
+                    * q / (1.0 - q))
+        ok = (k >= k_min) & (q < 1.0) & (tail <= eps)
+        if ok.any():
+            j = int(np.argmax(ok))
+            K = lo + j
+            return exp_sums(w, -log_t, 1, K, (-1,))[0], K, float(tail[j])
+        lo, hi = hi + 1, hi + min(2 * len(k), _CHUNK)
+    raise RuntimeError("g_theta_partial failed to certify tail")

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath
 import pytest
 
 import cycleweights as cw
@@ -33,6 +35,22 @@ def test_saddle_residual_invariant(alpha, n):
     band = sd.b_n / (math.gamma(alpha + 2) * sd.n_star ** (alpha + 2))
     if n >= 100:
         assert 0.5 <= band <= 2.0
+
+
+def test_saddle_small_alpha_bounded_memory():
+    # K = 60/v_n is 3.2e7 terms here; the sums must not hold them at once
+    tracemalloc.start()
+    try:
+        sd = cw.solve_saddle(cw.polynomial(0.05), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sd.truncation_K > 3 * 10**7
+    assert peak < 64 * 2**20
+    with mpmath.workdps(30):
+        root = mpmath.findroot(
+            lambda v: mpmath.polylog(-0.05, mpmath.exp(-v)) - 10**6, sd.v_n)
+    assert sd.v_n == pytest.approx(float(root), rel=1e-10)
 
 
 def test_bn_band_tight_at_large_n():

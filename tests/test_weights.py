@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cycleweights import weights
@@ -7,20 +8,21 @@ from cycleweights import weights
 
 def test_theta_polynomial():
     w = weights.polynomial(1.0)
-    value, log_value = weights.theta_eval(w, 7)
-    assert value == 7.0
-    assert log_value == pytest.approx(math.log(7))
+    assert weights.theta_array(w, 7)[7] == 7.0
+    assert weights.theta_log(w, 7) == pytest.approx(math.log(7))
 
 
 def test_theta_ewens_constant():
     w = weights.ewens(2.0)
-    assert weights.theta_eval(w, 100)[0] == 2.0
-    assert weights.theta_eval(w, 1)[0] == 2.0
+    assert weights.theta_array(w, 100)[100] == 2.0
+    assert weights.theta_array(w, 1)[1] == 2.0
+    assert weights.theta_log(w, 100) == math.log(2.0)
 
 
 def test_theta_fractional_alpha():
     w = weights.polynomial(2.5)
-    value, log_value = weights.theta_eval(w, 4)
+    value = weights.theta_array(w, 4)[4]
+    log_value = weights.theta_log(w, 4)
     assert value == pytest.approx(32.0, rel=1e-14)
     assert log_value == pytest.approx(2.5 * math.log(4), rel=1e-14)
     assert math.exp(log_value) == pytest.approx(value, rel=1e-14)
@@ -29,29 +31,30 @@ def test_theta_fractional_alpha():
 def test_theta_rejects_bad_k():
     w = weights.polynomial(1.0)
     with pytest.raises(ValueError):
-        weights.theta_eval(w, 0)
+        weights.theta_log(w, 0)
     with pytest.raises(ValueError):
-        weights.theta_eval(w, -3)
+        weights.theta_log(w, -3)
 
 
 def test_theta_large_k_log_space():
     w = weights.polynomial(5.0)
-    value, log_value = weights.theta_eval(w, 10**7)
-    assert log_value == pytest.approx(5.0 * math.log(10**7))
-    assert value == pytest.approx(1e35)
+    assert weights.theta_log(w, 10**7) == pytest.approx(5.0 * math.log(10**7))
+    assert math.exp(weights.theta_log(w, 10**7)) == pytest.approx(1e35)
     # past float range the log stays finite and usable
     w = weights.polynomial(50.0)
-    value, log_value = weights.theta_eval(w, 10**7)
-    assert log_value == pytest.approx(50.0 * math.log(10**7))
-    assert value == math.inf or value > 1e300
+    assert weights.theta_log(w, 10**7) == pytest.approx(50.0 * math.log(10**7))
+    assert weights.theta_log_range(w, 10**7, 10**7)[0] == pytest.approx(
+        50.0 * math.log(10**7))
 
 
 def test_table_family_extension():
     # last-ratio extrapolation: 2,4 has ratio fit alpha = 1
     w = weights.table([2.0, 4.0])
-    assert weights.theta_eval(w, 1)[0] == 2.0
-    assert weights.theta_eval(w, 2)[0] == 4.0
-    assert weights.theta_eval(w, 4)[0] == pytest.approx(8.0, rel=1e-12)
+    theta = weights.theta_array(w, 4)
+    assert theta[1] == 2.0
+    assert theta[2] == 4.0
+    assert theta[4] == pytest.approx(8.0, rel=1e-12)
+    assert math.exp(weights.theta_log(w, 4)) == pytest.approx(8.0, rel=1e-12)
 
 
 def test_g_partial_ewens_closed_form():
@@ -94,3 +97,69 @@ def test_tail_certification():
     v1, _, tail1 = weights.g_theta_partial(w, 0.8, 1e-8)
     v2, _, _ = weights.g_theta_partial(w, 0.8, 1e-10)
     assert abs(v2 - v1) <= tail1
+
+
+@pytest.mark.parametrize("values", [[0, 1], [1, 0, 0, 1], [1, 0, 1, 0, 3],
+                                    [1] + [0] * 9 + [1]])
+@pytest.mark.parametrize("t", [0.3, 0.5])
+def test_g_partial_table_with_zeros(values, t):
+    # the geometric tail bound only holds past the table's last entry
+    w = weights.table(values)
+    value, K, tail = weights.g_theta_partial(w, t, 1e-13)
+    theta = weights.theta_array(w, 400)
+    direct = math.fsum(float(theta[k]) / k * t ** k for k in range(1, 401))
+    assert abs(value - direct) <= tail + 1e-15
+    assert K >= len(values)
+
+
+FAMILIES = {"poly0.05": weights.polynomial(0.05),
+            "poly0.5": weights.polynomial(0.5),
+            "poly1": weights.polynomial(1.0),
+            "poly3": weights.polynomial(3.0),
+            "ewens2": weights.ewens(2.0),
+            "table24": weights.table([2.0, 4.0]),
+            "table1001": weights.table([1, 0, 0, 1])}
+
+
+@pytest.mark.parametrize("w", FAMILIES.values(), ids=FAMILIES.keys())
+def test_theta_log_range_matches_array(w):
+    hi = 300
+    full = weights.theta_log_array(w, hi)
+    assert full[0] == -math.inf
+    for lo in (1, 2, 3, 4, 5, 100):
+        assert np.array_equal(weights.theta_log_range(w, lo, hi), full[lo:])
+    if w.family != weights.POLYNOMIAL:
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(full[1:],
+                                  np.log(weights.theta_array(w, hi)[1:]))
+    for k in (1, 2, 4, 5, 300):
+        assert full[k] == pytest.approx(weights.theta_log(w, k), rel=1e-14)
+
+
+def _fsum_reference(w, v, lo, hi, e):
+    k = np.arange(lo, hi + 1, dtype=np.float64)
+    theta = 1.0 if w is None else weights.theta_array(w, hi)[lo:]
+    return math.fsum(theta * k ** e * np.exp(-k * v))
+
+
+@pytest.mark.parametrize("w", FAMILIES.values(), ids=FAMILIES.keys())
+def test_exp_sums_against_fsum(w):
+    lo, hi = 5, 5 + 3 * weights._CHUNK + 123  # spans four chunks
+    v = 3e-5
+    exps = (-1, 0, 1)
+    got = weights.exp_sums(w, v, lo, hi, exps)
+    for e, g in zip(exps, got):
+        assert g == pytest.approx(_fsum_reference(w, v, lo, hi, e), rel=1e-12)
+    # a range inside one chunk
+    got = weights.exp_sums(w, 0.1, 3, 200, exps)
+    for e, g in zip(exps, got):
+        assert g == pytest.approx(_fsum_reference(w, 0.1, 3, 200, e),
+                                  rel=1e-12)
+
+
+@pytest.mark.parametrize("delta", [-0.5, 0.0, 2.5])
+def test_exp_sums_without_weights(delta):
+    lo, hi = 1, 3 * weights._CHUNK + 7
+    got, = weights.exp_sums(None, 2e-5, lo, hi, (delta,))
+    assert got == pytest.approx(_fsum_reference(None, 2e-5, lo, hi, delta),
+                                rel=1e-12)
