@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import mpmath
 import numpy as np
 
-from .scaled import ScaledReal
+from .oracle import ScaledReal
 from .weights import WeightSequence, exp_sums, g_theta_partial, theta_log_range
 
 # truncation rule for all infinite sums: smallest K with K*v >= TAIL_DECADES,
@@ -25,6 +25,9 @@ from .weights import WeightSequence, exp_sums, g_theta_partial, theta_log_range
 TAIL_DECADES = 60.0
 
 _MAX_NEWTON_ITERS = 200
+
+# grid points on [delta, pi] of the saddle-circle monotonicity scan
+PHI_POINTS = 1000
 
 
 class SaddleError(RuntimeError):
@@ -44,11 +47,11 @@ class SaddleData:
     b_n: float
     truncation_K: int
     residual: float
-    weight: Optional[WeightSequence] = None
+    weight: WeightSequence
 
     @property
     def alpha(self) -> float:
-        return self.weight.growth_alpha if self.weight is not None else 1.0
+        return self.weight.growth_alpha
 
 
 def truncation_K(v: float) -> int:
@@ -208,12 +211,6 @@ def expected_tail_count(w: WeightSequence, sd: SaddleData, x: float) -> float:
     return exp_sums(w, sd.v_n, lo, truncation_K(sd.v_n) + lo, (-1,))[0]
 
 
-def default_xi(alpha: float) -> float:
-    """Width exponent inside the admissible open interval; biased to the
-    upper end: (alpha+2)/2 - 0.1."""
-    return (alpha + 2.0) / 2.0 - 0.1
-
-
 @dataclass
 class AdmissibilityReport:
     residual: float
@@ -230,9 +227,8 @@ class AdmissibilityReport:
         })
 
 
-def admissibility_diagnostics(w: WeightSequence, n: int, s: float, y: float,
-                              xi: Optional[float] = None,
-                              phi_points: int = 1000) -> AdmissibilityReport:
+def admissibility_diagnostics(w: WeightSequence, n: int, s: float,
+                              y: float) -> AdmissibilityReport:
     """Numeric admissibility diagnostics for the tilted generating function.
 
     Works on g_{n,s}(t) = (e^s - 1) * sum_{k >= x_n(y)} (theta_k/k) t^k + g(t):
@@ -247,8 +243,6 @@ def admissibility_diagnostics(w: WeightSequence, n: int, s: float, y: float,
         raise ValueError("y must be > 0")
     alpha = w.growth_alpha
     sd = solve_saddle(w, n)
-    if xi is None:
-        xi = default_xi(alpha)
     x_n = threshold_x(sd, y)
     K = truncation_K(sd.v_n)
     k = np.arange(1, K + 1, dtype=np.float64)
@@ -259,11 +253,13 @@ def admissibility_diagnostics(w: WeightSequence, n: int, s: float, y: float,
     a_n = float(np.sum(k * ck_r))
     b_n = float(np.sum(k * k * ck_r))
     residual = abs(a_n - n) / math.sqrt(b_n)
-    delta = sd.v_n ** xi
+    # width exponent xi inside the admissible open interval, biased to its
+    # upper end (alpha+2)/2
+    delta = sd.v_n ** ((alpha + 2.0) / 2.0 - 0.1)
     width = delta * delta * b_n - math.log(b_n)
     bn_ratio = b_n / (math.gamma(alpha + 2.0) * sd.n_star ** (alpha + 2.0))
     # monotonicity: Re g_{n,s}(r e^{i phi}) <= value at phi = delta
-    phis = np.linspace(delta, math.pi, phi_points)
+    phis = np.linspace(delta, math.pi, PHI_POINTS)
     ref = float(np.sum(ck_r * np.cos(k * delta)))
     violations = 0
     chunk = 64

@@ -47,11 +47,10 @@ def _weight_from_args(args) -> weights.WeightSequence:
 
 
 def _cache_path(cache_dir: str, w: weights.WeightSequence, n_max: int) -> str:
-    if w.family == "polynomial":
-        tag = f"poly_a{w.alpha:g}"
-    else:
-        tag = f"ewens_t{w.vartheta:g}"
-    return os.path.join(cache_dir, f"htable_{tag}_n{n_max}.cwht")
+    # named by the digest the file's header carries: weights that format
+    # alike must not share a file
+    tag = oracle._weight_digest(w).hex()
+    return os.path.join(cache_dir, f"htable_{w.family}_{tag}_n{n_max}.cwht")
 
 
 def _load_or_build_htable(w, n_max: int,

@@ -10,7 +10,7 @@ the positive-coefficient series bound used as a cross-check of the
 saddle-point machinery.  Series coefficients span thousands of binary
 orders of magnitude, so they are kept as mantissa/exponent array pairs and
 computed by one blockwise, exponentially tilted FFT kernel
-(`exp_coefficients`).
+(`exp_coefficients`); a `ScaledReal` is a read-only view of one such row.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .scaled import ScaledReal
 from .weights import WeightSequence, theta_array, theta_log
 
-DEFAULT_ENUMERATION_CAP = 60
+ENUMERATION_CAP = 60
 SERIES_CAP = 220
 
 _MAGIC = b"CWHT"
@@ -33,6 +32,7 @@ _CACHE_VERSION = 2
 _HEADER = struct.Struct("<I32sQ")  # version, weight digest, n_max
 _ROW = np.dtype([("m", "<f8"), ("e", "<i8")])
 
+_LN2 = math.log(2.0)
 _WINDOW_BITS = 64
 _TILT_BITS = 20
 _BLOCK_MAX = 4096
@@ -102,22 +102,31 @@ def _log_type_weight(w: WeightSequence, counts: Dict[int, int]) -> float:
     return total
 
 
-def h_exact(w: WeightSequence, n: int,
-            cap: int = DEFAULT_ENUMERATION_CAP) -> ScaledReal:
-    """h_n as the sum over all partitions of the per-type weights."""
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds enumeration cap {cap}")
-    acc = ScaledReal()
+def _type_logs(w: WeightSequence, n: int) -> Iterator[Tuple[Dict[int, int], float]]:
+    """(counts, ln of the type weight) of every cycle type of size n."""
+    if n > ENUMERATION_CAP:
+        raise CapacityError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
     for part in partitions(n):
         counts: Dict[int, int] = {}
         for p in part:
             counts[p] = counts.get(p, 0) + 1
-        acc = acc + ScaledReal.from_log(_log_type_weight(w, counts))
-    return acc
+        yield counts, _log_type_weight(w, counts)
 
 
-def enumerate_cycle_types(w: WeightSequence, n: int,
-                          cap: int = DEFAULT_ENUMERATION_CAP
+def _log_sum(logs: List[float]) -> float:
+    """ln sum_i exp(logs_i), -inf when every term is -inf."""
+    top = max(logs, default=-math.inf)
+    if top == -math.inf:
+        return top
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
+
+
+def h_exact(w: WeightSequence, n: int) -> ScaledReal:
+    """h_n as the sum over all partitions of the per-type weights."""
+    return ScaledReal.from_log(_log_sum([lw for _, lw in _type_logs(w, n)]))
+
+
+def enumerate_cycle_types(w: WeightSequence, n: int
                           ) -> List[Tuple[CycleType, float]]:
     """All cycle types of size n with their exact probabilities.
 
@@ -125,19 +134,10 @@ def enumerate_cycle_types(w: WeightSequence, n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds enumeration cap {cap}")
-    entries = []
-    acc = ScaledReal()
-    for part in partitions(n):
-        counts: Dict[int, int] = {}
-        for p in part:
-            counts[p] = counts.get(p, 0) + 1
-        lw = _log_type_weight(w, counts)
-        entries.append((CycleType.from_dict(counts, n), lw))
-        acc = acc + ScaledReal.from_log(lw)
-    log_h = acc.log()
-    return [(ct, math.exp(lw - log_h)) for ct, lw in entries]
+    types = list(_type_logs(w, n))
+    log_h = _log_sum([lw for _, lw in types])
+    return [(CycleType.from_dict(counts, n), math.exp(lw - log_h))
+            for counts, lw in types]
 
 
 def _weight_digest(w: WeightSequence) -> bytes:
@@ -173,11 +173,11 @@ class HTable:
         """Relative residual of n*h_n against the full convolution sum."""
         if theta is None:
             theta = theta_array(self.weight, self.n_max)
-        total = ScaledReal(*_scaled_dot(theta[:n + 1], self.mant[n::-1],
-                                        self.expo[n::-1]))
+        total, top = _scaled_dot(theta[:n + 1], self.mant[n::-1],
+                                 self.expo[n::-1])
         if self.mant[n] == 0.0:  # right iff every term is zero too
-            return 0.0 if total.is_zero() else math.inf
-        return abs((total / (self.value(n) * n)).to_float() - 1.0)
+            return 0.0 if total == 0.0 else math.inf
+        return abs(_ratio(total, top, n * self.mant[n], self.expo[n]) - 1.0)
 
     def save(self, path: str) -> None:
         with open(path, "wb") as f:
@@ -190,8 +190,7 @@ class HTable:
             pairs.tofile(f)
 
     @classmethod
-    def load(cls, path: str, weight: WeightSequence,
-             validate: bool = True, rng_seed: int = 0) -> "HTable":
+    def load(cls, path: str, weight: WeightSequence) -> "HTable":
         with open(path, "rb") as f:
             if f.read(4) != _MAGIC:
                 raise ValueError(f"{path}: bad magic, not an HTable cache")
@@ -211,16 +210,65 @@ class HTable:
         pairs = np.frombuffer(payload, dtype=_ROW)
         tab = cls(weight=weight, n_max=int(n_max),
                   mant=pairs["m"].copy(), expo=pairs["e"].copy())
-        if validate:
-            rng = np.random.default_rng(rng_seed)
-            k = max(1, (tab.n_max) // 100)
-            theta = theta_array(weight, tab.n_max)
-            for n in rng.choice(np.arange(1, tab.n_max + 1),
-                                size=min(k, tab.n_max), replace=False):
-                if tab.recurrence_residual(int(n), theta) > 1e-9:
-                    raise ValueError(f"{path}: recurrence residual check "
-                                     f"failed at n={n}")
+        rng = np.random.default_rng(0)
+        k = max(1, tab.n_max // 100)
+        theta = theta_array(weight, tab.n_max)
+        for n in rng.choice(np.arange(1, tab.n_max + 1),
+                            size=min(k, tab.n_max), replace=False):
+            if tab.recurrence_residual(int(n), theta) > 1e-9:
+                raise ValueError(f"{path}: recurrence residual check "
+                                 f"failed at n={n}")
         return tab
+
+
+class ScaledReal:
+    """Read-only view of one (mantissa, exponent) row: mantissa * 2**exponent
+    with mantissa in [1, 2), or 0."""
+
+    __slots__ = ("mantissa", "exponent")
+
+    def __init__(self, mantissa: float = 0.0, exponent: int = 0):
+        if mantissa < 0.0:
+            raise ValueError("ScaledReal is nonnegative")
+        if mantissa == 0.0:
+            self.mantissa = 0.0
+            self.exponent = 0
+        else:
+            m, e = math.frexp(mantissa)  # m in [0.5, 1)
+            self.mantissa = 2.0 * m
+            self.exponent = e - 1 + exponent
+
+    @classmethod
+    def from_log(cls, log_value: float) -> "ScaledReal":
+        """Build from a natural logarithm (use -inf for zero)."""
+        if log_value == -math.inf:
+            return cls(0.0, 0)
+        e = math.floor(log_value / _LN2)
+        return cls(math.exp(log_value - e * _LN2), e)  # mantissa in [1, 2)
+
+    def is_zero(self) -> bool:
+        return self.mantissa == 0.0
+
+    def to_float(self) -> float:
+        """Nearest double; overflows to inf / underflows to 0 silently."""
+        return _ratio(self.mantissa, self.exponent, 1.0, 0)
+
+    def log(self) -> float:
+        """Natural logarithm; -inf for zero."""
+        if self.mantissa == 0.0:
+            return -math.inf
+        return math.log(self.mantissa) + self.exponent * _LN2
+
+    def __repr__(self):
+        return f"ScaledReal({self.mantissa!r}, {self.exponent})"
+
+
+def _ratio(m1: float, e1: int, m2: float, e2: int) -> float:
+    """(m1 * 2**e1) / (m2 * 2**e2) as a double; overflows to inf."""
+    try:
+        return math.ldexp(float(m1) / float(m2), int(e1 - e2))
+    except OverflowError:
+        return math.inf
 
 
 def _times_pow2(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -319,8 +367,8 @@ def exp_coefficients(c: np.ndarray, n_max: int):
             expo[s:e] = np.where(m != 0, ex - 1 + expo[a] + fl.astype(np.int64), 0)
         else:
             for n in range(s, e):
-                row = ScaledReal(*_scaled_dot(c[n - lo:0:-1], mant[lo:n],
-                                              expo[lo:n])) / n
+                total, top = _scaled_dot(c[n - lo:0:-1], mant[lo:n], expo[lo:n])
+                row = ScaledReal(total / n, top)
                 mant[n], expo[n] = row.mantissa, row.exponent
         s = e
         size = min(2 * size, _BLOCK_MAX)
@@ -336,8 +384,7 @@ def build_h_table(w: WeightSequence, n_max: int) -> HTable:
 
 
 def exact_statistic_pmf(w: WeightSequence, n: int, statistic: str,
-                        x: float = None,
-                        cap: int = DEFAULT_ENUMERATION_CAP) -> Dict[int, float]:
+                        x: float = None) -> Dict[int, float]:
     """Exact pmf of a cycle-type statistic by full enumeration.
 
     statistic is one of "L1" (longest cycle), "tail_count" (number of
@@ -346,7 +393,7 @@ def exact_statistic_pmf(w: WeightSequence, n: int, statistic: str,
     if statistic == "tail_count" and x is None:
         raise ValueError("tail_count needs the threshold x")
     pmf: Dict[int, float] = {}
-    for ct, p in enumerate_cycle_types(w, n, cap):
+    for ct, p in enumerate_cycle_types(w, n):
         if statistic == "L1":
             v = ct.counts[-1][0] if ct.counts else 0
         elif statistic == "tail_count":
@@ -359,26 +406,24 @@ def exact_statistic_pmf(w: WeightSequence, n: int, statistic: str,
     return pmf
 
 
-def mgf_series(w: WeightSequence, n: int, x: float, s: float,
-               cap: int = SERIES_CAP) -> float:
+def mgf_series(w: WeightSequence, n: int, x: float, s: float) -> float:
     """E[exp(s * #cycles of length >= x)] via truncated series extraction.
 
     Extracts [t^n] exp((e^s - 1) * sum_{x<=k<=n} (theta_k/k) t^k + g(t))
     and divides by h_n, both as degree-n truncated series.
     """
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds series cap {cap}")
+    if n > SERIES_CAP:
+        raise CapacityError(f"n={n} exceeds series cap {SERIES_CAP}")
     if x < 0:
         raise ValueError("x must be >= 0")
     coeff = theta_array(w, n)  # k * a_k
     coeff[max(1, math.ceil(x)):] *= math.exp(s)  # 1 + (e^s - 1)
     num_m, num_e = exp_coefficients(coeff, n)
-    num = ScaledReal(float(num_m[n]), int(num_e[n]))
-    return (num / build_h_table(w, n).value(n)).to_float()
+    h = build_h_table(w, n)
+    return _ratio(num_m[n], num_e[n], h.mant[n], h.expo[n])
 
 
-def corollary_bound_check(w: WeightSequence, n: int, u: float, v: float,
-                          cap: int = SERIES_CAP):
+def corollary_bound_check(w: WeightSequence, n: int, u: float, v: float):
     """Positive-coefficient series bound diagnostic.
 
     Builds F(t) = sum over the window x_{n,v} <= k < x_{n,u} of
@@ -390,8 +435,8 @@ def corollary_bound_check(w: WeightSequence, n: int, u: float, v: float,
 
     if not 0 <= u < v:
         raise ValueError("need 0 <= u < v")
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds series cap {cap}")
+    if n > SERIES_CAP:
+        raise CapacityError(f"n={n} exceeds series cap {SERIES_CAP}")
     sd = solve_saddle(w, n)
     x_hi = threshold_x(sd, u)  # larger threshold (smaller y)
     x_lo = threshold_x(sd, v)
@@ -407,5 +452,5 @@ def corollary_bound_check(w: WeightSequence, n: int, u: float, v: float,
     Fr = float(np.sum(fcoef[1:] * sd.r_n ** k[1:]))
     f_at_r = (Fr * (1.0 + Fr)) ** 2
     lhs = ScaledReal(*_scaled_dot(f, h.mant[::-1], h.expo[::-1])).to_float()
-    rhs = (h.value(n) * (2.0 * f_at_r)).to_float()
+    rhs = ScaledReal(h.mant[n] * (2.0 * f_at_r), int(h.expo[n])).to_float()
     return lhs, rhs, lhs <= rhs

@@ -196,13 +196,10 @@ def _tol(overrides: Optional[dict], key: str) -> float:
 
 def verify_poisson_increments(batch: Iterable, sd: SaddleData,
                               y_grid: Sequence[float],
-                              alpha: Optional[float] = None,
                               tolerances: Optional[dict] = None
                               ) -> VerificationReport:
     """Increments of P_y over the grid vs independent Poisson targets."""
     cols = columns(batch)
-    if alpha is None:
-        alpha = sd.alpha
     ys = list(y_grid)
     if any(b < a for a, b in zip(ys, ys[1:])):
         raise ValueError("y_grid must be nondecreasing")
@@ -212,7 +209,7 @@ def verify_poisson_increments(batch: Iterable, sd: SaddleData,
     targets = np.diff([0.0] + ys)
     rep = VerificationReport(
         "poisson_increments",
-        {"n": sd.n, "alpha": alpha, "num_samples": len(cols.starts),
+        {"n": sd.n, "alpha": sd.alpha, "num_samples": len(cols.starts),
          "y_grid": ys})
     mean_tol = _tol(tolerances, "increment_mean_rel")
     vm_lo = _tol(tolerances, "var_mean_lo")
@@ -318,12 +315,10 @@ def bn_event_frequency(batch: Iterable, sd: SaddleData,
                        ) -> VerificationReport:
     """Frequency of any cycle exceeding the cap 2 n* ell_n vs its
     Markov-type bound 2 * sum_{k > cap} (theta_k/k) e^{-k v_n}."""
-    from . import weights as weights_mod
-
     cols = columns(batch)
     num = len(cols.starts)
     if w is None:
-        w = sd.weight or weights_mod.polynomial(sd.alpha)
+        w = sd.weight
     cap = threshold_x(sd, 0.0)
     freq = float(np.mean(tail_counts(cols, math.floor(cap) + 1) >= 1))
     bound = 2.0 * expected_tail_count(w, sd, math.floor(cap) + 1)

@@ -40,15 +40,18 @@ class WeightSequence:
     _fit_alpha: Optional[float] = field(default=None, repr=False)
 
     def __post_init__(self):
+        # the negated comparisons also reject nan
         if self.family == POLYNOMIAL:
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("polynomial family needs alpha > 0")
+            if self.alpha is None or not 0 < self.alpha < math.inf:
+                raise ValueError(f"polynomial family needs a finite alpha > 0, "
+                                 f"got alpha={self.alpha}")
         elif self.family == EWENS:
-            if self.vartheta is None or self.vartheta <= 0:
-                raise ValueError("ewens family needs vartheta > 0")
+            if self.vartheta is None or not 0 < self.vartheta < math.inf:
+                raise ValueError(f"ewens family needs a finite vartheta > 0, "
+                                 f"got vartheta={self.vartheta}")
         elif self.family == TABLE:
-            if not self.values or any(v < 0 for v in self.values):
-                raise ValueError("table family needs nonnegative values")
+            if not self.values or not all(0 <= v < math.inf for v in self.values):
+                raise ValueError("table family needs finite nonnegative values")
             if len(self.values) >= 2 and self.values[-2] > 0 and self.values[-1] > 0:
                 k0 = len(self.values)
                 fit = (math.log(self.values[-1] / self.values[-2])
@@ -137,17 +140,19 @@ def exp_sums(w: Optional[WeightSequence], v: float, lo: int, hi: int,
     """[sum_{k=lo}^{hi} theta_k k^e e^{-kv} for e in exps], theta = 1 when w
     is None.
 
-    Each term is exp(ln theta_k + e ln k - k v), so k^e e^{-kv} never
-    overflows mid-product; the terms are summed chunk by chunk.
+    The terms of the first exponent e0 are exp(ln theta_k + e0 ln k - k v),
+    so k^e0 e^{-kv} never overflows mid-product; the other exponents take
+    them times k^(e - e0).  The terms are summed chunk by chunk.
     """
     totals = [0.0] * len(exps)
+    e0 = exps[0]
     for a in range(lo, hi + 1, _CHUNK):
         b = min(a + _CHUNK - 1, hi)
         k = np.arange(a, b + 1, dtype=np.float64)
         base = -k * v if w is None else theta_log_range(w, a, b) - k * v
-        log_k = np.log(k)
+        terms = np.exp(base + e0 * np.log(k) if e0 else base)
         for i, e in enumerate(exps):
-            totals[i] += float(np.sum(np.exp(base + e * log_k)))
+            totals[i] += float(np.sum(terms if e == e0 else terms * k ** (e - e0)))
     return totals
 
 

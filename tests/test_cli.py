@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from cycleweights import sampler
+from cycleweights import cli, oracle, sampler, weights
 from cycleweights.cli import run_command
 
 
@@ -40,6 +40,38 @@ def test_htable_cache_and_sample(tmp_path, capsys):
     rows = [json.loads(line) for line in open(out)]
     assert len(rows) == 10
     assert all(sum(m * c for m, c in r["cycles"]) == 200 for r in rows)
+
+
+def test_cache_keeps_weights_that_format_alike_apart(tmp_path, capsys):
+    # alpha 1 and 1.0000001 print alike with 6 significant digits
+    cache = str(tmp_path)
+    assert run_command(["htable", "--alpha", "1", "--n", "100",
+                        "--cache-dir", cache]) == 0
+    assert run_command(["sample", "--alpha", "1.0000001", "--n", "100",
+                        "--samples", "2", "--cache-dir", cache]) == 0
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_htable_cache_row_off_scale_is_validation_error(tmp_path, capsys):
+    # the residual ratios of a row 2**3000 too large overflow a double:
+    # they must saturate and fail the check, not raise OverflowError
+    w = weights.polynomial(1.0)
+    tab = oracle.build_h_table(w, 200)
+    tab.expo[1] += 3000
+    path = cli._cache_path(str(tmp_path), w, 200)
+    tab.save(path)
+    with pytest.raises(ValueError, match="residual"):
+        oracle.HTable.load(path, w)
+    assert run_command(["htable", "--alpha", "1", "--n", "200",
+                        "--cache-dir", str(tmp_path)]) == 2
+    assert "residual" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--alpha", "inf"), ("--alpha", "nan"),
+                                        ("--vartheta", "inf")])
+def test_non_finite_weight_is_validation_error(flag, value, capsys):
+    assert run_command(["saddle", flag, value, "--n", "100"]) == 2
+    assert f"finite {flag[2:]}" in capsys.readouterr().err
 
 
 def test_sample_stdout_matches_out_file(tmp_path, capsys):

@@ -240,16 +240,15 @@ def test_htable_cache_detects_corruption(tmp_path):
     tab.mant[2::2] *= 1.25  # corrupt entries before saving
     tab.save(path)
     with pytest.raises(ValueError, match="residual"):
-        cw.HTable.load(path, cw.polynomial(1.0), rng_seed=123)
+        cw.HTable.load(path, cw.polynomial(1.0))
 
 
 def test_htable_cache_rejects_other_table(tmp_path):
     tab = cw.build_h_table(cw.table([1.0, 2.0, 3.0]), 100)
     path = str(tmp_path / "t.cwht")
     tab.save(path)
-    for seed in range(20):
-        with pytest.raises(ValueError, match="other weights"):
-            cw.HTable.load(path, cw.table([1.0, 5.0, 3.0]), rng_seed=seed)
+    with pytest.raises(ValueError, match="other weights"):
+        cw.HTable.load(path, cw.table([1.0, 5.0, 3.0]))
     assert cw.HTable.load(path, cw.table([1.0, 2.0, 3.0])).n_max == 100
 
 

@@ -163,3 +163,21 @@ def test_exp_sums_without_weights(delta):
     got, = weights.exp_sums(None, 2e-5, lo, hi, (delta,))
     assert got == pytest.approx(_fsum_reference(None, 2e-5, lo, hi, delta),
                                 rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_polynomial_rejects_non_finite_alpha(bad):
+    with pytest.raises(ValueError, match="alpha"):
+        weights.polynomial(bad)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_ewens_rejects_non_finite_vartheta(bad):
+    with pytest.raises(ValueError, match="vartheta"):
+        weights.ewens(bad)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_table_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="values"):
+        weights.table([1.0, bad, 2.0])
