@@ -9,7 +9,8 @@ Poisson-process and longest-cycle limit behaviour.
 from .weights import WeightSequence, ewens, g_theta_partial, polynomial, table
 from .oracle import (CycleType, HTable, ScaledReal, build_h_table,
                      corollary_bound_check, enumerate_cycle_types,
-                     exact_statistic_pmf, h_exact, mgf_series)
+                     exact_statistic_pmf, h_exact, longest_cycle_cdf,
+                     mgf_series, tail_count_mean)
 from .sampler import CycleTypeSampler, SamplerConfig, sample_batch, sample_cycle_type
 from .asymptotics import (SaddleData, admissibility_diagnostics, ell_n,
                           expected_tail_count, partial_sum_asymp,

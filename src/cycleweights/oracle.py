@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .weights import WeightSequence, theta_array, theta_log
+from .weights import WeightSequence, theta_array, theta_log, theta_log_range
 
 ENUMERATION_CAP = 60
 SERIES_CAP = 220
@@ -41,6 +41,22 @@ _NOISE_BITS = 8
 
 class CapacityError(ValueError):
     """Requested size exceeds an enumeration or table capacity."""
+
+
+def zero_row_error(w: WeightSequence, n: int) -> ValueError:
+    """The error for a size n with h_n = 0: no cycle type of size n has
+    positive weight, so it has no distribution to sample or compute."""
+    return ValueError(f"h_{n} = 0 for {w!r}: no permutation of size {n} "
+                      f"has positive weight")
+
+
+def check_row(n: int, w: WeightSequence, log_h: np.ndarray) -> None:
+    """Reject a size n outside the table of natural logs log_h, or with
+    h_n = 0."""
+    if n < 1 or n >= len(log_h):
+        raise CapacityError(f"n={n} outside table range 1..{len(log_h) - 1}")
+    if log_h[n] == -np.inf:
+        raise zero_row_error(w, n)
 
 
 @dataclass(frozen=True)
@@ -136,6 +152,8 @@ def enumerate_cycle_types(w: WeightSequence, n: int
         raise ValueError("n must be >= 1")
     types = list(_type_logs(w, n))
     log_h = _log_sum([lw for _, lw in types])
+    if log_h == -math.inf:
+        raise zero_row_error(w, n)
     return [(CycleType.from_dict(counts, n), math.exp(lw - log_h))
             for counts, lw in types]
 
@@ -420,6 +438,32 @@ def mgf_series(w: WeightSequence, n: int, x: float, s: float) -> float:
     coeff[max(1, math.ceil(x)):] *= math.exp(s)  # 1 + (e^s - 1)
     num_m, num_e = exp_coefficients(coeff, n)
     h = build_h_table(w, n)
+    if h.mant[n] == 0.0:
+        raise zero_row_error(w, n)
+    return _ratio(num_m[n], num_e[n], h.mant[n], h.expo[n])
+
+
+def tail_count_mean(h: HTable, n: int, x: float) -> float:
+    """Exact E[number of cycles of length >= x] at size n, in O(n) from the
+    table: sum_{max(x,1) <= k <= n} (theta_k / k) h_{n-k} / h_n."""
+    log_h = h.log_array()
+    check_row(n, h.weight, log_h)
+    lo = max(1, math.ceil(x))
+    if lo > n:
+        return 0.0
+    k = np.arange(lo, n + 1)
+    return math.fsum(np.exp(theta_log_range(h.weight, lo, n) - np.log(k)
+                            + log_h[n - k] - log_h[n]))
+
+
+def longest_cycle_cdf(h: HTable, n: int, x: float) -> float:
+    """Exact P(longest cycle <= x) at size n: h_n^(<=x) / h_n, where
+    h^(<=x) is the table of the weights with theta_k = 0 for k > x, built
+    by exp_coefficients."""
+    check_row(n, h.weight, h.log_array())
+    theta = theta_array(h.weight, n)
+    theta[max(0, math.floor(x)) + 1:] = 0.0
+    num_m, num_e = exp_coefficients(theta, n)
     return _ratio(num_m[n], num_e[n], h.mant[n], h.expo[n])
 
 

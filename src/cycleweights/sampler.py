@@ -3,17 +3,33 @@
 The first cycle of a size-m permutation has length k with probability
 theta_k * h_{m-k} / (m * h_m); removing it leaves an independent size-(m-k)
 problem, so repeatedly drawing first-cycle lengths yields an exact sample
-of the cycle type.  Lengths are drawn by an inverse-CDF scan in increasing
-k with early stopping; scan lengths telescope with the removed cycle
-lengths, so the expected total work per sample is O(n).
+of the cycle type.
 
-One vectorised kernel draws the first cycles of many rows at once,
-scanning them side by side in doubling blocks.  Samples are drawn in
-chunks advanced in lockstep, one first cycle per sample per step; a single
-draw is a chunk of one.  Sample i reads its uniforms, in order, from its
-own counter-based random stream keyed by (seed, i), so its value depends
-only on the seed and its index, not on the batch size, the chunking or
-any other sample.
+A row of size m > 16 draws its first cycle by exact rejection, in O(1)
+expected uniforms.  For k < m, h_{m-k}/h_m is a product of the ratios
+q_j = h_{j-1}/h_j over m-k < j <= m, so it is at most Q_m^k, where Q_m is
+the largest q_j with 2 <= j <= m.  The row takes k = m with its exact
+probability theta_m / (m h_m); otherwise it proposes k from
+theta_k Q_m^k (one plus a sum of geometric variables, a negative binomial
+envelope), rejects k >= m, and accepts k with probability
+theta_k h_{m-k} / (h_m * envelope).  A rejected proposal is retried on
+the next step, without the k = m test.  Expected work per sample is
+O(number of cycles).  Rows of size m <= 16, and every row of weights with
+no envelope (tables, and Ewens with vartheta <= 1, where Q_m >= 1), are
+drawn by an inverse-CDF scan in increasing k with early stopping, whose
+length telescopes with the removed cycle lengths: O(n) per sample.
+
+One vectorised kernel scans the first cycles of many rows at once, side
+by side in doubling blocks.  Samples are drawn in chunks advanced in
+lockstep, one first cycle (or one rejected proposal) per sample per step;
+a single draw is a chunk of one.  Sample i reads its uniforms, in order,
+from its own counter-based random stream keyed by (seed, i), the same
+number at every step: one where no row of the draw has an envelope
+(n <= 16, or tables), else one for the scan or the k = m test followed by
+one proposal's (a uniform per geometric variable and one for the
+acceptance test); a row uses those its draw needs.  Its value therefore
+depends only on the seed and its index, not on the batch size, the
+chunking or any other sample.
 
 The streams are numpy's Philox4x64-10, bit for bit.  Philox maps (key,
 counter) to random words, so a batch computes its chunk's uniforms in one
@@ -31,8 +47,8 @@ from typing import Callable, Iterable, Iterator, List, TextIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .oracle import CapacityError, CycleType, HTable
-from .weights import WeightSequence, theta_log_array
+from .oracle import CycleType, HTable, check_row
+from .weights import EWENS, POLYNOMIAL, WeightSequence, theta_log_array
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -43,10 +59,13 @@ _W = np.array([[[0x9E3779B97F4A7C15]], [[0xBB67AE8584CAA73B]]], np.uint64)
 _LO32, _SH32 = np.uint64((1 << 32) - 1), np.uint64(32)
 _M_LO, _M_HI = _M & _LO32, _M >> _SH32
 
-# first scan block; later blocks double
+# first scan block; later blocks double.  Rows of at most this size are
+# scanned, larger ones drawn by rejection when the weights have an envelope
 _SCAN_BLOCK = 16
-# samples advanced in lockstep; bounds the scan's (rows, block) arrays
-_CHUNK = 256
+# samples advanced in lockstep
+_CHUNK = 512
+# rows scanned together; bounds the scan's (rows, block) arrays
+_SCAN_ROWS = 256
 # uniforms read ahead from each sample's stream per refill
 _LOOKAHEAD = 128
 
@@ -58,19 +77,9 @@ class SamplerConfig:
     seed: int
 
     def validate(self, h: HTable) -> None:
-        _check_n(self.n, h.weight, h.log_array())
+        check_row(self.n, h.weight, h.log_array())
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
-
-
-def _check_n(n: int, w: WeightSequence, log_h: np.ndarray) -> None:
-    """Reject n outside the table, or with h_n = 0: no cycle type of size n
-    has positive weight then, so there is nothing to sample."""
-    if n < 1 or n >= len(log_h):
-        raise CapacityError(f"n={n} outside table range 1..{len(log_h) - 1}")
-    if log_h[n] == -np.inf:
-        raise ValueError(f"h_{n} = 0 for {w!r}: no permutation of size {n} "
-                         f"has positive weight")
 
 
 def substream_keys(seed: int, indices) -> np.ndarray:
@@ -167,10 +176,68 @@ class CycleTypeSampler:
         self._scan_base = np.full(n + 1, np.nan)
         h_rev = np.concatenate((self.log_h[::-1], np.full(n, -np.inf)))
         self._windows = sliding_window_view(h_rev, n + 1)
-        # instrumentation: total scanned k across all draws, and round-off
-        # scan exhaustions (CDF ended below u)
+        self._init_envelope()
+        # instrumentation: total scanned k across all draws, round-off scan
+        # exhaustions (CDF ended below u), and rejection proposals
         self.scanned = 0
         self.incidents = 0
+        self.proposals = 0
+
+    def _init_envelope(self) -> None:
+        """Rejection inputs, per row m and per length k.
+
+        theta_k / theta_1 = k^alpha (alpha = 0 for Ewens), and the proposal
+        is k = 1 + G_1 + ... + G_r, with r = floor(alpha) + 1 geometric
+        variables of ratio rho = exp(-c): pmf C(k+r-2, r-1) rho^(k-1).  With
+        L = -log Q_m, b = alpha - floor(alpha) and c = L r / (r + b), the
+        envelope k^alpha Q_m^k is at most rho^(k-1) C(k+r-2, r-1) (r-1)!
+        times rho S, S = sup_x x^b e^{-(L-c) x} = (b / (e (L-c)))^b, so a
+        proposal k < m is accepted with probability
+        exp(A_k + c k - D_m + log h_{m-k}), where
+        A_k = log theta_k - log theta_1 - log(k (k+1) ... (k+r-2)) and
+        D_m = log S + log h_m.  Every constant is in closed form.
+
+        The bound C(k+r-2, r-1) (r-1)! >= k^(r-1) loses a factor of up to
+        exp((r-1)(r-2) / 2k) at k; at the typical k ~ (alpha + 1) / L that
+        is exp((r-1)(r-2) L / (2 (alpha + 1))).  Rows where it exceeds 2
+        (only alpha >= 2, with L large) have short first cycles, and are
+        scanned.
+        """
+        n = self.n_max
+        alpha = {POLYNOMIAL: self.w.alpha, EWENS: 0.0}.get(self.w.family)
+        # rows drawn by rejection: m > _SCAN_BLOCK with Q_m < 1 and a small
+        # loss; Q_m is a prefix maximum, so L falls with m, and they are
+        # the sizes from some m0 > _SCAN_BLOCK to some m*
+        self._envelope = np.zeros(n + 1, dtype=bool)
+        self._width = 0  # uniforms per proposal: r geometrics, one test
+        if alpha is None or n <= _SCAN_BLOCK:
+            return
+        r = math.floor(alpha) + 1
+        b = alpha - (r - 1)
+        log_q = np.full(n + 1, -np.inf)
+        log_q[2:] = self.log_h[1:-1] - self.log_h[2:]
+        big_l = -np.maximum.accumulate(log_q)
+        self._envelope[_SCAN_BLOCK + 1:] = (
+            (big_l[_SCAN_BLOCK + 1:] > 0)
+            & (big_l[_SCAN_BLOCK + 1:] * ((r - 1) * (r - 2))
+               <= 2 * (alpha + 1) * math.log(2)))
+        if not self._envelope.any():
+            return
+        self._width = r + 1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self._rate = big_l * (r / (r + b))
+            log_s = (b * (math.log(b) - 1.0 - np.log(big_l * (b / (r + b))))
+                     if b else 0.0)
+            self._accept_m = log_s + self.log_h
+            ks = np.arange(n + 1, dtype=np.float64)
+            # rho^(m-1) - 1: each geometric is drawn below m - 1, which
+            # leaves the proposal's pmf on k < m proportional to the above
+            self._cut = np.expm1(-self._rate * (ks - 1))
+            self._accept_k = self.log_theta - self.log_theta[1]
+            for j in range(r - 1):
+                self._accept_k -= np.log(ks + j)
+            # theta_m / (m h_m), the probability of k = m
+            self._last = np.exp(self.log_theta - np.log(ks) - self.log_h)
 
     def _first_cycles(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
         """First-cycle lengths for remaining sizes m >= 1 and uniforms u.
@@ -236,15 +303,57 @@ class CycleTypeSampler:
         self.incidents += int(unresolved)
         return k
 
+    def _scan(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """_first_cycles, _SCAN_ROWS rows at a time."""
+        return np.concatenate([
+            self._first_cycles(m[i:i + _SCAN_ROWS], u[i:i + _SCAN_ROWS])
+            for i in range(0, len(m), _SCAN_ROWS)])
+
+    def _propose(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """One proposal for each row of size m with an envelope, from the
+        row's uniforms u (one row of self._width each): the accepted first
+        cycle, or 0 where the proposal is rejected."""
+        c = self._rate[m]
+        # geometric variables of ratio exp(-c) by inversion, each truncated
+        # below m - 1
+        g = np.floor(np.log1p(u[:, :-1] * self._cut[m, None]) / -c[:, None])
+        k = 1.0 + g.sum(axis=1)
+        ok = k < m
+        k = np.where(ok, k, 1.0).astype(np.int64)
+        log_a = (self._accept_k[k] + c * k - self._accept_m[m]
+                 + self.log_h[m - k])
+        return np.where(ok & (u[:, -1] < np.exp(log_a)), k, 0)
+
+    def _step(self, m: np.ndarray, pending: np.ndarray,
+              u: np.ndarray) -> np.ndarray:
+        """One lockstep step for rows of remaining sizes m >= 1, from each
+        row's uniforms u[:, 0] (the scan or the k = m test) and u[:, 1:]
+        (one proposal): their first cycles, or 0 for a row whose proposal
+        was rejected.  Such a row is `pending` on its next step, which
+        retries the proposal without the k = m test."""
+        env = self._envelope[m]
+        if not env.any():
+            return self._scan(m, u[:, 0])
+        k = np.zeros(len(m), dtype=np.int64)
+        scan = np.flatnonzero(~env)
+        if scan.size:
+            k[scan] = self._scan(m[scan], u[scan, 0])
+        last = env & ~pending & (u[:, 0] < self._last[m])
+        k[last] = m[last]
+        rows = np.flatnonzero(env & ~last)
+        self.proposals += int(rows.size)
+        k[rows] = self._propose(m[rows], u[rows, 1:])
+        return k
+
     def sample(self, n: int, rng: np.random.Generator) -> CycleType:
         """One draw: a lockstep chunk of one sample.
 
         It reads ahead up to min(n, 128) uniforms from rng and discards the
         unused ones.  A fresh stream gives the draw sample_batch makes from
         it; a reused rng gives draws from the same distribution, but not
-        those of one rng.random() per cycle.
+        those of one stream read without gaps.
         """
-        _check_n(n, self.w, self.log_h)
+        check_row(n, self.w, self.log_h)
         return self._sample_lockstep(
             n, 1, lambda rows, start, width: rng.random((1, width)))[0]
 
@@ -252,24 +361,29 @@ class CycleTypeSampler:
                          fill: Callable[[np.ndarray, int, int], np.ndarray]
                          ) -> List[CycleType]:
         """`count` draws, all advanced together: at step s every unfinished
-        sample takes its s-th uniform.  fill(rows, start, width) returns
-        uniforms start .. start + width - 1 of the samples `rows`; it is
-        called at steps 0, 128, 256, ... for the samples still running."""
-        ahead = min(n, _LOOKAHEAD)
+        sample takes uniforms s * d .. s * d + d - 1 of its stream, d = 1 if
+        no row of size <= n has an envelope and 1 + r + 1 otherwise; a row
+        uses those its draw needs.  fill(rows, start, width) returns uniforms
+        start .. start + width - 1 of the samples `rows`; it is called every
+        min(n, 128) // d steps for the samples still running."""
+        d = 1 + (self._width if self._envelope[:n + 1].any() else 0)
+        steps = max(1, min(n, _LOOKAHEAD) // d)  # steps per refill
         live = np.arange(count)
-        u = fill(live, 0, ahead)
+        u = fill(live, 0, steps * d).reshape(count, steps, d)
         m = np.full(count, n)
+        pending = np.zeros(count, dtype=bool)
         drawn = []  # per step: sample * (n + 1) + first-cycle length
         step = 0
         while live.size:
-            col = step % ahead
+            col = step % steps
             if step and not col:
-                u[live] = fill(live, step, ahead)
-            k = self._first_cycles(m, u[live, col])
-            drawn.append(live * (n + 1) + k)
+                u[live] = fill(live, step * d, steps * d).reshape(-1, steps, d)
+            k = self._step(m, pending, u[live, col])
+            pending = k == 0
+            drawn.append(live[~pending] * (n + 1) + k[~pending])
             m = m - k
             alive = m > 0
-            live, m = live[alive], m[alive]
+            live, m, pending = live[alive], m[alive], pending[alive]
             step += 1
         # the chunk's working arrays are freed before its output is built:
         # together they set the batch's peak memory

@@ -268,3 +268,50 @@ def test_cycle_type_invariant():
     assert ct.counts == ((2, 1), (3, 2))
     assert ct.num_cycles() == 3
     assert ct.tail_count(3) == 2
+
+
+# table([0, 1, 0]) allows 2-cycles only: h_5 = 0, so size 5 has no law
+ZERO_ROW = r"h_5 = 0 for .*'table'"
+
+
+def test_enumerate_zero_row_is_rejected():
+    with pytest.raises(ValueError, match=ZERO_ROW):
+        cw.enumerate_cycle_types(cw.table([0, 1, 0]), 5)
+
+
+def test_statistic_pmf_zero_row_is_rejected():
+    with pytest.raises(ValueError, match=ZERO_ROW):
+        cw.exact_statistic_pmf(cw.table([0, 1, 0]), 5, "L1")
+
+
+def test_mgf_series_zero_row_is_rejected():
+    with pytest.raises(ValueError, match=ZERO_ROW):
+        cw.mgf_series(cw.table([0, 1, 0]), 5, 2, 0.3)
+
+
+@pytest.mark.parametrize("w", [cw.polynomial(0.5), cw.polynomial(3.0),
+                               cw.ewens(2.0), cw.table([1, 0, 0, 1])])
+def test_finite_n_laws_match_enumeration(w):
+    # E[#cycles >= x] and P(L1 <= x) from the table against enumeration
+    n = 24
+    tab = cw.build_h_table(w, n)
+    types = cw.enumerate_cycle_types(w, n)
+    for x in (0, 1, 2.5, 7, 24, 25):
+        mean = sum(p * ct.tail_count(x) for ct, p in types)
+        assert oracle.tail_count_mean(tab, n, x) == pytest.approx(mean, rel=1e-12,
+                                                                  abs=1e-15)
+        cdf = sum(p for ct, p in types if ct.counts[-1][0] <= x)
+        assert oracle.longest_cycle_cdf(tab, n, x) == pytest.approx(cdf, rel=1e-12,
+                                                                    abs=1e-15)
+
+
+def test_finite_n_laws_desk(htable_desk):
+    # the desk table: 141.1729 cycles expected; no cycle exceeds n
+    assert oracle.tail_count_mean(htable_desk, 20000, 1) == pytest.approx(
+        141.1729, abs=1e-4)
+    assert oracle.longest_cycle_cdf(htable_desk, 20000, 20000) == 1.0
+    w = cw.table([0, 1, 0])
+    with pytest.raises(ValueError, match=ZERO_ROW):
+        oracle.tail_count_mean(cw.build_h_table(w, 5), 5, 1)
+    with pytest.raises(ValueError, match=ZERO_ROW):
+        oracle.longest_cycle_cdf(cw.build_h_table(w, 5), 5, 1)

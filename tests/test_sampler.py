@@ -2,6 +2,7 @@ import collections
 import hashlib
 import io
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -9,6 +10,20 @@ import pytest
 import cycleweights as cw
 from cycleweights import sampler as smp
 from cycleweights.oracle import CapacityError
+
+# false-alarm rate of each statistical bound below
+DELTA = 1e-6
+
+
+def dkw_bound(num):
+    """e with P(sup |F_N - F| > e) <= DELTA (Dvoretzky-Kiefer-Wolfowitz)."""
+    return math.sqrt(math.log(2 / DELTA) / (2 * num))
+
+
+def ks_to_exact(values, cdf):
+    """sup_x |F_N(x) - F(x)| of integer draws against cdf[x] on 0..len-1."""
+    emp = np.cumsum(np.bincount(values, minlength=len(cdf))) / len(values)
+    return float(np.max(np.abs(emp - cdf)))
 
 
 @pytest.fixture(scope="module")
@@ -182,12 +197,138 @@ def test_expected_scan_work(alpha):
     assert s.incidents == 0
 
 
+ENVELOPE_WEIGHTS = [cw.polynomial(0.5), cw.polynomial(1.0), cw.polynomial(3.0),
+                    cw.ewens(2.0)]
+ENVELOPE_IDS = ["poly0.5", "poly1", "poly3", "ewens2"]
+
+
+@pytest.mark.parametrize("w", ENVELOPE_WEIGHTS, ids=ENVELOPE_IDS)
+def test_envelope_bounds_h_ratios(w):
+    # h_{m-k} / h_m <= Q_m^k for every k < m <= 2000, Q_m the largest
+    # h_{j-1} / h_j over 2 <= j <= m; every row m > 16 has an envelope
+    n = 2000
+    s = smp.CycleTypeSampler(w, cw.build_h_table(w, n))
+    log_h = s.log_h
+    log_q = np.full(n + 1, -np.inf)
+    log_q[2:] = log_h[1:-1] - log_h[2:]
+    log_big_q = np.maximum.accumulate(log_q)
+    for m in range(2, n + 1):
+        k = np.arange(1, m)
+        assert np.all(log_h[m - k] - log_h[m] <= k * log_big_q[m]), m
+    assert np.all(log_big_q[2:] < 0)
+    assert s._envelope.tolist() == [m > smp._SCAN_BLOCK for m in range(n + 1)]
+
+
+@pytest.mark.parametrize("w", [cw.polynomial(10.0), cw.ewens(0.5), cw.ewens(1.0),
+                               cw.table([1, 0, 0, 1])],
+                         ids=["poly10", "ewens0.5", "ewens1", "table1001"])
+def test_rows_without_envelope_are_scanned(w):
+    # Q_m >= 1 (Ewens with vartheta <= 1), a table, or first cycles so
+    # short at alpha = 10 that the envelope would lose a large factor: the
+    # scan draws every row
+    s = smp.CycleTypeSampler(w, cw.build_h_table(w, 2000))
+    assert not s._envelope.any()
+    for i in range(20):
+        ct = s.sample(2000, smp.substream_rng(3, i))
+        assert sum(m * c for m, c in ct.counts) == 2000
+    assert s.proposals == 0 and s.scanned > 0
+
+
+def kernel_first_cycles(s, m, num, seed):
+    """`num` first cycles of size-m rows through the lockstep step kernel,
+    rejected rows retrying on the next step as in a batch."""
+    rng = np.random.default_rng(seed)
+    k = np.zeros(num, dtype=np.int64)
+    pending = np.zeros(num, dtype=bool)
+    todo = np.arange(num)
+    while todo.size:
+        got = s._step(np.full(todo.size, m), pending[todo],
+                      rng.random((todo.size, 1 + s._width)))
+        k[todo] = got
+        pending[todo] = got == 0
+        todo = todo[got == 0]
+    return k
+
+
+def exact_first_cycle_cdf(s, m):
+    """P(first cycle <= k) = sum_{j <= k} theta_j h_{m-j} / (m h_m), k = 0..m."""
+    j = np.arange(1, m + 1)
+    pmf = np.exp(s.log_theta[1:m + 1] + s.log_h[m - j] - math.log(m)
+                 - s.log_h[m])
+    return np.concatenate(([0.0], np.cumsum(pmf)))
+
+
+@pytest.mark.parametrize("m", [17, 100, 2000])
+@pytest.mark.parametrize("w", ENVELOPE_WEIGHTS, ids=ENVELOPE_IDS)
+def test_first_cycle_law_by_rejection(w, m):
+    s = smp.CycleTypeSampler(w, cw.build_h_table(w, 2000))
+    num = 200000
+    k = kernel_first_cycles(s, m, num, seed=m)
+    assert ks_to_exact(k, exact_first_cycle_cdf(s, m)) <= dkw_bound(num)
+
+
+def test_first_cycle_law_by_rejection_desk(poly1, htable_desk):
+    s = smp.CycleTypeSampler(poly1, htable_desk)
+    n, num = htable_desk.n_max, 200000
+    k = kernel_first_cycles(s, n, num, seed=4)
+    assert ks_to_exact(k, exact_first_cycle_cdf(s, n)) <= dkw_bound(num)
+
+
+def test_longest_cycle_across_scan_boundary():
+    # at n = 24 the first draws are by rejection and the last by the scan
+    w = cw.polynomial(1.0)
+    n, num = 24, 200000
+    tab = cw.build_h_table(w, n)
+    longest = [ct.counts[-1][0] for ct in cw.sample_batch(
+        w, tab, cw.SamplerConfig(n=n, num_samples=num, seed=8))]
+    pmf = cw.exact_statistic_pmf(w, n, "L1")
+    cdf = np.cumsum([pmf.get(x, 0.0) for x in range(n + 1)])
+    assert ks_to_exact(np.array(longest), cdf) <= dkw_bound(num)
+
+
+def test_rejection_work():
+    # alpha = 1, n = 2000: only the rows m <= 16 are scanned, and nearly
+    # every proposal is accepted
+    w = cw.polynomial(1.0)
+    n, num = 2000, 200
+    s = smp.CycleTypeSampler(w, cw.build_h_table(w, n))
+    step, accepted = s._step, [0]
+
+    def counting(m, pending, u):
+        k = step(m, pending, u)
+        accepted[0] += int(np.count_nonzero((m > smp._SCAN_BLOCK) & (k > 0)
+                                            & (k < m)))
+        return k
+
+    s._step = counting
+    for i in range(num):
+        s.sample(n, smp.substream_rng(17, i))
+    assert s.scanned / num <= n / 10
+    assert accepted[0] / s.proposals >= 0.9
+
+
+def test_desk_batch_matches_exact_finite_n_laws(desk_batch, htable_desk):
+    # the desk batch against the exact finite-n laws: the mean number of
+    # cycles of length >= x by a z-bound, the longest cycle's CDF by DKW
+    n, num = desk_batch[0].n, len(desk_batch)
+    z = statistics.NormalDist().inv_cdf(1 - DELTA / 2)
+    for x in (1, 10, 100, 300, 1000):
+        counts = [ct.tail_count(x) for ct in desk_batch]
+        exact = cw.tail_count_mean(htable_desk, n, x)
+        se = statistics.stdev(counts) / math.sqrt(num)
+        assert abs(statistics.fmean(counts) - exact) <= z * se, x
+    longest = np.array([ct.counts[-1][0] for ct in desk_batch])
+    for x in (600, 650, 700, 800, 900, 1000):
+        exact = cw.longest_cycle_cdf(htable_desk, n, x)
+        assert abs(np.mean(longest <= x) - exact) <= dkw_bound(num), x
+
+
 # SHA-256 of the dump_samples JSONL of (weights, n, samples, seed)
 GOLDEN = [
     (cw.polynomial(1.0), 2000, 300, 7,
-     "f953c537523763015135f2cd1b923aec7ecba32c438f871e3c940729e74cfc75"),
+     "df49d906cd2e1cd2571a1f69b9359d178996b2d2d10be081f77e96eb882dd2af"),
     (cw.polynomial(0.5), 5000, 200, 3,
-     "351d8a681e2db42ef85d32d24595877c7fa2867d63d9e68d8a6875d17003873d"),
+     "f2007760a04e6f737a10186635b78240a464b9ffd5f8a8cb2e3aecbe37174b7a"),
     (cw.table([1, 0, 0, 1]), 3000, 50, 1,
      "52c09dc601377d99af69e7d862b9d5d5ecba6b393db5997a1d47e0d7ee8b9590"),
 ]
@@ -196,8 +337,9 @@ GOLDEN = [
 @pytest.mark.parametrize("w,n,num,seed,digest", GOLDEN,
                          ids=["poly1", "poly0.5", "table1001"])
 def test_golden_output(w, n, num, seed, digest):
-    # hashes recorded from the serial one-row sampler: fixed-seed output is
-    # bit-for-bit the same
+    # fixed-seed output, bit for bit: the polynomial hashes pin the
+    # rejection draws (rows m > 16), the table's the scan, which draws every
+    # row of weights with no envelope
     tab = cw.build_h_table(w, n)
     out = io.StringIO()
     smp.dump_samples(cw.sample_batch(
@@ -214,9 +356,11 @@ def test_batch_counters_match_single_draws(poly1):
     list(cw.sample_batch(poly1, tab, cw.SamplerConfig(n=2000, num_samples=100,
                                                       seed=7)))
     assert shared.scanned == single.scanned > 0
+    assert shared.proposals == single.proposals > 0
     assert shared.incidents == single.incidents == 0
     # plain ints, so that the counters can be written as JSON
-    assert type(shared.scanned) is type(shared.incidents) is int
+    assert (type(shared.scanned) is type(shared.incidents)
+            is type(shared.proposals) is int)
 
 
 def test_batch_size_does_not_change_samples():
