@@ -28,6 +28,8 @@ _MAX_NEWTON_ITERS = 200
 
 # grid points on [delta, pi] of the saddle-circle monotonicity scan
 PHI_POINTS = 1000
+# terms k per chunk of that scan: its cosine block holds 8 MiB at any K
+_SCAN_TERMS = 1024
 
 
 class SaddleError(RuntimeError):
@@ -245,29 +247,30 @@ def admissibility_diagnostics(w: WeightSequence, n: int, s: float,
     sd = solve_saddle(w, n)
     x_n = threshold_x(sd, y)
     K = truncation_K(sd.v_n)
-    k = np.arange(1, K + 1, dtype=np.float64)
-    # (theta_k/k) r^k
-    gk_r = np.exp(theta_log_range(w, 1, K) - np.log(k) - k * sd.v_n)
-    tilt = np.where(k >= math.ceil(x_n), math.expm1(s), 0.0)
-    ck_r = gk_r * (1.0 + tilt)
-    a_n = float(np.sum(k * ck_r))
-    b_n = float(np.sum(k * k * ck_r))
+    lo = max(1, math.ceil(x_n))
+    tilt = math.expm1(s)
+    # the saddle's sums over k <= K, plus the tilt's share from k >= x_n
+    tail = exp_sums(w, sd.v_n, lo, K, (0, 1))
+    a_n, b_n = sd.a_n + tilt * tail[0], sd.b_n + tilt * tail[1]
     residual = abs(a_n - n) / math.sqrt(b_n)
     # width exponent xi inside the admissible open interval, biased to its
     # upper end (alpha+2)/2
     delta = sd.v_n ** ((alpha + 2.0) / 2.0 - 0.1)
     width = delta * delta * b_n - math.log(b_n)
     bn_ratio = b_n / (math.gamma(alpha + 2.0) * sd.n_star ** (alpha + 2.0))
-    # monotonicity: Re g_{n,s}(r e^{i phi}) <= value at phi = delta
+    # monotonicity: Re g_{n,s}(r e^{i phi}) <= value at phi = delta (the
+    # first grid point), summed over chunks of k
     phis = np.linspace(delta, math.pi, PHI_POINTS)
-    ref = float(np.sum(ck_r * np.cos(k * delta)))
-    violations = 0
-    chunk = 64
-    tol = 1e-12 * max(1.0, abs(ref))
-    for i in range(0, len(phis), chunk):
-        block = phis[i:i + chunk]
-        vals = np.cos(np.outer(block, k)) @ ck_r
-        violations += int(np.sum(vals > ref + tol))
+    re_g = np.zeros(PHI_POINTS)
+    for a in range(1, K + 1, _SCAN_TERMS):
+        b = min(a + _SCAN_TERMS - 1, K)
+        k = np.arange(a, b + 1, dtype=np.float64)
+        ck_r = np.exp(theta_log_range(w, a, b) - np.log(k) - k * sd.v_n)
+        ck_r[k >= lo] *= 1.0 + tilt
+        block = np.outer(phis, k)
+        re_g += np.cos(block, out=block) @ ck_r
+    tol = 1e-12 * max(1.0, abs(re_g[0]))
+    violations = int(np.sum(re_g > re_g[0] + tol))
     return AdmissibilityReport(residual=residual, width=width,
                                monotonicity_violations=violations,
                                bn_ratio=bn_ratio)

@@ -59,33 +59,36 @@ def check_row(n: int, w: WeightSequence, log_h: np.ndarray) -> None:
         raise zero_row_error(w, n)
 
 
-@dataclass(frozen=True)
 class CycleType:
-    """Multiset of cycle lengths stored as counts; sum of m*C_m equals n."""
+    """Read-only view of one cycle type: int32 arrays m (cycle lengths,
+    ascending) and c (their counts C_m >= 1), with sum m * C_m = n."""
 
-    counts: Tuple[Tuple[int, int], ...]  # sorted ((m, C_m), ...), C_m >= 1
-    n: int
+    __slots__ = ("m", "c", "n")
+
+    def __init__(self, m: np.ndarray, c: np.ndarray, n: int):
+        self.m, self.c, self.n = m, c, n
 
     @classmethod
     def from_dict(cls, counts: Dict[int, int], n: int) -> "CycleType":
-        items = tuple(sorted((m, c) for m, c in counts.items() if c > 0))
+        items = sorted((m, c) for m, c in counts.items() if c > 0)
         total = sum(m * c for m, c in items)
         if total != n:
             raise ValueError(f"cycle counts sum to {total}, expected {n}")
-        return cls(items, n)
+        m, c = np.array(items, dtype=np.int32).reshape(-1, 2).T.copy()
+        m.flags.writeable = c.flags.writeable = False
+        return cls(m, c, n)
 
-    def count(self, m: int) -> int:
-        for mm, c in self.counts:
-            if mm == m:
-                return c
-        return 0
+    @property
+    def counts(self) -> Tuple[Tuple[int, int], ...]:
+        """((m, C_m), ...) as Python ints, m ascending."""
+        return tuple(zip(self.m.tolist(), self.c.tolist()))
 
     def num_cycles(self) -> int:
-        return sum(c for _, c in self.counts)
+        return int(self.c.sum())
 
     def tail_count(self, x: float) -> int:
         """Number of cycles of length >= x."""
-        return sum(c for m, c in self.counts if m >= x)
+        return int(self.c[self.m >= x].sum())
 
 
 def partitions(n: int) -> Iterator[Tuple[int, ...]]:
@@ -264,9 +267,6 @@ class ScaledReal:
         e = math.floor(log_value / _LN2)
         return cls(math.exp(log_value - e * _LN2), e)  # mantissa in [1, 2)
 
-    def is_zero(self) -> bool:
-        return self.mantissa == 0.0
-
     def to_float(self) -> float:
         """Nearest double; overflows to inf / underflows to 0 silently."""
         return _ratio(self.mantissa, self.exponent, 1.0, 0)
@@ -413,7 +413,7 @@ def exact_statistic_pmf(w: WeightSequence, n: int, statistic: str,
     pmf: Dict[int, float] = {}
     for ct, p in enumerate_cycle_types(w, n):
         if statistic == "L1":
-            v = ct.counts[-1][0] if ct.counts else 0
+            v = int(ct.m[-1])
         elif statistic == "tail_count":
             v = ct.tail_count(x)
         elif statistic == "total_cycles":

@@ -391,15 +391,12 @@ class CycleTypeSampler:
         # (sample, length) -> C_m, in sample then length order
         keys, counts = np.unique(np.concatenate(drawn), return_counts=True)
         del drawn
-        ends = np.searchsorted(keys, np.arange(1, count + 1) * (n + 1))
-        length = (keys % (n + 1)).tolist()
-        del keys
-        counts = counts.tolist()
-        out, a = [], 0
-        for b in ends.tolist():
-            out.append(CycleType(tuple(zip(length[a:b], counts[a:b])), n))
-            a = b
-        return out
+        bounds = np.searchsorted(keys, np.arange(count + 1) * (n + 1)).tolist()
+        length = (keys % (n + 1)).astype(np.int32)
+        counts = counts.astype(np.int32)
+        length.flags.writeable = counts.flags.writeable = False
+        return [CycleType(length[a:b], counts[a:b], n)
+                for a, b in zip(bounds, bounds[1:])]
 
 
 def sample_cycle_type(w: WeightSequence, h: HTable, n: int,

@@ -1,13 +1,13 @@
 """Observable extraction and statistical verification of the limit laws.
 
-Every report reads one columnar form of its batch: the (m, C_m) pairs of
-all cycle types in int32 CSR arrays (row starts, m ascending within a
-row, C_m).  Tail counts #{cycles of length >= x} and the K longest cycles
-are numpy reductions over those arrays.  The reports are the Monte Carlo
-checks: Poisson increments over a y-grid, the Gumbel law of the rescaled
-longest cycle, the cumulative-count profile against its direct-sum
-prediction, and the frequency of the rare event that any cycle exceeds
-the cap 2 n* ell_n.
+A cycle type is already columnar: int32 arrays of its cycle lengths m
+(ascending) and their counts C_m.  Every report concatenates its batch's
+arrays once into int32 CSR form (row starts, m, C_m).  Tail counts
+#{cycles of length >= x} and the K longest cycles are numpy reductions
+over those arrays.  The reports are the Monte Carlo checks: Poisson
+increments over a y-grid, the Gumbel law of the rescaled longest cycle,
+the cumulative-count profile against its direct-sum prediction, and the
+frequency of the rare event that any cycle exceeds the cap 2 n* ell_n.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence)
 
@@ -135,18 +134,17 @@ class Columns(NamedTuple):
 
 
 def columns(batch: Iterable[CycleType]) -> Columns:
-    """Flatten cycle types into Columns without expanding the pairs."""
+    """Concatenate the cycle types' (m, C_m) arrays into Columns."""
     cts = list(batch)
     if not cts:
         raise ValueError("empty batch")
-    sizes = np.fromiter((len(ct.counts) for ct in cts), np.int32, len(cts))
+    sizes = np.fromiter((len(ct.m) for ct in cts), np.int32, len(cts))
     if not sizes.all():
         raise ValueError("batch holds a cycle type with no cycles")
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(
-        ct.counts for ct in cts)), np.int32, 2 * int(sizes.sum()))
     starts = np.zeros(len(cts), np.int32)
     np.cumsum(sizes[:-1], out=starts[1:])
-    return Columns(starts, flat[0::2], flat[1::2], cts[0].n)
+    return Columns(starts, np.concatenate([ct.m for ct in cts]),
+                   np.concatenate([ct.c for ct in cts]), cts[0].n)
 
 
 def tail_counts(cols: Columns, x: float) -> np.ndarray:

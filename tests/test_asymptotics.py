@@ -2,10 +2,12 @@ import math
 import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 
 import cycleweights as cw
 from cycleweights import asymptotics
+from cycleweights.weights import theta_log_range
 
 
 # closed form for alpha=1, n=100: sum k x^k = x/(1-x)^2 = 100 is a
@@ -196,6 +198,57 @@ def test_diagnostics_tilted():
     rep = cw.admissibility_diagnostics(cw.polynomial(1.0), 10000, s=0.5, y=1.0)
     assert rep.monotonicity_violations == 0
     assert rep.residual < 1.0  # o(1) relative to sqrt(b_n)
+
+
+def dense_diagnostics(w, n, s, y):
+    """(residual, width, violations, bn_ratio, b_n) of
+    admissibility_diagnostics from whole K-term arrays: the reference for
+    its chunked sums."""
+    sd = cw.solve_saddle(w, n)
+    x_n = cw.threshold_x(sd, y)
+    k = np.arange(1, sd.truncation_K + 1, dtype=np.float64)
+    ck_r = np.exp(theta_log_range(w, 1, sd.truncation_K) - np.log(k)
+                  - k * sd.v_n)
+    ck_r *= np.where(k >= math.ceil(x_n), math.exp(s), 1.0)
+    a_n, b_n = float(np.sum(k * ck_r)), float(np.sum(k * k * ck_r))
+    alpha = w.growth_alpha
+    delta = sd.v_n ** ((alpha + 2.0) / 2.0 - 0.1)
+    phis = np.linspace(delta, math.pi, asymptotics.PHI_POINTS)
+    ref = float(np.sum(ck_r * np.cos(k * delta)))
+    vals = np.concatenate([np.cos(np.outer(phis[i:i + 64], k)) @ ck_r
+                           for i in range(0, len(phis), 64)])
+    return (abs(a_n - n) / math.sqrt(b_n),
+            delta * delta * b_n - math.log(b_n),
+            int(np.sum(vals > ref + 1e-12 * max(1.0, abs(ref)))),
+            b_n / (math.gamma(alpha + 2.0) * sd.n_star ** (alpha + 2.0)), b_n)
+
+
+@pytest.mark.parametrize("alpha,n,s,y", [
+    (1.0, 1000, 0.0, 1.0), (1.0, 300, 6.0, 1.0), (2.0, 100, 6.0, 1.0),
+    (4.0, 100, -1.0, 1.0), (0.5, 100, 6.0, 0.05), (0.5, 1000, 6.0, 1.0)])
+def test_diagnostics_match_dense_sums(alpha, n, s, y):
+    # the last case has K = 6 500 terms, so its scan runs over 7 chunks
+    residual, width, violations, bn_ratio, b_n = dense_diagnostics(
+        cw.polynomial(alpha), n, s, y)
+    rep = cw.admissibility_diagnostics(cw.polynomial(alpha), n, s, y)
+    assert rep.residual == pytest.approx(residual,
+                                         abs=1e-12 * n / math.sqrt(b_n))
+    assert rep.width == pytest.approx(width, rel=1e-12)
+    assert rep.bn_ratio == pytest.approx(bn_ratio, rel=1e-12)
+    assert rep.monotonicity_violations == violations
+
+
+def test_diagnostics_bounded_memory():
+    # K = 140 106 terms; the scan must not hold PHI_POINTS x K cosines
+    tracemalloc.start()
+    try:
+        rep = cw.admissibility_diagnostics(cw.polynomial(0.5), 10**5,
+                                           s=0.0, y=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    assert rep.monotonicity_violations == 0
 
 
 def test_diagnostics_json_fields():

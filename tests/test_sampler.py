@@ -50,9 +50,8 @@ def test_forced_single_cycle(small_table):
 def test_first_cycle_probability_n2(small_table):
     # P(single 2-cycle) = theta_2 h_0 / (2 h_2) = 2/3
     w = cw.polynomial(1.0)
-    hits = sum(
-        cw.sample_cycle_type(w, small_table, 2, smp.substream_rng(11, i)).count(2)
-        for i in range(20000))
+    batch = cw.sample_batch(w, small_table, cw.SamplerConfig(2, 20000, 11))
+    hits = sum(int(ct.m[-1]) == 2 for ct in batch)
     assert hits / 20000 == pytest.approx(2 / 3, abs=0.015)
 
 

@@ -19,7 +19,7 @@ def test_roundtrip(x):
 
 def test_zero():
     z = ScaledReal()
-    assert z.is_zero()
+    assert z.mantissa == 0.0
     assert z.to_float() == 0.0
     assert z.log() == -math.inf
 

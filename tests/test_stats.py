@@ -47,6 +47,21 @@ def test_longest_identity_exhaustive():
         assert stats.longest(cols, n).tolist() == expect
 
 
+def test_columns_of_a_multi_chunk_batch(poly1, htable_2000):
+    # 1200 samples cross two chunk boundaries of the lockstep sampler
+    batch = list(cw.sample_batch(poly1, htable_2000,
+                                 cw.SamplerConfig(300, 1200, 3)))
+    rebuilt = [CycleType.from_dict(dict(cyc.counts), 300) for cyc in batch]
+    got, want = stats.columns(batch), stats.columns(rebuilt)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    assert got.m.dtype == got.c.dtype == np.int32
+    for arr in (batch[0].m, batch[-1].c, rebuilt[0].m):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert all(type(v) is int for pair in batch[0].counts for v in pair)
+
+
 def test_tv_distance_hand_computed():
     assert stats.tv_distance({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}) == 0.0
     assert stats.tv_distance({0: 1.0}, {1: 1.0}) == 1.0
