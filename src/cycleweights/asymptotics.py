@@ -9,22 +9,31 @@ residual, width of convergence, monotonicity scan on the saddle circle).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import mpmath
 import numpy as np
 
 from .oracle import ScaledReal
-from .weights import WeightSequence, exp_sums, g_theta_partial, theta_log_range
+from .weights import (EWENS, POLYNOMIAL, WeightSequence, exp_sums,
+                      g_theta_partial, theta_log_range)
 
 # truncation rule for all infinite sums: smallest K with K*v >= TAIL_DECADES,
 # leaving tails below e^-60 times a polynomial factor
 TAIL_DECADES = 60.0
 
 _MAX_NEWTON_ITERS = 200
+
+# the zeta series of polylog_series is used for |mu| <= SERIES_RADIUS < 2 pi;
+# its terms shrink like (|mu|/2pi)^j, so 4 keeps them below 0.64^j
+SERIES_RADIUS = 4.0
+_SERIES_RTOL = 1e-16
+# stops the series where its sum is ~0, whose relative tail never shrinks
+_SERIES_MAX_TERMS = 200
 
 # grid points on [delta, pi] of the saddle-circle monotonicity scan
 PHI_POINTS = 1000
@@ -68,16 +77,33 @@ def ell_n(n_star: float, alpha: float) -> float:
     return core + (alpha - 1.0) * math.log(core)
 
 
+def _saddle_sums(w: WeightSequence, v: float) -> Tuple[float, float]:
+    """(sum theta_k e^{-kv}, sum k theta_k e^{-kv}): closed forms for Ewens
+    (z/(1-z) and z/(1-z)^2 times vartheta, z = e^{-v}), the zeta series for
+    polynomial weights with v <= SERIES_RADIUS, else exp_sums over
+    k <= truncation_K(v)."""
+    if w.family == EWENS:
+        z, one_minus_z = math.exp(-v), -math.expm1(-v)
+        a = w.vartheta * z / one_minus_z
+        return a, a / one_minus_z
+    if w.family == POLYNOMIAL and v <= SERIES_RADIUS:
+        return (float(polylog_series(w.alpha, -v)[0]),
+                float(polylog_series(w.alpha + 1.0, -v)[0]))
+    return tuple(exp_sums(w, v, 1, truncation_K(v), (0, 1)))
+
+
 def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
     """Solve sum theta_k e^{-kv} = n by safeguarded Newton iteration.
 
     The map v -> sum theta_k e^{-kv} is strictly decreasing, so a bisection
     bracket around the asymptotic initial guess keeps Newton safe.
+    truncation_K is ceil(60/v_n) whichever way the sums were taken; it
+    measures the sums' work only where they go through exp_sums.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     alpha = w.growth_alpha
-    if w.family == "ewens":
+    if w.family == EWENS:
         # theta_k = const: closed form v = log(1 + vartheta/n), which the
         # first evaluation accepts
         v = math.log1p(w.vartheta / n)
@@ -86,7 +112,7 @@ def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
     lo, hi = v / 10.0, 10.0 * v
     for _ in range(_MAX_NEWTON_ITERS):
         # the sums of the last v evaluated are the returned a_n, b_n
-        s, sk = exp_sums(w, v, 1, truncation_K(v), (0, 1))
+        s, sk = _saddle_sums(w, v)
         f = s - n
         if abs(f) <= 1e-12 * n:
             break
@@ -116,14 +142,86 @@ def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
 
 
 def zeta(s: float) -> float:
-    """Riemann zeta at a real argument (excluding the pole at 1)."""
+    """Riemann zeta at a real argument (excluding the pole at 1); an mpmath
+    number is taken exactly."""
     if s == 1.0:
         raise ValueError("zeta has a pole at 1")
     return float(mpmath.zeta(s))
 
 
+def _series_terms(delta: float, mu: np.ndarray) -> Iterator[np.ndarray]:
+    """Terms of the zeta series of sum_{k>=1} k^delta e^{k mu}: the Gamma
+    term, then zeta(-delta-j) mu^j/j! for j = 0, 1, ...  Each zeta argument
+    is -delta-j exactly, not rounded to a float."""
+    yield math.gamma(1.0 + delta) * (-mu) ** (-1.0 - delta)
+    power = np.ones_like(mu)
+    for j in itertools.count():
+        yield zeta(mpmath.fsub(-delta, j, exact=True)) * power
+        power = power * mu / (j + 1)
+
+
+def polylog_series(delta: float, mu) -> Tuple[np.ndarray, np.ndarray]:
+    """sum_{k>=1} k^delta e^{k mu} from its zeta series, with an error bound.
+
+    For Re mu < 0, |mu| <= SERIES_RADIUS and delta not a negative integer
+    (DLMF 25.12.12):
+
+        Gamma(1+delta) (-mu)^{-1-delta} + sum_{j>=0} zeta(-delta-j) mu^j/j!
+
+    mu is a real or complex scalar or array, and (value, bound) have its
+    shape.  By the functional equation |zeta(-delta-j)| <= 2 zeta(s) Gamma(s)
+    / (2 pi)^s with s = 1+delta+j, and zeta(s) <= s/(s-1), so past j the
+    terms shrink at least like (|mu|/2pi)^j.  The sum stops at the first j
+    whose bounded tail is at most 1e-16 of the sum at every point, or after
+    _SERIES_MAX_TERMS terms.  The bound is that tail plus the round-off:
+    each term's relative error in ulps (the Gamma term's power grows with
+    |(1+delta) log(-mu)|, the j-th term's mu^j/j! with j) times its size,
+    plus one ulp of every partial sum.  The terms are added smallest first,
+    which keeps the partial sums near the total.
+    """
+    if delta == round(delta) and delta <= -1:
+        raise ValueError(f"delta={delta} is an excluded negative integer")
+    mu = np.asarray(mu, dtype=np.result_type(mu, np.float64))
+    rho = np.abs(mu)
+    if not (np.all(mu.real < 0) and np.all(rho <= SERIES_RADIUS)):
+        raise ValueError(f"the series needs Re mu < 0 and |mu| <= "
+                         f"{SERIES_RADIUS}")
+    log_rho = np.log(rho)
+    terms, ulps = [], []
+    total, tail = 0.0, np.inf
+    for j, t in enumerate(_series_terms(delta, mu), start=-1):
+        terms.append(t)
+        total = total + t
+        # math.gamma's ~10 ulp and the power's 1 + |p log(-mu)|; zeta's and
+        # the product's, and two for each factor of mu^j/j!
+        ulps.append(12.0 + np.abs((1.0 + delta) * np.log(-mu)) if j < 0
+                    else 2.0 + 2.0 * j)
+        sigma = 2.0 + delta + j  # s of the first term left out
+        if sigma > 1.0:
+            q = max(1.0, 1.0 + delta / (j + 2)) * rho / (2.0 * math.pi)
+            with np.errstate(divide="ignore", over="ignore"):
+                first = np.exp(math.log(2.0 * sigma / (sigma - 1.0))
+                               + math.lgamma(sigma)
+                               - sigma * math.log(2.0 * math.pi)
+                               + (j + 1) * log_rho - math.lgamma(j + 2))
+                tail = np.where(q < 1.0, first / (1.0 - q), np.inf)
+            if (np.all(tail <= _SERIES_RTOL * np.abs(total))
+                    or len(terms) >= _SERIES_MAX_TERMS):
+                break
+    value = np.zeros_like(terms[0])
+    partials = np.zeros(mu.shape)
+    for t in reversed(terms):
+        value = value + t
+        partials += np.abs(value)
+    eps = np.finfo(np.float64).eps
+    round_off = eps * (sum(u * np.abs(t) for u, t in zip(ulps, terms))
+                       + partials)
+    return value, tail + round_off
+
+
 def polylog_asymp(delta: float, v: float) -> Tuple[float, float, float]:
-    """Compare sum_k k^delta e^{-kv} with Gamma(delta+1) v^{-delta-1} + zeta(-delta).
+    """Compare sum_k k^delta e^{-kv} with Gamma(delta+1) v^{-delta-1} + zeta(-delta),
+    the first two terms of the series in polylog_series.
 
     Returns (approx, direct, abs_error).  The direct sum is truncated with a
     certified tail below 1e-14 of its value.
@@ -133,7 +231,8 @@ def polylog_asymp(delta: float, v: float) -> Tuple[float, float, float]:
     if not 0.0 < v < 1.0:
         raise ValueError("v must be in (0, 1)")
     direct = exp_sums(None, v, 1, truncation_K(v), (delta,))[0]
-    approx = math.gamma(delta + 1.0) * v ** (-delta - 1.0) + zeta(-delta)
+    head = itertools.islice(_series_terms(delta, np.float64(-v)), 2)
+    approx = float(sum(head))
     return approx, direct, abs(direct - approx)
 
 
@@ -174,12 +273,19 @@ def partial_sum_asymp(delta: float, v: float, x: float,
 def saddle_h_estimate(w: WeightSequence, n: int) -> Tuple[ScaledReal, SaddleData]:
     """Saddle-point estimate of h_n = [t^n] exp(g(t)).
 
-    estimate = (2 pi)^{-1/2} r^{-n} b_n^{-1/2} exp(g(r)) at r = r_n.
+    estimate = (2 pi)^{-1/2} r^{-n} b_n^{-1/2} exp(g(r)) at r = r_n, with
+    g(r) = -vartheta log(1-r) for Ewens weights and the zeta series of
+    sum k^{alpha-1} e^{-k v_n} for polynomial ones.
     """
     if n < 10:
         raise ValueError("saddle estimate needs n >= 10")
     sd = solve_saddle(w, n)
-    g_r, _, _ = g_theta_partial(w, sd.r_n, 1e-13)
+    if w.family == EWENS:
+        g_r = -w.vartheta * math.log1p(-sd.r_n)
+    elif w.family == POLYNOMIAL and sd.v_n <= SERIES_RADIUS:
+        g_r = float(polylog_series(w.alpha - 1.0, -sd.v_n)[0])
+    else:
+        g_r = g_theta_partial(w, sd.r_n, 1e-13)[0]
     log_est = (-0.5 * math.log(2.0 * math.pi)
                + n * sd.v_n
                - 0.5 * math.log(sd.b_n)
@@ -229,6 +335,20 @@ class AdmissibilityReport:
         })
 
 
+def _cos_sums(w: WeightSequence, v: float, phis: np.ndarray, lo: int,
+              hi: int) -> np.ndarray:
+    """sum_{k=lo}^{hi} (theta_k/k) e^{-kv} cos(k phi) at each phi, summed
+    over chunks of _SCAN_TERMS terms."""
+    out = np.zeros(len(phis))
+    for a in range(lo, hi + 1, _SCAN_TERMS):
+        b = min(a + _SCAN_TERMS - 1, hi)
+        k = np.arange(a, b + 1, dtype=np.float64)
+        ck_r = np.exp(theta_log_range(w, a, b) - np.log(k) - k * v)
+        block = np.outer(phis, k)
+        out += np.cos(block, out=block) @ ck_r
+    return out
+
+
 def admissibility_diagnostics(w: WeightSequence, n: int, s: float,
                               y: float) -> AdmissibilityReport:
     """Numeric admissibility diagnostics for the tilted generating function.
@@ -238,6 +358,13 @@ def admissibility_diagnostics(w: WeightSequence, n: int, s: float,
     quantity delta^2 b - log b with delta = v^xi, the number of grid points
     where Re g on the saddle circle exceeds its value at phi = delta, and
     the ratio of b to its predicted leading term.
+
+    For polynomial weights Re g on the circle is the zeta series at
+    mu = -v_n + i phi, all PHI_POINTS points at once; other weights, and
+    circles reaching past SERIES_RADIUS, sum the PHI_POINTS x K cosines up
+    to the truncation K.  With s != 0 the tilt's share, over
+    ceil(x_n) <= k <= K, is such a cosine scan in every case, so it stays
+    O(PHI_POINTS x (K - ceil(x_n))).
     """
     if n < 100:
         raise ValueError("diagnostics need n >= 100")
@@ -249,9 +376,11 @@ def admissibility_diagnostics(w: WeightSequence, n: int, s: float,
     K = truncation_K(sd.v_n)
     lo = max(1, math.ceil(x_n))
     tilt = math.expm1(s)
-    # the saddle's sums over k <= K, plus the tilt's share from k >= x_n
-    tail = exp_sums(w, sd.v_n, lo, K, (0, 1))
-    a_n, b_n = sd.a_n + tilt * tail[0], sd.b_n + tilt * tail[1]
+    a_n, b_n = sd.a_n, sd.b_n
+    if tilt:
+        # the tilt's share of the saddle's sums, from k >= x_n
+        tail = exp_sums(w, sd.v_n, lo, K, (0, 1))
+        a_n, b_n = a_n + tilt * tail[0], b_n + tilt * tail[1]
     residual = abs(a_n - n) / math.sqrt(b_n)
     # width exponent xi inside the admissible open interval, biased to its
     # upper end (alpha+2)/2
@@ -259,16 +388,15 @@ def admissibility_diagnostics(w: WeightSequence, n: int, s: float,
     width = delta * delta * b_n - math.log(b_n)
     bn_ratio = b_n / (math.gamma(alpha + 2.0) * sd.n_star ** (alpha + 2.0))
     # monotonicity: Re g_{n,s}(r e^{i phi}) <= value at phi = delta (the
-    # first grid point), summed over chunks of k
+    # first grid point)
     phis = np.linspace(delta, math.pi, PHI_POINTS)
-    re_g = np.zeros(PHI_POINTS)
-    for a in range(1, K + 1, _SCAN_TERMS):
-        b = min(a + _SCAN_TERMS - 1, K)
-        k = np.arange(a, b + 1, dtype=np.float64)
-        ck_r = np.exp(theta_log_range(w, a, b) - np.log(k) - k * sd.v_n)
-        ck_r[k >= lo] *= 1.0 + tilt
-        block = np.outer(phis, k)
-        re_g += np.cos(block, out=block) @ ck_r
+    mu = -sd.v_n + 1j * phis
+    if w.family == POLYNOMIAL and np.abs(mu).max() <= SERIES_RADIUS:
+        re_g = polylog_series(alpha - 1.0, mu)[0].real
+    else:
+        re_g = _cos_sums(w, sd.v_n, phis, 1, K)
+    if tilt:
+        re_g += tilt * _cos_sums(w, sd.v_n, phis, lo, K)
     tol = 1e-12 * max(1.0, abs(re_g[0]))
     violations = int(np.sum(re_g > re_g[0] + tol))
     return AdmissibilityReport(residual=residual, width=width,

@@ -142,15 +142,20 @@ def exp_sums(w: Optional[WeightSequence], v: float, lo: int, hi: int,
 
     The terms of the first exponent e0 are exp(ln theta_k + e0 ln k - k v),
     so k^e0 e^{-kv} never overflows mid-product; the other exponents take
-    them times k^(e - e0).  The terms are summed chunk by chunk.
+    them times k^(e - e0).  Polynomial weights join alpha to e0, so each
+    chunk takes ln k once.  The terms are summed chunk by chunk.
     """
     totals = [0.0] * len(exps)
     e0 = exps[0]
+    poly = w is not None and w.family == POLYNOMIAL
+    power = e0 + w.alpha if poly else e0
     for a in range(lo, hi + 1, _CHUNK):
         b = min(a + _CHUNK - 1, hi)
         k = np.arange(a, b + 1, dtype=np.float64)
-        base = -k * v if w is None else theta_log_range(w, a, b) - k * v
-        terms = np.exp(base + e0 * np.log(k) if e0 else base)
+        base = -k * v
+        if w is not None and not poly:
+            base += theta_log_range(w, a, b)
+        terms = np.exp(base + power * np.log(k) if power else base)
         for i, e in enumerate(exps):
             totals[i] += float(np.sum(terms if e == e0 else terms * k ** (e - e0)))
     return totals

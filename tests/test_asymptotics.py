@@ -7,7 +7,7 @@ import pytest
 
 import cycleweights as cw
 from cycleweights import asymptotics
-from cycleweights.weights import theta_log_range
+from cycleweights.weights import exp_sums, g_theta_partial, theta_log_range
 
 
 # closed form for alpha=1, n=100: sum k x^k = x/(1-x)^2 = 100 is a
@@ -106,6 +106,88 @@ def test_zeta_values():
     assert asymptotics.zeta(-1.0) == pytest.approx(-1 / 12)
     assert asymptotics.zeta(0.0) == pytest.approx(-0.5)
     assert asymptotics.zeta(2.0) == pytest.approx(math.pi ** 2 / 6)
+
+
+# v over the range the `tables` saddles reach (alpha = 0.05 at n = 1e6
+# down to 1.8e-6) up to the series radius
+SERIES_VS = (1.8e-6, 1e-4, 3e-3, 0.05, 0.3, 1.0, 2.5, asymptotics.SERIES_RADIUS)
+SERIES_ALPHAS = (0.05, 0.5, 1.0, 3.0)
+
+
+def _mpmath_polylog(delta, mu):
+    """sum_{k>=1} k^delta e^{k mu} to 30 digits, at the float mu exactly."""
+    with mpmath.workdps(30):
+        return mpmath.polylog(-delta, mpmath.exp(mpmath.mpmathify(mu)))
+
+
+@pytest.mark.parametrize("alpha", SERIES_ALPHAS)
+def test_polylog_series_matches_exp_sums(alpha):
+    deltas = (alpha - 1.0, alpha, alpha + 1.0)
+    for v in SERIES_VS:
+        direct = exp_sums(None, v, 1, asymptotics.truncation_K(v), deltas)
+        for delta, ref in zip(deltas, direct):
+            value, bound = asymptotics.polylog_series(delta, -v)
+            assert value == pytest.approx(ref, rel=1e-12), (delta, v)
+            err = abs(value - _mpmath_polylog(delta, -v))
+            assert err <= bound <= 1e-11 * abs(value), (delta, v)
+
+
+# (alpha, n) of the saddle circles the series replaces the cosine scan on
+CIRCLES = [(0.2, 10**5), (0.5, 10**5), (1.0, 10**5)]
+
+
+def _circle(alpha, n, points):
+    sd = cw.solve_saddle(cw.polynomial(alpha), n)
+    phi0 = sd.v_n ** ((alpha + 2.0) / 2.0 - 0.1)
+    return sd, np.linspace(phi0, math.pi, points)
+
+
+@pytest.mark.parametrize("alpha,n", CIRCLES)
+def test_polylog_series_on_saddle_circle(alpha, n):
+    sd, phis = _circle(alpha, n, 50)
+    value, bound = asymptotics.polylog_series(alpha - 1.0,
+                                              -sd.v_n + 1j * phis)
+    scan = asymptotics._cos_sums(cw.polynomial(alpha), sd.v_n, phis, 1,
+                                 sd.truncation_K)
+    assert np.max(np.abs(value.real - scan)) <= 1e-12 * abs(scan[0])
+    # the bound against 30-digit polylogs at a few of those points
+    for i in (0, 1, 17, 49):
+        mu = complex(-sd.v_n, phis[i])
+        err = abs(complex(value[i]) - _mpmath_polylog(alpha - 1.0, mu))
+        assert err <= bound[i] <= 1e-11 * abs(value[i]), (alpha, phis[i])
+
+
+def test_polylog_series_rejects_outside_radius():
+    for mu in (-asymptotics.SERIES_RADIUS - 0.1, 0.0, 0.1 + 1j, -3.0 + 3.0j):
+        with pytest.raises(ValueError, match="series"):
+            asymptotics.polylog_series(0.5, mu)
+    with pytest.raises(ValueError, match="negative integer"):
+        asymptotics.polylog_series(-2.0, -0.5)
+
+
+def _raise(*args):
+    raise AssertionError("exp_sums called on the series path")
+
+
+def test_saddle_and_scan_skip_exp_sums(monkeypatch):
+    monkeypatch.setattr(asymptotics, "exp_sums", _raise)
+    sd = cw.solve_saddle(cw.polynomial(0.05), 10**6)
+    assert sd.residual <= 1e-12
+    rep = cw.admissibility_diagnostics(cw.polynomial(0.5), 10**5, 0.0, 1.0)
+    assert rep.monotonicity_violations == 0
+
+
+@pytest.mark.parametrize("vartheta", [0.3, 1.0, 2.0, 5.0])
+@pytest.mark.parametrize("n", [10, 10**3, 10**5])
+def test_ewens_closed_forms(vartheta, n):
+    w = cw.ewens(vartheta)
+    est, sd = cw.saddle_h_estimate(w, n)
+    a_n, b_n = exp_sums(w, sd.v_n, 1, sd.truncation_K, (0, 1))
+    assert sd.a_n == pytest.approx(a_n, rel=1e-12)
+    assert sd.b_n == pytest.approx(b_n, rel=1e-12)
+    g_r = est.log() - (n * sd.v_n - 0.5 * math.log(2.0 * math.pi * sd.b_n))
+    assert g_r == pytest.approx(g_theta_partial(w, sd.r_n, 1e-13)[0],
+                                rel=1e-12)
 
 
 def test_partial_sum_delta0():
