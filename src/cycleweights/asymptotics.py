@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import mpmath
 import numpy as np
@@ -77,18 +77,20 @@ def ell_n(n_star: float, alpha: float) -> float:
     return core + (alpha - 1.0) * math.log(core)
 
 
-def _saddle_sums(w: WeightSequence, v: float) -> Tuple[float, float]:
+def _saddle_sums(w: WeightSequence, v: float,
+                 zetas: Dict[mpmath.mpf, float]) -> Tuple[float, float]:
     """(sum theta_k e^{-kv}, sum k theta_k e^{-kv}): closed forms for Ewens
     (z/(1-z) and z/(1-z)^2 times vartheta, z = e^{-v}), the zeta series for
-    polynomial weights with v <= SERIES_RADIUS, else exp_sums over
+    polynomial weights with v <= SERIES_RADIUS, both series reading and
+    filling the zeta values `zetas`, else exp_sums over
     k <= truncation_K(v)."""
     if w.family == EWENS:
         z, one_minus_z = math.exp(-v), -math.expm1(-v)
         a = w.vartheta * z / one_minus_z
         return a, a / one_minus_z
     if w.family == POLYNOMIAL and v <= SERIES_RADIUS:
-        return (float(polylog_series(w.alpha, -v)[0]),
-                float(polylog_series(w.alpha + 1.0, -v)[0]))
+        return (float(polylog_series(w.alpha, -v, zetas)[0]),
+                float(polylog_series(w.alpha + 1.0, -v, zetas)[0]))
     return tuple(exp_sums(w, v, 1, truncation_K(v), (0, 1)))
 
 
@@ -99,6 +101,11 @@ def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
     bracket around the asymptotic initial guess keeps Newton safe.
     truncation_K is ceil(60/v_n) whichever way the sums were taken; it
     measures the sums' work only where they go through exp_sums.
+
+    The zeta values of the series are computed once per solve and shared
+    by every Newton step, and by a_n's and b_n's series: b_n's
+    zeta(-(alpha+1)-j) is a_n's zeta(-alpha-(j+1)) wherever alpha + 1 is
+    exact in floating point.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -110,9 +117,10 @@ def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
     else:
         v = (n / math.gamma(alpha + 1.0)) ** (-1.0 / (1.0 + alpha))
     lo, hi = v / 10.0, 10.0 * v
+    zetas: Dict[mpmath.mpf, float] = {}
     for _ in range(_MAX_NEWTON_ITERS):
         # the sums of the last v evaluated are the returned a_n, b_n
-        s, sk = _saddle_sums(w, v)
+        s, sk = _saddle_sums(w, v, zetas)
         f = s - n
         if abs(f) <= 1e-12 * n:
             break
@@ -149,18 +157,28 @@ def zeta(s: float) -> float:
     return float(mpmath.zeta(s))
 
 
-def _series_terms(delta: float, mu: np.ndarray) -> Iterator[np.ndarray]:
+def _series_terms(delta: float, mu: np.ndarray,
+                  zetas: Optional[Dict[mpmath.mpf, float]] = None
+                  ) -> Iterator[np.ndarray]:
     """Terms of the zeta series of sum_{k>=1} k^delta e^{k mu}: the Gamma
     term, then zeta(-delta-j) mu^j/j! for j = 0, 1, ...  Each zeta argument
-    is -delta-j exactly, not rounded to a float."""
+    is -delta-j exactly, not rounded to a float.  zetas maps such exact
+    arguments to their zeta values; the terms read it first and add what
+    they compute."""
+    zetas = {} if zetas is None else zetas
     yield math.gamma(1.0 + delta) * (-mu) ** (-1.0 - delta)
     power = np.ones_like(mu)
     for j in itertools.count():
-        yield zeta(mpmath.fsub(-delta, j, exact=True)) * power
+        s = mpmath.fsub(-delta, j, exact=True)
+        if s not in zetas:
+            zetas[s] = zeta(s)
+        yield zetas[s] * power
         power = power * mu / (j + 1)
 
 
-def polylog_series(delta: float, mu) -> Tuple[np.ndarray, np.ndarray]:
+def polylog_series(delta: float, mu,
+                   zetas: Optional[Dict[mpmath.mpf, float]] = None
+                   ) -> Tuple[np.ndarray, np.ndarray]:
     """sum_{k>=1} k^delta e^{k mu} from its zeta series, with an error bound.
 
     For Re mu < 0, |mu| <= SERIES_RADIUS and delta not a negative integer
@@ -177,7 +195,9 @@ def polylog_series(delta: float, mu) -> Tuple[np.ndarray, np.ndarray]:
     each term's relative error in ulps (the Gamma term's power grows with
     |(1+delta) log(-mu)|, the j-th term's mu^j/j! with j) times its size,
     plus one ulp of every partial sum.  The terms are added smallest first,
-    which keeps the partial sums near the total.
+    which keeps the partial sums near the total.  zetas, if given, holds
+    zeta values at exact arguments to reuse and is filled with those the
+    series computes (see _series_terms).
     """
     if delta == round(delta) and delta <= -1:
         raise ValueError(f"delta={delta} is an excluded negative integer")
@@ -189,7 +209,7 @@ def polylog_series(delta: float, mu) -> Tuple[np.ndarray, np.ndarray]:
     log_rho = np.log(rho)
     terms, ulps = [], []
     total, tail = 0.0, np.inf
-    for j, t in enumerate(_series_terms(delta, mu), start=-1):
+    for j, t in enumerate(_series_terms(delta, mu, zetas), start=-1):
         terms.append(t)
         total = total + t
         # math.gamma's ~10 ulp and the power's 1 + |p log(-mu)|; zeta's and

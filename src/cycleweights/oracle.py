@@ -295,10 +295,20 @@ def _times_pow2(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.ldexp(m * np.exp2(x - fl), fl.astype(np.int64))
 
 
+# 2^0, 2^-1, ..., 2^-1020, then 0 for every larger shift
+_POW2_DOWN = np.append(np.ldexp(1.0, -np.arange(1021)), 0.0)
+
+
 def _scaled_dot(coef: np.ndarray, mant: np.ndarray,
                 expo: np.ndarray) -> Tuple[float, int]:
     """sum_i coef_i * mant_i 2**expo_i as (float, binary exponent); terms
-    more than 1100 binary orders below the largest vanish."""
+    more than 1020 binary orders below the largest vanish.
+
+    The terms are m_i 2**(ex_i - top) with m_i in [1/2, 2) (or 0), scaled
+    by a table of powers of two instead of np.ldexp: the products are
+    exact, and a dropped term is below 2^-1019, which cannot move a sum
+    whose top term is at least 1/2.  Zero terms may carry exponents above
+    top, so the table index is clipped at both ends."""
     cm, ce = np.frexp(coef)
     m = cm * mant
     ex = ce + expo
@@ -306,7 +316,7 @@ def _scaled_dot(coef: np.ndarray, mant: np.ndarray,
     if not np.any(nz):
         return 0.0, 0
     top = int(np.max(ex[nz]))
-    return float(np.sum(np.ldexp(m, np.maximum(ex - top, -1100)))), top
+    return float(np.sum(m * np.take(_POW2_DOWN, top - ex, mode="clip"))), top
 
 
 def _middle_product(x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -22,8 +22,14 @@ length telescopes with the removed cycle lengths: O(n) per sample.
 One vectorised kernel scans the first cycles of many rows at once, side
 by side in doubling blocks.  Samples are drawn in chunks advanced in
 lockstep, one first cycle (or one rejected proposal) per sample per step;
-a single draw is a chunk of one.  Sample i reads its uniforms, in order,
-from its own counter-based random stream keyed by (seed, i), the same
+a single draw is a chunk of one.  Chunks and scan groups are sized by one
+budget of 2^16 cells.  A chunk at size n holds
+max(512, 2^16 // min(n, 128)) samples, each reading ahead min(n, 128)
+uniforms, so every n >= 128 takes chunks of 512, and n = 6 one of 10922.
+A scan group holds max(256, 2^16 // max m) rows, and no block is wider
+than max m, so a group of rows of size <= 16 takes up to 4096 of them, or
+more where all are smaller.  Sample i reads its uniforms, in order, from its
+own counter-based random stream keyed by (seed, i), the same
 number at every step: one where no row of the draw has an envelope
 (n <= 16, or tables), else one for the scan or the k = m test followed by
 one proposal's (a uniform per geometric variable and one for the
@@ -62,12 +68,21 @@ _M_LO, _M_HI = _M & _LO32, _M >> _SH32
 # first scan block; later blocks double.  Rows of at most this size are
 # scanned, larger ones drawn by rejection when the weights have an envelope
 _SCAN_BLOCK = 16
-# samples advanced in lockstep
+# fewest samples advanced in lockstep
 _CHUNK = 512
-# rows scanned together; bounds the scan's (rows, block) arrays
+# fewest rows scanned together
 _SCAN_ROWS = 256
 # uniforms read ahead from each sample's stream per refill
 _LOOKAHEAD = 128
+# cells of a chunk's read-ahead buffer, and of a scan group's (rows, block)
+# arrays, where the floors above allow it: 2^16
+_BUFFER = _CHUNK * _LOOKAHEAD
+
+
+def _chunk_size(n: int) -> int:
+    """Samples per chunk at size n: a buffer of min(n, _LOOKAHEAD) uniforms
+    each, _CHUNK for every n >= _LOOKAHEAD."""
+    return max(_CHUNK, _BUFFER // min(n, _LOOKAHEAD))
 
 
 @dataclass
@@ -304,10 +319,14 @@ class CycleTypeSampler:
         return k
 
     def _scan(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """_first_cycles, _SCAN_ROWS rows at a time."""
+        """_first_cycles on groups of rows.  No block is wider than the
+        largest m, so groups of _BUFFER // max(m) rows keep the (rows,
+        block) arrays within _BUFFER cells; a group has at least _SCAN_ROWS
+        rows."""
+        rows = max(_SCAN_ROWS, _BUFFER // int(m.max()))
         return np.concatenate([
-            self._first_cycles(m[i:i + _SCAN_ROWS], u[i:i + _SCAN_ROWS])
-            for i in range(0, len(m), _SCAN_ROWS)])
+            self._first_cycles(m[i:i + rows], u[i:i + rows])
+            for i in range(0, len(m), rows)])
 
     def _propose(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
         """One proposal for each row of size m with an envelope, from the
@@ -423,9 +442,10 @@ def sample_batch(w: WeightSequence, h: HTable,
     """
     cfg.validate(h)
     sampler = _shared_sampler(w, h)
-    for lo in range(0, cfg.num_samples, _CHUNK):
+    chunk = _chunk_size(cfg.n)
+    for lo in range(0, cfg.num_samples, chunk):
         keys = substream_keys(cfg.seed,
-                              np.arange(lo, min(lo + _CHUNK, cfg.num_samples)))
+                              np.arange(lo, min(lo + chunk, cfg.num_samples)))
         yield from sampler._sample_lockstep(
             cfg.n, len(keys),
             lambda rows, start, width: philox_uniforms(keys[rows], start, width))

@@ -177,6 +177,47 @@ def test_saddle_and_scan_skip_exp_sums(monkeypatch):
     assert rep.monotonicity_violations == 0
 
 
+# (alpha, n): (v_n, a_n, b_n) as solved with a fresh zeta series per sum,
+# and the zeta calls that solve made
+SADDLE_BEFORE_SHARING = {
+    (0.5, 100): (("0x1.5e56c81a717b6p-5", "0x1.8ffffffffffffp+6",
+                  "0x1.b755fd782f5b5p+11"), 52),
+    (4.0, 100): (("0x1.80ded52e14f97p-1", "0x1.8fffffffffffdp+6",
+                  "0x1.4c91ab4bf3becp+9"), 102),
+    (2.0, 300): (("0x1.81729ba7c7e3ap-3", "0x1.2c00000000000p+8",
+                  "0x1.2ae014be5e0a4p+12"), 54),
+    # alpha + 1 is inexact: b_n shares no zeta value with a_n
+    (0.05, 100): (("0x1.8c017177333aap-7", "0x1.9000000000000p+6",
+                   "0x1.10bee95d568e9p+13"), None),
+}
+
+
+@pytest.mark.parametrize("alpha,n", SADDLE_BEFORE_SHARING)
+def test_saddle_computes_each_zeta_once(alpha, n, monkeypatch):
+    args = []
+    plain = asymptotics.zeta
+
+    def counted(s):
+        args.append(s)
+        return plain(s)
+
+    monkeypatch.setattr(asymptotics, "zeta", counted)
+    w = cw.polynomial(alpha)
+    sd = cw.solve_saddle(w, n)
+    want, calls_before = SADDLE_BEFORE_SHARING[alpha, n]
+    assert [x.hex() for x in (sd.v_n, sd.a_n, sd.b_n)] == list(want)
+    assert len(set(args)) == len(args)
+    if calls_before is not None:
+        assert len(args) <= calls_before / 4
+    # nothing is kept between solves, and fresh series give the same sums
+    again = len(args)
+    assert cw.solve_saddle(w, n) == sd
+    assert len(args) == 2 * again
+    assert sd.a_n == float(asymptotics.polylog_series(alpha, -sd.v_n)[0])
+    assert sd.b_n == float(asymptotics.polylog_series(alpha + 1.0,
+                                                      -sd.v_n)[0])
+
+
 @pytest.mark.parametrize("vartheta", [0.3, 1.0, 2.0, 5.0])
 @pytest.mark.parametrize("n", [10, 10**3, 10**5])
 def test_ewens_closed_forms(vartheta, n):

@@ -131,6 +131,47 @@ def test_kernel_full_sum_residual_alpha3():
     assert max(tab.recurrence_residual(int(n), theta) for n in rows) <= 1e-12
 
 
+def ldexp_scaled_dot(coef, mant, expo):
+    """_scaled_dot by np.ldexp, with terms 1100 binary orders below the
+    largest set to zero."""
+    cm, ce = np.frexp(coef)
+    m = cm * mant
+    ex = ce + expo
+    nz = m != 0.0
+    if not np.any(nz):
+        return 0.0, 0
+    top = int(np.max(ex[nz]))
+    return float(np.sum(np.ldexp(m, np.maximum(ex - top, -1100)))), top
+
+
+def test_scaled_dot_matches_ldexp():
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 7, 100, 3000):
+        for spread in (0, 60, 1000, 1100, 1200, 5000):
+            coef = rng.random(size) * 2.0 ** rng.integers(-40, 40, size)
+            coef[rng.random(size) < 0.2] = 0.0
+            mant = 1.0 + rng.random(size)
+            mant[rng.random(size) < 0.2] = 0.0
+            expo = rng.integers(-spread, spread + 1, size)
+            assert oracle._scaled_dot(coef, mant, expo) == \
+                ldexp_scaled_dot(coef, mant, expo)
+    # zero terms above the top term, and a top term over a subnormal tail
+    coef = np.array([1.0, 0.0, 3.0, 1.5, 0.0])
+    mant = np.array([1.5, 1.25, 0.0, 1.0, 1.75])
+    for expo in ([0, 5000, 9000, -1030, 10], [0, -1022, 0, -1070, 2000]):
+        expo = np.array(expo)
+        assert oracle._scaled_dot(coef, mant, expo) == \
+            ldexp_scaled_dot(coef, mant, expo)
+    assert oracle._scaled_dot(coef[1:3], mant[1:3], np.array([7, 9])) == (0.0, 0)
+    # recurrence sums of a table reaching 2^5052: every row to 5000 (spreads
+    # past 1100 binary orders from row 2645 on), then every 50th
+    tab = cw.build_h_table(cw.polynomial(3.0), 20000)
+    theta = weights.theta_array(tab.weight, tab.n_max)
+    for n in [*range(5001), *range(5001, tab.n_max + 1, 50)]:
+        args = theta[:n + 1], tab.mant[n::-1], tab.expo[n::-1]
+        assert oracle._scaled_dot(*args) == ldexp_scaled_dot(*args)
+
+
 def test_log_array_zero_rows():
     tab = cw.build_h_table(cw.table([0.0, 1.0]), 10)
     logs = tab.log_array()

@@ -380,6 +380,50 @@ def test_batch_size_does_not_change_samples():
         assert fresh.sample(2000, smp.substream_rng(21, i)).counts == full[i]
 
 
+@pytest.mark.parametrize("n", [6, 40])
+@pytest.mark.parametrize("budget", [
+    {"_BUFFER": 1},  # fixed chunks of _CHUNK, scan groups of _SCAN_ROWS
+    {"_CHUNK": 3, "_SCAN_ROWS": 2, "_BUFFER": 60},
+], ids=["floors", "tiny"])
+def test_chunk_size_does_not_change_small_n_samples(small_table, n, budget,
+                                                    monkeypatch):
+    w = cw.polynomial(1.0)
+    chunk = smp._chunk_size(n)
+    assert chunk > smp._CHUNK
+    cfg = cw.SamplerConfig(n=n, num_samples=chunk + 40, seed=5)
+    full = [ct.counts for ct in cw.sample_batch(w, small_table, cfg)]
+    fresh = smp.CycleTypeSampler(w, small_table)
+    for i in (chunk - 1, chunk, chunk + 1):
+        assert fresh.sample(n, smp.substream_rng(5, i)).counts == full[i]
+    for name, value in budget.items():
+        monkeypatch.setattr(smp, name, value)
+    assert [ct.counts for ct in cw.sample_batch(w, small_table, cfg)] == full
+
+
+def test_small_n_batch_is_one_chunk(monkeypatch):
+    # per-chunk and per-group work at n = 6, counted rather than timed: a
+    # batch of 10^4 is one chunk that reads its uniforms in one refill,
+    # and each of its at most 6 steps scans every row in one group
+    w = cw.polynomial(1.0)
+    tab = cw.build_h_table(w, 6)
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(smp, "philox_uniforms",
+                        counted("philox", smp.philox_uniforms))
+    monkeypatch.setattr(smp.CycleTypeSampler, "_first_cycles",
+                        counted("scan", smp.CycleTypeSampler._first_cycles))
+    cfg = cw.SamplerConfig(n=6, num_samples=10**4, seed=3)
+    assert len(list(cw.sample_batch(w, tab, cfg))) == 10**4
+    assert calls["philox"] == 1
+    assert 1 <= calls["scan"] <= 6
+
+
 def test_refill_past_read_ahead():
     # table([1, 0]) allows fixed points only: 1500 draws per sample, more
     # than one read-ahead block of uniforms
