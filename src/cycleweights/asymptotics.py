@@ -13,14 +13,16 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
 
-import mpmath
 import numpy as np
 
 from .oracle import ScaledReal
 from .weights import (EWENS, POLYNOMIAL, WeightSequence, exp_sums,
                       g_theta_partial, theta_log_range)
+
+if TYPE_CHECKING:
+    import mpmath
 
 # truncation rule for all infinite sums: smallest K with K*v >= TAIL_DECADES,
 # leaving tails below e^-60 times a polynomial factor
@@ -152,6 +154,10 @@ def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
 def zeta(s: float) -> float:
     """Riemann zeta at a real argument (excluding the pole at 1); an mpmath
     number is taken exactly."""
+    # imported on first use: only the zeta series needs it, and its ~20 ms
+    # import would otherwise land on every command
+    import mpmath
+
     if s == 1.0:
         raise ValueError("zeta has a pole at 1")
     return float(mpmath.zeta(s))
@@ -165,6 +171,8 @@ def _series_terms(delta: float, mu: np.ndarray,
     is -delta-j exactly, not rounded to a float.  zetas maps such exact
     arguments to their zeta values; the terms read it first and add what
     they compute."""
+    import mpmath
+
     zetas = {} if zetas is None else zetas
     yield math.gamma(1.0 + delta) * (-mu) ** (-1.0 - delta)
     power = np.ones_like(mu)

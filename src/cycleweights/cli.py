@@ -179,7 +179,7 @@ def cmd_verify(args) -> int:
     elif args.experiment == "profile":
         grid = _parse_grid(args.x_grid) if args.x_grid else [0.5, 1.0, 2.0]
         rep = stats.cumulative_profile(batch, w.growth_alpha, grid, w=w,
-                                       tolerances=tols)
+                                       tolerances=tols, sd=sd)
     elif args.experiment == "bn":
         rep = stats.bn_event_frequency(batch, sd, w=w, tolerances=tols)
     else:

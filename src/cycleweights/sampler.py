@@ -24,22 +24,27 @@ by side in doubling blocks.  Samples are drawn in chunks advanced in
 lockstep, one first cycle (or one rejected proposal) per sample per step;
 a single draw is a chunk of one.  Chunks and scan groups are sized by one
 budget of 2^16 cells.  A chunk at size n holds
-max(512, 2^16 // min(n, 128)) samples, each reading ahead min(n, 128)
-uniforms, so every n >= 128 takes chunks of 512, and n = 6 one of 10922.
-A scan group holds max(256, 2^16 // max m) rows, and no block is wider
-than max m, so a group of rows of size <= 16 takes up to 4096 of them, or
-more where all are smaller.  Sample i reads its uniforms, in order, from its
-own counter-based random stream keyed by (seed, i), the same
-number at every step: one where no row of the draw has an envelope
-(n <= 16, or tables), else one for the scan or the k = m test followed by
-one proposal's (a uniform per geometric variable and one for the
-acceptance test); a row uses those its draw needs.  Its value therefore
+max(2048, 2^16 // min(n, 32)) samples, each reading ahead min(n, 32)
+uniforms, so every n >= 32 takes chunks of 2048 (refilled every 8 steps
+where a step reads 4 uniforms, as at alpha = 1), and n = 6 one of 10922.
+A chunk records each first cycle as the key sample * (n + 1) + length,
+an int32 where every key fits and an int64 otherwise, and counts C_m
+from the runs of its sorted keys.  A scan group holds
+max(256, 2^16 // max m) rows, and no block is wider than max m, so a
+group of rows of size <= 16 takes up to 4096 of them, or more where all
+are smaller.  Sample i reads its uniforms, in order, from its own
+counter-based random stream keyed by (seed, i), the same number at every
+step: one where no row of the draw has an envelope (n <= 16, or tables),
+else one for the scan or the k = m test followed by one proposal's (a
+uniform per geometric variable and one for the acceptance test); a row
+uses those its draw needs.  Its value therefore
 depends only on the seed and its index, not on the batch size, the
 chunking or any other sample.
 
 The streams are numpy's Philox4x64-10, bit for bit.  Philox maps (key,
 counter) to random words, so a batch computes its chunk's uniforms in one
-set of numpy array operations, keys and counters side by side;
+set of in-place numpy array operations, keys and counters side by side,
+the first two rounds on the key and counter vectors alone;
 substream_rng gives the same stream as a Generator.
 """
 
@@ -59,21 +64,20 @@ from .weights import EWENS, POLYNOMIAL, WeightSequence, theta_log_array
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Philox4x64 round multipliers M and key bumps W (Weyl constants), one per
-# word pair, shaped to broadcast over (pair, row, block); M in 32-bit halves
+# word pair, shaped to broadcast over (pair, block, key)
 _M = np.array([[[0xD2E7470EE14C6C93]], [[0xCA5A826395121157]]], np.uint64)
 _W = np.array([[[0x9E3779B97F4A7C15]], [[0xBB67AE8584CAA73B]]], np.uint64)
 _LO32, _SH32 = np.uint64((1 << 32) - 1), np.uint64(32)
-_M_LO, _M_HI = _M & _LO32, _M >> _SH32
 
 # first scan block; later blocks double.  Rows of at most this size are
 # scanned, larger ones drawn by rejection when the weights have an envelope
 _SCAN_BLOCK = 16
 # fewest samples advanced in lockstep
-_CHUNK = 512
+_CHUNK = 2048
 # fewest rows scanned together
 _SCAN_ROWS = 256
 # uniforms read ahead from each sample's stream per refill
-_LOOKAHEAD = 128
+_LOOKAHEAD = 32
 # cells of a chunk's read-ahead buffer, and of a scan group's (rows, block)
 # arrays, where the floors above allow it: 2^16
 _BUFFER = _CHUNK * _LOOKAHEAD
@@ -83,6 +87,12 @@ def _chunk_size(n: int) -> int:
     """Samples per chunk at size n: a buffer of min(n, _LOOKAHEAD) uniforms
     each, _CHUNK for every n >= _LOOKAHEAD."""
     return max(_CHUNK, _BUFFER // min(n, _LOOKAHEAD))
+
+
+def _key_type(count: int, n: int) -> type:
+    """dtype of the (sample, length) keys sample * (n + 1) + length of a
+    chunk of `count` samples at size n: int32 where they all fit."""
+    return np.int32 if count * (n + 1) <= 2**31 - 1 else np.int64
 
 
 @dataclass
@@ -120,22 +130,34 @@ def substream_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=substream_key(seed, index)))
 
 
-def _philox_mul(c: np.ndarray):
-    """(high, low) 64-bit words of the 128-bit products of the round
-    multipliers and counter words c, the high word from four
-    32 x 32 -> 64-bit products."""
-    c_lo, c_hi = c & _LO32, c >> _SH32
-    t = _M_LO * c_lo
-    t >>= _SH32
-    t += _M_HI * c_lo  # below 2^64, as is v
-    v = _M_LO * c_hi
-    v += t & _LO32
-    hi = _M_HI * c_hi
-    t >>= _SH32
-    hi += t
-    v >>= _SH32
-    hi += v
-    return hi, _M * c
+def _philox_mul(m: np.ndarray, c: np.ndarray, lo: np.ndarray = None,
+                work: np.ndarray = None):
+    """(high, low) 64-bit words of the 128-bit products of the multipliers
+    m and counter words c, the high word from four 32 x 32 -> 64-bit
+    products.  The high words overwrite c, and the low ones go to lo;
+    work holds three arrays shaped like c.  Both are allocated if not
+    given."""
+    if lo is None:
+        lo = np.empty_like(c)
+        work = np.empty((3,) + c.shape, np.uint64)
+    c_lo, mid, c_hi = work
+    m_lo, m_hi = m & _LO32, m >> _SH32
+    np.multiply(c, m, out=lo)
+    np.bitwise_and(c, _LO32, out=c_lo)
+    np.right_shift(c, _SH32, out=c_hi)
+    np.multiply(c_lo, m_lo, out=mid)
+    mid >>= _SH32
+    c_lo *= m_hi
+    mid += c_lo  # below 2^64, as is c_lo below
+    np.multiply(c_hi, m_lo, out=c_lo)
+    np.multiply(c_hi, m_hi, out=c)
+    np.bitwise_and(mid, _LO32, out=c_hi)
+    c_lo += c_hi
+    c_lo >>= _SH32
+    mid >>= _SH32
+    c += mid
+    c += c_lo
+    return c, lo
 
 
 def philox_uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
@@ -147,29 +169,56 @@ def philox_uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
     into four 64-bit words by ten rounds under key (k0, k1), bumped by
     Weyl constants between rounds.  numpy bumps the counter before each
     block, so uniform j is word j % 4 of counter (j // 4 + 1, 0, 0, 0)
-    under key (k, 0), taken as (x >> 11) * 2^-53.
+    under key (k, 0), taken as (x >> 11) * 2^-53.  A round maps the words
+    to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)),
+    so round 1 gives (k, 0, hi(M0 c), lo(M0 c)), and round 2 words that
+    are a per-key word, a per-block word, or the XOR of one of each: those
+    two rounds run on the key and block vectors, the other eight on
+    (pair, block, key) arrays.
     """
     first, skip = divmod(start, 4)
     blocks = -(-(skip + count) // 4)
     rows = len(keys)
-    # counter words (c0, c2) and (c1, c3), and key words (k0, k1)
-    even = np.zeros((2, rows, blocks), dtype=np.uint64)
-    even[0] = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)
-    odd = np.zeros_like(even)
-    key = np.zeros((2, rows, 1), dtype=np.uint64)
-    key[0, :, 0] = keys
-    for r in range(10):
-        if r:
-            key += _W
+    m0, m1 = _M[0, 0, 0], _M[1, 0, 0]
+    w0, w1 = _W[0, 0, 0], _W[1, 0, 0]
+    # round 1 on the block counters c, round 2 under key (k + W0, W1)
+    c_hi, c_lo = _philox_mul(
+        m0, np.arange(first + 1, first + blocks + 1, dtype=np.uint64))
+    b_hi, b_lo = _philox_mul(m1, c_hi)
+    k_hi, k_lo = _philox_mul(m0, np.array(keys, dtype=np.uint64))
+    key = np.empty((2, 1, rows), dtype=np.uint64)
+    key[0, 0] = keys
+    key[0] += w0
+    key[1] = w1
+    # counter words (c0, c2) and (c1, c3)
+    even = np.empty((2, blocks, rows), dtype=np.uint64)
+    np.bitwise_xor(b_hi[:, None], key[0], out=even[0])
+    np.bitwise_xor((c_lo ^ w1)[:, None], k_hi, out=even[1])
+    odd = np.empty_like(even)
+    odd[0] = b_lo[:, None]
+    odd[1] = k_lo
+    # rounds 3-10 in place: each round's low words go to the free array,
+    # and the array it multiplied becomes free
+    free = np.empty_like(even)
+    work = np.empty((3,) + even.shape, np.uint64)
+    for _ in range(8):
+        key += _W
         # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0) for
-        # (hi0, lo0) = M0 * c0 and (hi1, lo1) = M1 * c2
-        hi, lo = _philox_mul(even)
-        hi ^= odd[::-1]
-        hi ^= key[::-1]
-        even, odd = hi[::-1], lo[::-1]
-    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=2)
-    words = words.reshape(rows, -1)[:, skip:skip + count]
-    return (words >> np.uint64(11)) * 2.0 ** -53
+        # (hi0, lo0) = M0 * c0 and (hi1, lo1) = M1 * c2: the new (c0, c2)
+        # are (c1, c3) ^ hi reversed ^ key, the new (c1, c3) lo reversed
+        hi, lo = _philox_mul(_M, even, free, work)
+        odd ^= hi[::-1]
+        odd ^= key
+        even, odd, free = odd, lo[::-1], hi
+    # uniform 4 j + i is word i of block j, each word written straight
+    # into its column of the output, which takes the memory of the work
+    # arrays
+    even >>= np.uint64(11)
+    odd >>= np.uint64(11)
+    out = work[:2].view(np.float64).reshape(rows, blocks, 4)
+    for i, word in enumerate((even[0], odd[0], even[1], odd[1])):
+        np.multiply(word.T, 2.0 ** -53, out=out[:, :, i])
+    return out.reshape(rows, -1)[:, skip:skip + count]
 
 
 class CycleTypeSampler:
@@ -367,7 +416,7 @@ class CycleTypeSampler:
     def sample(self, n: int, rng: np.random.Generator) -> CycleType:
         """One draw: a lockstep chunk of one sample.
 
-        It reads ahead up to min(n, 128) uniforms from rng and discards the
+        It reads ahead up to min(n, 32) uniforms from rng and discards the
         unused ones.  A fresh stream gives the draw sample_batch makes from
         it; a reused rng gives draws from the same distribution, but not
         those of one stream read without gaps.
@@ -384,10 +433,11 @@ class CycleTypeSampler:
         no row of size <= n has an envelope and 1 + r + 1 otherwise; a row
         uses those its draw needs.  fill(rows, start, width) returns uniforms
         start .. start + width - 1 of the samples `rows`; it is called every
-        min(n, 128) // d steps for the samples still running."""
+        min(n, 32) // d steps for the samples still running."""
         d = 1 + (self._width if self._envelope[:n + 1].any() else 0)
         steps = max(1, min(n, _LOOKAHEAD) // d)  # steps per refill
-        live = np.arange(count)
+        key_type = _key_type(count, n)
+        live = np.arange(count, dtype=key_type)
         u = fill(live, 0, steps * d).reshape(count, steps, d)
         m = np.full(count, n)
         pending = np.zeros(count, dtype=bool)
@@ -399,7 +449,9 @@ class CycleTypeSampler:
                 u[live] = fill(live, step * d, steps * d).reshape(-1, steps, d)
             k = self._step(m, pending, u[live, col])
             pending = k == 0
-            drawn.append(live[~pending] * (n + 1) + k[~pending])
+            keys = live[~pending] * (n + 1)
+            keys += k[~pending]
+            drawn.append(keys)
             m = m - k
             alive = m > 0
             live, m, pending = live[alive], m[alive], pending[alive]
@@ -407,12 +459,24 @@ class CycleTypeSampler:
         # the chunk's working arrays are freed before its output is built:
         # together they set the batch's peak memory
         del u
-        # (sample, length) -> C_m, in sample then length order
-        keys, counts = np.unique(np.concatenate(drawn), return_counts=True)
+        keys = np.concatenate(drawn)
         del drawn
-        bounds = np.searchsorted(keys, np.arange(count + 1) * (n + 1)).tolist()
-        length = (keys % (n + 1)).astype(np.int32)
-        counts = counts.astype(np.int32)
+        # C_m of each (sample, length), in sample then length order: the
+        # lengths of the runs of equal keys
+        keys.sort()
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        del first
+        counts = np.empty(len(starts), dtype=np.int32)
+        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+        counts[-1] = len(keys) - starts[-1]
+        keys = keys[starts]
+        del starts
+        bounds = np.searchsorted(
+            keys, np.arange(count + 1, dtype=key_type) * (n + 1)).tolist()
+        length = (keys % (n + 1)).astype(np.int32, copy=False)
         length.flags.writeable = counts.flags.writeable = False
         return [CycleType(length[a:b], counts[a:b], n)
                 for a, b in zip(bounds, bounds[1:])]

@@ -279,17 +279,23 @@ def verify_gumbel(batch: Iterable, sd: SaddleData, K: int,
 def cumulative_profile(batch: Iterable, alpha: float,
                        x_grid: Sequence[float],
                        w: Optional[WeightSequence] = None,
-                       tolerances: Optional[dict] = None
+                       tolerances: Optional[dict] = None,
+                       sd: Optional[SaddleData] = None
                        ) -> VerificationReport:
     """Mean cumulative counts above x * n^{1/(1+alpha)} vs the direct-sum
-    prediction at the saddle radius."""
+    prediction at the saddle radius.  sd is the saddle of w at the batch's
+    n, solved here if not given."""
     from . import weights as weights_mod
 
     cols = columns(batch)
     n = cols.n
     if w is None:
         w = weights_mod.polynomial(alpha)
-    sd = solve_saddle(w, n)
+    if sd is None:
+        sd = solve_saddle(w, n)
+    elif sd.n != n or sd.weight != w:
+        raise ValueError(f"sd was solved at n={sd.n} for {sd.weight}, not at "
+                         f"the batch's n={n} for {w}")
     # zero-growth weights raise here: their scale n^{1/(1+0)} = n puts every
     # x >= 1 at or past n, where the observed count is 0 by construction
     threshold_x(sd, 0.0)

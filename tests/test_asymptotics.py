@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
@@ -216,6 +219,25 @@ def test_saddle_computes_each_zeta_once(alpha, n, monkeypatch):
     assert sd.a_n == float(asymptotics.polylog_series(alpha, -sd.v_n)[0])
     assert sd.b_n == float(asymptotics.polylog_series(alpha + 1.0,
                                                       -sd.v_n)[0])
+
+
+def test_mpmath_is_imported_on_first_zeta():
+    # the CLI imports without mpmath; the first series solve brings it in
+    # and gives the pinned sums
+    src = os.path.dirname(os.path.dirname(cw.__file__))
+    probe = ("import sys\n"
+             "import cycleweights.cli\n"
+             "print('mpmath' in sys.modules)\n"
+             "import cycleweights as cw\n"
+             "sd = cw.solve_saddle(cw.polynomial(0.5), 100)\n"
+             "print('mpmath' in sys.modules)\n"
+             "print(*(x.hex() for x in (sd.v_n, sd.a_n, sd.b_n)))\n")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    before, after, sums = out.stdout.splitlines()
+    assert (before, after) == ("False", "True")
+    assert sums.split() == list(SADDLE_BEFORE_SHARING[0.5, 100][0])
 
 
 @pytest.mark.parametrize("vartheta", [0.3, 1.0, 2.0, 5.0])

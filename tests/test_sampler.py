@@ -372,15 +372,15 @@ def test_batch_size_does_not_change_samples():
         cfg = cw.SamplerConfig(n=2000, num_samples=num, seed=21)
         return [ct.counts for ct in cw.sample_batch(w, tab, cfg)]
 
-    full = batch(600)
+    full = batch(chunk + 40)
     for num in (1, chunk - 1, chunk, chunk + 1):
         assert batch(num) == full[:num]
     fresh = smp.CycleTypeSampler(w, tab)
-    for i in (0, chunk - 1, chunk, chunk + 1, 599):
+    for i in (0, chunk - 1, chunk, chunk + 1, chunk + 39):
         assert fresh.sample(2000, smp.substream_rng(21, i)).counts == full[i]
 
 
-@pytest.mark.parametrize("n", [6, 40])
+@pytest.mark.parametrize("n", [6, 20])
 @pytest.mark.parametrize("budget", [
     {"_BUFFER": 1},  # fixed chunks of _CHUNK, scan groups of _SCAN_ROWS
     {"_CHUNK": 3, "_SCAN_ROWS": 2, "_BUFFER": 60},
@@ -424,6 +424,65 @@ def test_small_n_batch_is_one_chunk(monkeypatch):
     assert 1 <= calls["scan"] <= 6
 
 
+def test_wide_lockstep_chunks(monkeypatch):
+    # per-chunk work at n = 2000, alpha = 1, counted rather than timed: a
+    # 5000-sample batch takes ceil(5000 / _CHUNK) chunks, each refilled
+    # every _LOOKAHEAD // 4 of its steps (a step reads 4 uniforms)
+    w = cw.polynomial(1.0)
+    tab = cw.build_h_table(w, 2000)
+    steps, fills = [], []  # per chunk
+    philox, step = smp.philox_uniforms, smp.CycleTypeSampler._step
+
+    def counted_philox(keys, start, count):
+        if start == 0:  # a chunk's first fill
+            steps.append(0)
+            fills.append(0)
+        fills[-1] += 1
+        return philox(keys, start, count)
+
+    def counted_step(self, *args):
+        steps[-1] += 1
+        return step(self, *args)
+
+    def batch(num=5000):
+        return [ct.counts for ct in cw.sample_batch(
+            w, tab, cw.SamplerConfig(n=2000, num_samples=num, seed=11))]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(smp, "philox_uniforms", counted_philox)
+        mp.setattr(smp.CycleTypeSampler, "_step", counted_step)
+        full = batch()
+    assert len(full) == 5000
+    assert len(steps) == -(-5000 // smp._CHUNK) == 3
+    assert fills == [-(-s // (smp._LOOKAHEAD // 4)) for s in steps]
+    # neither the chunk geometry nor the key width changes a sample:
+    # narrower chunks (512 samples reading 128 uniforms ahead) give the
+    # same batch, a tiny budget its first 60 samples, and int64 keys its
+    # first 300
+    with monkeypatch.context() as mp:
+        mp.setattr(smp, "_CHUNK", 512)
+        mp.setattr(smp, "_LOOKAHEAD", 128)
+        assert batch() == full
+    with monkeypatch.context() as mp:
+        for name, value in {"_CHUNK": 3, "_SCAN_ROWS": 2,
+                            "_BUFFER": 60}.items():
+            mp.setattr(smp, name, value)
+        assert batch(60) == full[:60]
+    assert smp._key_type(300, 2000) is np.int32
+    with monkeypatch.context() as mp:
+        mp.setattr(smp, "_key_type", lambda count, n: np.int64)
+        assert batch(300) == full[:300]
+
+
+def test_key_type_limit():
+    # keys reach count * (n + 1) - 1 < count * (n + 1); the bound array
+    # reaches count * (n + 1) itself
+    assert smp._key_type(2**16, 2**15 - 2) is np.int32
+    assert smp._key_type(1, 2**31 - 2) is np.int32
+    assert smp._key_type(1, 2**31 - 1) is np.int64
+    assert smp._key_type(2048, 2 * 10**6) is np.int64
+
+
 def test_refill_past_read_ahead():
     # table([1, 0]) allows fixed points only: 1500 draws per sample, more
     # than one read-ahead block of uniforms
@@ -455,11 +514,17 @@ def test_substream_keys_match_reference(seed):
         [reference_key(seed, i) for i in (0, 1, 9999)]
 
 
-@pytest.mark.parametrize("start", [0, 3, 128, 256])
+# keys where the first key bump k + W0 wraps past 2^64, and key 0
+EDGE_KEYS = [2**64 - 0x9E3779B97F4A7C15, 2**64 - 0x9E3779B97F4A7C15 + 1,
+             2**64 - 1, 0, 1]
+
+
+@pytest.mark.parametrize("start", [0, 3, 128, 256, 4 * 2**12 + 3])
 @pytest.mark.parametrize("width", [6, 37, 128])
 def test_philox_uniforms_match_numpy(start, width):
     # the computed streams are numpy's Philox, bit for bit, also on a
-    # subset of rows as a refill reads them, and from inside a block
+    # subset of rows as a refill reads them, from inside a block, past 2^12
+    # blocks, and at the edge keys
     seed = 7
     keys = smp.substream_keys(seed, np.arange(300))
     rows = np.array([0, 1, 2, 57, 128, 255, 299])
@@ -467,6 +532,11 @@ def test_philox_uniforms_match_numpy(start, width):
     assert got.shape == (len(rows), width)
     for r, i in enumerate(rows.tolist()):
         want = smp.substream_rng(seed, i).random(start + width)[start:]
+        assert np.array_equal(got[r], want)
+    got = smp.philox_uniforms(np.array(EDGE_KEYS, np.uint64), start, width)
+    for r, k in enumerate(EDGE_KEYS):
+        want = np.random.Generator(np.random.Philox(key=k)).random(
+            start + width)[start:]
         assert np.array_equal(got[r], want)
 
 

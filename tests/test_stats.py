@@ -189,3 +189,35 @@ def test_cumulative_profile_rejects_zero_growth():
     batch = [ct({1: 100}, 100)] * 10
     with pytest.raises(ValueError, match="ell_n is undefined"):
         cw.cumulative_profile(batch, 0.0, [0.5, 1.0], w=cw.ewens(2.0))
+
+
+def test_cumulative_profile_takes_a_solved_saddle(poly1, htable_2000,
+                                                  monkeypatch):
+    batch = list(cw.sample_batch(poly1, htable_2000, cw.SamplerConfig(
+        n=2000, num_samples=200, seed=4)))
+    sd = cw.solve_saddle(poly1, 2000)
+    want = cw.cumulative_profile(batch, 1.0, [0.5, 1.0, 2.0], w=poly1)
+
+    def refuse(*args):
+        raise AssertionError("cumulative_profile solved the saddle again")
+
+    monkeypatch.setattr(cw.asymptotics, "solve_saddle", refuse)
+    monkeypatch.setattr(stats, "solve_saddle", refuse)
+    got = cw.cumulative_profile(batch, 1.0, [0.5, 1.0, 2.0], w=poly1, sd=sd)
+    assert got.to_json() == want.to_json()
+    # a saddle of another n or other weights is refused
+    with pytest.raises(ValueError, match="sd was solved"):
+        cw.cumulative_profile(batch, 1.0, [1.0], w=poly1,
+                              sd=cw.SaddleData(**{**vars(sd), "n": 1000}))
+    with pytest.raises(ValueError, match="sd was solved"):
+        cw.cumulative_profile(batch, 1.0, [1.0], w=cw.polynomial(2.0), sd=sd)
+
+
+def test_columns_across_chunk_boundaries(poly1, htable_2000):
+    # 2 _CHUNK + 100 samples span three chunks of the lockstep sampler
+    num = 2 * cw.sampler._CHUNK + 100
+    batch = list(cw.sample_batch(poly1, htable_2000,
+                                 cw.SamplerConfig(300, num, 3)))
+    rebuilt = [CycleType.from_dict(dict(cyc.counts), 300) for cyc in batch]
+    for a, b in zip(stats.columns(batch), stats.columns(rebuilt)):
+        np.testing.assert_array_equal(a, b)
