@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -59,14 +59,29 @@ def check_row(n: int, w: WeightSequence, log_h: np.ndarray) -> None:
         raise zero_row_error(w, n)
 
 
+class Columns(NamedTuple):
+    """Cycle types as int32 CSR arrays of (m, C_m) pairs, all of size n.
+
+    Row i holds pairs starts[i] up to starts[i + 1] (or the end), with m
+    ascending, so a row's longest cycles are its last pairs.  A sampler
+    chunk is one Columns, and each of its samples a CycleType row of it.
+    """
+
+    starts: np.ndarray
+    m: np.ndarray
+    c: np.ndarray
+    n: int
+
+
 class CycleType:
-    """Read-only view of one cycle type: int32 arrays m (cycle lengths,
-    ascending) and c (their counts C_m >= 1), with sum m * C_m = n."""
+    """Read-only handle on one cycle type: row [start, end) of the pairs
+    of a Columns.  m (cycle lengths, ascending) and c (their counts
+    C_m >= 1), with sum m * C_m = n, are int32 views made on access."""
 
-    __slots__ = ("m", "c", "n")
+    __slots__ = ("cols", "start", "end")
 
-    def __init__(self, m: np.ndarray, c: np.ndarray, n: int):
-        self.m, self.c, self.n = m, c, n
+    def __init__(self, cols: Columns, start: int, end: int):
+        self.cols, self.start, self.end = cols, start, end
 
     @classmethod
     def from_dict(cls, counts: Dict[int, int], n: int) -> "CycleType":
@@ -75,20 +90,39 @@ class CycleType:
         if total != n:
             raise ValueError(f"cycle counts sum to {total}, expected {n}")
         m, c = np.array(items, dtype=np.int32).reshape(-1, 2).T.copy()
-        m.flags.writeable = c.flags.writeable = False
-        return cls(m, c, n)
+        starts = np.zeros(1, dtype=np.int32)
+        for a in (starts, m, c):
+            a.flags.writeable = False
+        return cls(Columns(starts, m, c, n), 0, len(items))
+
+    @property
+    def m(self) -> np.ndarray:
+        return self.cols.m[self.start:self.end]
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.cols.c[self.start:self.end]
+
+    @property
+    def n(self) -> int:
+        return self.cols.n
 
     @property
     def counts(self) -> Tuple[Tuple[int, int], ...]:
         """((m, C_m), ...) as Python ints, m ascending."""
-        return tuple(zip(self.m.tolist(), self.c.tolist()))
+        cols, a, b = self.cols, self.start, self.end
+        return tuple(zip(cols.m[a:b].tolist(), cols.c[a:b].tolist()))
 
     def num_cycles(self) -> int:
-        return int(self.c.sum())
+        return sum(self.cols.c[self.start:self.end].tolist())
 
     def tail_count(self, x: float) -> int:
         """Number of cycles of length >= x."""
-        return int(self.c[self.m >= x].sum())
+        cols, a, b = self.cols, self.start, self.end
+        # m ascending: the cycles from the first m >= x on (none for NaN,
+        # which searchsorted places last)
+        a += int(np.searchsorted(cols.m[a:b], x))
+        return sum(cols.c[a:b].tolist())
 
 
 def partitions(n: int) -> Iterator[Tuple[int, ...]]:

@@ -29,7 +29,9 @@ uniforms, so every n >= 32 takes chunks of 2048 (refilled every 8 steps
 where a step reads 4 uniforms, as at alpha = 1), and n = 6 one of 10922.
 A chunk records each first cycle as the key sample * (n + 1) + length,
 an int32 where every key fits and an int64 otherwise, and counts C_m
-from the runs of its sorted keys.  A scan group holds
+from the runs of its sorted keys into one Columns of read-only int32
+arrays; each of its samples is handed out as a CycleType row handle on
+it, with no per-sample array.  A scan group holds
 max(256, 2^16 // max m) rows, and no block is wider than max m, so a
 group of rows of size <= 16 takes up to 4096 of them, or more where all
 are smaller.  Sample i reads its uniforms, in order, from its own
@@ -53,12 +55,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, TextIO
+from itertools import islice, repeat
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .oracle import CycleType, HTable, check_row
+from .oracle import Columns, CycleType, HTable, check_row
 from .weights import EWENS, POLYNOMIAL, WeightSequence, theta_log_array
 
 _MASK64 = (1 << 64) - 1
@@ -422,18 +425,19 @@ class CycleTypeSampler:
         those of one stream read without gaps.
         """
         check_row(n, self.w, self.log_h)
-        return self._sample_lockstep(
-            n, 1, lambda rows, start, width: rng.random((1, width)))[0]
+        return next(self._sample_lockstep(
+            n, 1, lambda rows, start, width: rng.random((1, width))))
 
     def _sample_lockstep(self, n: int, count: int,
                          fill: Callable[[np.ndarray, int, int], np.ndarray]
-                         ) -> List[CycleType]:
-        """`count` draws, all advanced together: at step s every unfinished
-        sample takes uniforms s * d .. s * d + d - 1 of its stream, d = 1 if
-        no row of size <= n has an envelope and 1 + r + 1 otherwise; a row
-        uses those its draw needs.  fill(rows, start, width) returns uniforms
-        start .. start + width - 1 of the samples `rows`; it is called every
-        min(n, 32) // d steps for the samples still running."""
+                         ) -> Iterator[CycleType]:
+        """`count` draws, the rows of one Columns, all advanced together:
+        at step s every unfinished sample takes uniforms s * d ..
+        s * d + d - 1 of its stream, d = 1 if no row of size <= n has an
+        envelope and 1 + r + 1 otherwise; a row uses those its draw needs.
+        fill(rows, start, width) returns uniforms start .. start + width - 1
+        of the samples `rows`; it is called every min(n, 32) // d steps for
+        the samples still running."""
         d = 1 + (self._width if self._envelope[:n + 1].any() else 0)
         steps = max(1, min(n, _LOOKAHEAD) // d)  # steps per refill
         key_type = _key_type(count, n)
@@ -475,11 +479,13 @@ class CycleTypeSampler:
         keys = keys[starts]
         del starts
         bounds = np.searchsorted(
-            keys, np.arange(count + 1, dtype=key_type) * (n + 1)).tolist()
-        length = (keys % (n + 1)).astype(np.int32, copy=False)
-        length.flags.writeable = counts.flags.writeable = False
-        return [CycleType(length[a:b], counts[a:b], n)
-                for a, b in zip(bounds, bounds[1:])]
+            keys, np.arange(count + 1, dtype=key_type) * (n + 1))
+        cols = Columns(bounds[:-1].astype(np.int32),
+                       (keys % (n + 1)).astype(np.int32, copy=False), counts, n)
+        for a in (cols.starts, cols.m, cols.c):
+            a.flags.writeable = False
+        bounds = bounds.tolist()
+        return map(CycleType, repeat(cols), bounds, islice(bounds, 1, None))
 
 
 def sample_cycle_type(w: WeightSequence, h: HTable, n: int,

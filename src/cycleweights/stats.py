@@ -1,13 +1,15 @@
 """Observable extraction and statistical verification of the limit laws.
 
-A cycle type is already columnar: int32 arrays of its cycle lengths m
-(ascending) and their counts C_m.  Every report concatenates its batch's
-arrays once into int32 CSR form (row starts, m, C_m).  Tail counts
-#{cycles of length >= x} and the K longest cycles are numpy reductions
-over those arrays.  The reports are the Monte Carlo checks: Poisson
-increments over a y-grid, the Gumbel law of the rescaled longest cycle,
-the cumulative-count profile against its direct-sum prediction, and the
-frequency of the rare event that any cycle exceeds the cap 2 n* ell_n.
+A cycle type is a row of an int32 CSR Columns (row starts, m ascending,
+C_m), and a sampled batch is the rows of its chunks' Columns, in order.
+Every report takes its batch as one Columns: a one-chunk batch as is,
+and otherwise each run of consecutive rows of one Columns as one slice.
+Tail counts #{cycles of length >= x} and the K longest cycles are numpy
+reductions over those arrays.  The reports are the Monte Carlo checks:
+Poisson increments over a y-grid, the Gumbel law of the rescaled longest
+cycle, the cumulative-count profile against its direct-sum prediction,
+and the frequency of the rare event that any cycle exceeds the cap
+2 n* ell_n.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from .asymptotics import SaddleData, expected_tail_count, solve_saddle, threshold_x
-from .oracle import CycleType
+from .oracle import Columns, CycleType
 from .weights import WeightSequence
 
 
@@ -120,31 +121,34 @@ def gumbel_cdf(x: float) -> float:
 # ---------------------------------------------------------------------------
 # observables
 
-class Columns(NamedTuple):
-    """A batch of cycle types as int32 CSR arrays of (m, C_m) pairs.
-
-    Row i holds pairs starts[i] up to starts[i + 1] (or the end), with m
-    ascending, so a row's longest cycles are its last pairs.
-    """
-
-    starts: np.ndarray
-    m: np.ndarray
-    c: np.ndarray
-    n: int  # size of the first cycle type
-
-
 def columns(batch: Iterable[CycleType]) -> Columns:
-    """Concatenate the cycle types' (m, C_m) arrays into Columns."""
+    """The batch's rows as one Columns.  Each run of rows that follow one
+    another in one Columns is copied as one slice; a batch that is exactly
+    one Columns' rows, in order, is that Columns, with no copy.  Rows of
+    different sizes n, or with no cycles, are a ValueError."""
     cts = list(batch)
     if not cts:
         raise ValueError("empty batch")
-    sizes = np.fromiter((len(ct.m) for ct in cts), np.int32, len(cts))
+    sizes = np.fromiter((ct.end - ct.start for ct in cts), np.int32, len(cts))
     if not sizes.all():
         raise ValueError("batch holds a cycle type with no cycles")
+    runs = []  # [Columns, start, end] of rows that follow one another
+    for ct in cts:
+        if runs and runs[-1][0] is ct.cols and runs[-1][2] == ct.start:
+            runs[-1][2] = ct.end
+        else:
+            runs.append([ct.cols, ct.start, ct.end])
+    sizes_n = sorted({src.n for src, _, _ in runs})
+    if len(sizes_n) > 1:
+        raise ValueError(f"batch mixes cycle types of sizes {sizes_n}")
     starts = np.zeros(len(cts), np.int32)
     np.cumsum(sizes[:-1], out=starts[1:])
-    return Columns(starts, np.concatenate([ct.m for ct in cts]),
-                   np.concatenate([ct.c for ct in cts]), cts[0].n)
+    src, a, b = runs[0]
+    if len(runs) == 1 and a == 0 and b == len(src.m) \
+            and np.array_equal(starts, src.starts):
+        return src
+    return Columns(starts, np.concatenate([r.m[a:b] for r, a, b in runs]),
+                   np.concatenate([r.c[a:b] for r, a, b in runs]), src.n)
 
 
 def tail_counts(cols: Columns, x: float) -> np.ndarray:
@@ -186,6 +190,16 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def _check_saddle(sd: SaddleData, n: int,
+                  w: Optional[WeightSequence] = None) -> None:
+    """Reject a saddle solved at another n than the batch's, or for other
+    weights than w (if given)."""
+    if sd.n != n or (w is not None and sd.weight != w):
+        raise ValueError(f"sd was solved at n={sd.n} for {sd.weight}, not at "
+                         f"the batch's n={n}"
+                         + ("" if w is None else f" for {w}"))
+
+
 def _tol(overrides: Optional[dict], key: str) -> float:
     if overrides and key in overrides:
         return overrides[key]
@@ -198,6 +212,7 @@ def verify_poisson_increments(batch: Iterable, sd: SaddleData,
                               ) -> VerificationReport:
     """Increments of P_y over the grid vs independent Poisson targets."""
     cols = columns(batch)
+    _check_saddle(sd, cols.n)
     ys = list(y_grid)
     if any(b < a for a, b in zip(ys, ys[1:])):
         raise ValueError("y_grid must be nondecreasing")
@@ -254,6 +269,7 @@ def verify_gumbel(batch: Iterable, sd: SaddleData, K: int,
     if K < 1:
         raise ValueError("K must be >= 1")
     cols = columns(batch)
+    _check_saddle(sd, cols.n)
     num = len(cols.starts)
     rep = VerificationReport(
         "gumbel_longest_cycles",
@@ -293,9 +309,8 @@ def cumulative_profile(batch: Iterable, alpha: float,
         w = weights_mod.polynomial(alpha)
     if sd is None:
         sd = solve_saddle(w, n)
-    elif sd.n != n or sd.weight != w:
-        raise ValueError(f"sd was solved at n={sd.n} for {sd.weight}, not at "
-                         f"the batch's n={n} for {w}")
+    else:
+        _check_saddle(sd, n, w)
     # zero-growth weights raise here: their scale n^{1/(1+0)} = n puts every
     # x >= 1 at or past n, where the observed count is 0 by construction
     threshold_x(sd, 0.0)
@@ -323,6 +338,7 @@ def bn_event_frequency(batch: Iterable, sd: SaddleData,
     num = len(cols.starts)
     if w is None:
         w = sd.weight
+    _check_saddle(sd, cols.n, w)
     cap = threshold_x(sd, 0.0)
     freq = float(np.mean(tail_counts(cols, math.floor(cap) + 1) >= 1))
     bound = 2.0 * expected_tail_count(w, sd, math.floor(cap) + 1)

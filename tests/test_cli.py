@@ -150,3 +150,14 @@ def test_expansions_csv(tmp_path):
     # 17-significant-digit round trip
     row = lines[1].split(",")
     assert float(row[0]) == 0.0 and float(row[1]) == 0.2
+
+
+@pytest.mark.parametrize("experiment", ["poisson", "gumbel", "profile", "bn"])
+def test_verify_mismatched_saddle_is_validation_error(experiment, monkeypatch,
+                                                      capsys):
+    solve = cli.asymptotics.solve_saddle
+    monkeypatch.setattr(cli.asymptotics, "solve_saddle",
+                        lambda w, n: solve(w, n + 1))
+    assert run_command(["verify", experiment, "--alpha", "1", "--n", "300",
+                        "--samples", "20"]) == 2
+    assert "sd was solved at n=301" in capsys.readouterr().err

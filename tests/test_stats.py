@@ -47,21 +47,6 @@ def test_longest_identity_exhaustive():
         assert stats.longest(cols, n).tolist() == expect
 
 
-def test_columns_of_a_multi_chunk_batch(poly1, htable_2000):
-    # 1200 samples cross two chunk boundaries of the lockstep sampler
-    batch = list(cw.sample_batch(poly1, htable_2000,
-                                 cw.SamplerConfig(300, 1200, 3)))
-    rebuilt = [CycleType.from_dict(dict(cyc.counts), 300) for cyc in batch]
-    got, want = stats.columns(batch), stats.columns(rebuilt)
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a, b)
-    assert got.m.dtype == got.c.dtype == np.int32
-    for arr in (batch[0].m, batch[-1].c, rebuilt[0].m):
-        with pytest.raises(ValueError):
-            arr[0] = 1
-    assert all(type(v) is int for pair in batch[0].counts for v in pair)
-
-
 def test_tv_distance_hand_computed():
     assert stats.tv_distance({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}) == 0.0
     assert stats.tv_distance({0: 1.0}, {1: 1.0}) == 1.0
@@ -213,11 +198,98 @@ def test_cumulative_profile_takes_a_solved_saddle(poly1, htable_2000,
         cw.cumulative_profile(batch, 1.0, [1.0], w=cw.polynomial(2.0), sd=sd)
 
 
+def rows_concatenated(cts):
+    """(starts, m, c) of the cycle types' from_dict rebuilds, concatenated
+    sample by sample."""
+    rebuilt = [CycleType.from_dict(dict(cyc.counts), cyc.n) for cyc in cts]
+    sizes = [len(r.m) for r in rebuilt]
+    return (np.cumsum([0] + sizes[:-1]),
+            np.concatenate([r.m for r in rebuilt]),
+            np.concatenate([r.c for r in rebuilt]))
+
+
+def assert_columns_match_rebuilds(cts):
+    got = stats.columns(cts)
+    for a, b in zip(got, rows_concatenated(cts)):
+        np.testing.assert_array_equal(a, b)
+    assert got.m.dtype == got.c.dtype == got.starts.dtype == np.int32
+    assert got.n == cts[0].n
+
+
 def test_columns_across_chunk_boundaries(poly1, htable_2000):
     # 2 _CHUNK + 100 samples span three chunks of the lockstep sampler
     num = 2 * cw.sampler._CHUNK + 100
     batch = list(cw.sample_batch(poly1, htable_2000,
                                  cw.SamplerConfig(300, num, 3)))
-    rebuilt = [CycleType.from_dict(dict(cyc.counts), 300) for cyc in batch]
-    for a, b in zip(stats.columns(batch), stats.columns(rebuilt)):
+    assert len({id(cyc.cols) for cyc in batch}) == 3
+    assert_columns_match_rebuilds(batch)
+    rebuilt = CycleType.from_dict(dict(batch[0].counts), 300)
+    for arr in (batch[0].m, batch[-1].c, rebuilt.m):
+        assert arr.dtype == np.int32
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert all(type(v) is int for pair in batch[0].counts for v in pair)
+
+
+def test_columns_of_rows_out_of_batch_order(poly1, htable_2000):
+    one, two = (list(cw.sample_batch(poly1, htable_2000,
+                                     cw.SamplerConfig(300, 40, seed)))
+                for seed in (3, 4))
+    # a row of `two` that starts where a row of `one` ends, and differs
+    # from the row that follows it in `one`
+    i, j = next((i, j) for i in range(len(one) - 1) for j in range(len(two))
+                if two[j].start == one[i].end
+                and two[j].counts != one[i + 1].counts)
+    for cts in ([one[i], two[j]],
+                one[::-1],  # reversed
+                [cyc for pair in zip(one, two) for cyc in pair],  # interleaved
+                [one[7]] * 10,  # one object repeated
+                one[:5] + [ct({1: 300}, 300)] + one[5:9],  # a from_dict type
+                one[3:30],  # one run, not the whole chunk
+                one + two):  # two whole chunks
+        assert_columns_match_rebuilds(cts)
+
+
+def test_columns_rejects_mixed_sizes():
+    with pytest.raises(ValueError, match="sizes"):
+        stats.columns([ct({1: 5}, 5), ct({2: 3}, 6)])
+
+
+def test_sampled_rows_share_their_chunk(poly1):
+    # 10^4 samples at n = 6 are one chunk: every sample is a row of its
+    # Columns, and the batch's columns are that Columns' arrays
+    num = 10**4
+    assert cw.sampler._chunk_size(6) >= num
+    batch = list(cw.sample_batch(poly1, cw.build_h_table(poly1, 6),
+                                 cw.SamplerConfig(6, num, 11)))
+    chunk = batch[0].cols
+    assert isinstance(chunk, cw.oracle.Columns)
+    assert all(cyc.cols is chunk for cyc in batch)
+    assert len(chunk.starts) == num
+    for cyc in batch:
+        want = CycleType.from_dict(dict(cyc.counts), 6)
+        for got, ref in ((cyc.m, want.m), (cyc.c, want.c)):
+            assert got.dtype == np.int32 and not got.flags.writeable
+            np.testing.assert_array_equal(got, ref)
+    cols = stats.columns(batch)
+    assert cols is chunk
+    for a, b in ((cols.m, chunk.m), (cols.c, chunk.c),
+                 (cols.starts, chunk.starts)):
+        assert np.shares_memory(a, b)
+    for a, b in zip(cols, rows_concatenated(batch)):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("report", ["poisson", "gumbel", "bn", "bn-weights"])
+def test_reports_reject_a_mismatched_saddle(report, desk_saddle):
+    # the batch is at n = 2000, the saddle at the desk's n = 20000; the
+    # bn report also refuses weights other than the saddle's
+    batch = [ct({1: 2000}, 2000)] * 5
+    run = {"poisson": lambda: cw.verify_poisson_increments(
+               batch, desk_saddle, [1.0]),
+           "gumbel": lambda: cw.verify_gumbel(batch, desk_saddle, 2),
+           "bn": lambda: cw.bn_event_frequency(batch, desk_saddle),
+           "bn-weights": lambda: cw.bn_event_frequency(
+               [ct({1: 20000}, 20000)], desk_saddle, w=cw.polynomial(2.0))}
+    with pytest.raises(ValueError, match="sd was solved at n=20000"):
+        run[report]()
