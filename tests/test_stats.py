@@ -223,6 +223,15 @@ def test_columns_across_chunk_boundaries(poly1, htable_2000):
                                  cw.SamplerConfig(300, num, 3)))
     assert len({id(cyc.cols) for cyc in batch}) == 3
     assert_columns_match_rebuilds(batch)
+
+
+def test_columns_of_a_multi_chunk_batch(poly1, htable_2000):
+    # one chunk and 100 samples more cross one chunk boundary
+    num = cw.sampler._chunk_size(300) + 100
+    batch = list(cw.sample_batch(poly1, htable_2000,
+                                 cw.SamplerConfig(300, num, 3)))
+    assert len({id(cyc.cols) for cyc in batch}) == 2
+    assert_columns_match_rebuilds(batch)
     rebuilt = CycleType.from_dict(dict(batch[0].counts), 300)
     for arr in (batch[0].m, batch[-1].c, rebuilt.m):
         assert arr.dtype == np.int32
