@@ -37,6 +37,7 @@ _WINDOW_BITS = 64
 _TILT_BITS = 20
 _BLOCK_MAX = 4096
 _NOISE_BITS = 8
+_LEAF = 16
 
 
 class CapacityError(ValueError):
@@ -361,6 +362,40 @@ def _middle_product(x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarra
     return np.fft.irfft(f, size)[lo:hi]
 
 
+def _leaf_solve(cross: np.ndarray, u: np.ndarray, s: int) -> np.ndarray:
+    """Rows y_0..y_{B-1}, B = len(cross), of the block recurrence
+    (s+i) y_i = cross_i + sum_{k=1}^{i} u_k y_{i-k}; u needs entries 1..B-1.
+
+    The rows are cut into leaves of W = min(_LEAF, B).  Each leaf's
+    lower-triangular matrix (s+r+i on the diagonal, -u_{i-j} below) is
+    inverted for all leaves at once, in W steps of one product over the
+    (row, leaf, column) array.  A leaf at row r then takes the block's
+    earlier rows from one correlation and is solved by one matvec.  With
+    u, cross >= 0 every term is nonnegative, so each row keeps a
+    componentwise relative error of the same order as row-by-row
+    substitution, and a row is exactly zero where the recurrence makes it
+    zero."""
+    B = len(cross)
+    W = min(_LEAF, B)
+    L = -(-B // W)
+    diag = s + np.arange(W)[:, None, None] + W * np.arange(L)[:, None]
+    inv = np.zeros((W, L, W))  # (row, leaf, column)
+    flat = inv.reshape(W, L * W)
+    for i in range(W):
+        if i:
+            np.dot(u[i:0:-1], flat[:i], out=flat[i])
+        inv[i, :, i] += 1.0
+        inv[i] /= diag[i]
+    rev = np.empty(B)  # rows in reverse order, so each correlation reads a suffix
+    for r in range(0, B, W):
+        w = min(W, B - r)
+        rhs = cross[r:r + w]
+        if r:
+            rhs = rhs + np.correlate(u[1:r + w], rev[B - r:], "valid")
+        rev[B - r - w:B - r] = (inv[:w, r // W, :w] @ rhs)[::-1]
+    return rev[::-1]
+
+
 def exp_coefficients(c: np.ndarray, n_max: int):
     """Coefficients b_0..b_n_max of exp(A(t)) as (mantissa, exponent) arrays.
 
@@ -371,14 +406,16 @@ def exp_coefficients(c: np.ndarray, n_max: int):
     2**-_TILT_BITS so j*tilt is exact, is the slope of log2 b extrapolated
     to the block's middle.  History enters by one FFT middle product over a
     window that drops a row once its term, with the largest tilted c_k it
-    can still meet, is below 2**-_WINDOW_BITS of row a; rows inside the
-    block come from a short loop.  A block not far above the FFT round-off,
-    or overflowing, is summed row by row exactly.  Zero rows stay exact.
+    can still meet, is below 2**-_WINDOW_BITS of row a; the block's own
+    rows are then solved in leaves of _LEAF rows by _leaf_solve.  A block
+    not far above the FFT round-off, or overflowing, is summed row by row
+    exactly.  Zero rows stay exact.
     """
     c = np.array(c[:n_max + 1], dtype=np.float64)
     c[0] = 0.0
     log_c = np.log2(c, out=np.full(n_max + 1, -np.inf), where=c > 0)
     gaps = not np.all(c[1:] > 0)
+    ks = np.arange(n_max + 1)
     mant = np.zeros(n_max + 1)
     expo = np.zeros(n_max + 1, dtype=np.int64)
     mant[0] = 1.0
@@ -399,10 +436,11 @@ def exp_coefficients(c: np.ndarray, n_max: int):
             with np.errstate(divide="ignore"):  # zero rows have log -inf
                 lhist = (np.log2(mant[lo:a] / mant[a]) + (expo[lo:a] - expo[a])
                          - np.arange(lo - a, 0) * tilt)
-            lu = log_c[1:n_max + 1 - lo] - np.arange(1, n_max + 1 - lo) * tilt
-            reach = np.maximum.accumulate(lu[::-1])[::-1]  # max of lu[k:]
-            lo += int(np.argmax(lhist + reach[a - lo - 1::-1]
-                                >= math.log2(a) - _WINDOW_BITS))
+            lu = log_c[1:n_max + 1 - lo] - ks[1:n_max + 1 - lo] * tilt
+            # max of lu[k:] for k = a-lo-1 down to 0, the reach of rows lo..a-1
+            reach = np.maximum(np.maximum.accumulate(lu[a - lo - 1::-1]),
+                               np.max(lu[a - lo:]))
+            lo += int(np.argmax(lhist + reach >= math.log2(a) - _WINDOW_BITS))
         H, B = s - lo, e - s
         with np.errstate(over="ignore", invalid="ignore"):
             hist = _times_pow2(mant[lo:s] / mant[a], (expo[lo:s] - expo[a])
@@ -414,17 +452,15 @@ def exp_coefficients(c: np.ndarray, n_max: int):
                                             (c[:e - lo] != 0).astype(np.float64),
                                             H, H + B) < 0.5
             cross = np.where(zero, 0.0, np.maximum(cross, 0.0))
-            rev = np.empty(B)  # block rows in reverse order
-            for i in range(B):
-                rev[B - 1 - i] = (cross[i] + np.dot(u[1:i + 1], rev[B - i:])) / (s + i)
+            rows = _leaf_solve(cross, u, s)
             # each FFT entry carries round-off of about eps*|hist|*|u|
             noise = np.linalg.norm(hist) * np.linalg.norm(u) * 2.0 ** -_NOISE_BITS
-            fast = (math.isfinite(noise) and np.max(rev) < 2.0 ** 1000
-                    and np.all(zero | (rev[::-1] * np.arange(s, e) >= noise)))
+            fast = (math.isfinite(noise) and np.max(rows) < 2.0 ** 1000
+                    and np.all(zero | (rows * np.arange(s, e) >= noise)))
         if fast:
             x = (np.arange(s, e) - a) * tilt
             fl = np.floor(x)
-            m, ex = np.frexp(rev[::-1] * mant[a] * np.exp2(x - fl))
+            m, ex = np.frexp(rows * mant[a] * np.exp2(x - fl))
             mant[s:e] = 2.0 * m
             expo[s:e] = np.where(m != 0, ex - 1 + expo[a] + fl.astype(np.int64), 0)
         else:
@@ -503,10 +539,14 @@ def tail_count_mean(h: HTable, n: int, x: float) -> float:
 def longest_cycle_cdf(h: HTable, n: int, x: float) -> float:
     """Exact P(longest cycle <= x) at size n: h_n^(<=x) / h_n, where
     h^(<=x) is the table of the weights with theta_k = 0 for k > x, built
-    by exp_coefficients."""
+    by exp_coefficients; x >= n and x < 1 need no table."""
     check_row(n, h.weight, h.log_array())
+    if x >= n:
+        return 1.0
+    if x < 1:
+        return 0.0
     theta = theta_array(h.weight, n)
-    theta[max(0, math.floor(x)) + 1:] = 0.0
+    theta[math.floor(x) + 1:] = 0.0
     num_m, num_e = exp_coefficients(theta, n)
     return _ratio(num_m[n], num_e[n], h.mant[n], h.expo[n])
 

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import mpmath
@@ -129,6 +130,83 @@ def test_kernel_full_sum_residual_alpha3():
     theta = weights.theta_array(tab.weight, tab.n_max)
     rows = np.random.default_rng(5).choice(np.arange(1, 20001), 200, replace=False)
     assert max(tab.recurrence_residual(int(n), theta) for n in rows) <= 1e-12
+
+
+def row_by_row_solve(cross, u, s):
+    """Reference for oracle._leaf_solve: the block recurrence
+    (s+i) y_i = cross_i + sum_{k=1}^{i} u_k y_{i-k}, one row at a time."""
+    y = np.empty(len(cross))
+    for i in range(len(cross)):
+        y[i] = (cross[i] + np.dot(u[i:0:-1], y[:i])) / (s + i)
+    return y
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("B", [1, 2, 15, 16, 17, 33, 4096])
+def test_leaf_solve_matches_row_recurrence(B, sparse):
+    # random nonnegative inputs with zeros; the sparse case feeds and
+    # couples only rows that are multiples of 7, so zero runs cross leaves
+    rng = np.random.default_rng(B)
+    for s in (1, 2, 17, 1000, 10**5):
+        cross = rng.random(B) * (rng.random(B) < 0.7)
+        u = 3.0 * rng.random(B + 3) * (rng.random(B + 3) < 0.7)
+        if sparse:
+            cross[np.arange(B) % 7 != 0] = 0.0
+            u[np.arange(B + 3) % 7 != 0] = 0.0
+        want = row_by_row_solve(cross, u, s)
+        got = oracle._leaf_solve(cross, u, s)
+        assert np.all(np.isfinite(want))
+        assert np.array_equal(got == 0, want == 0)
+        nz = want != 0
+        assert np.all(np.abs(got[nz] / want[nz] - 1) <= 1e-13)
+
+
+@pytest.mark.parametrize("gap", [16, 17])
+def test_gap_table_closed_form(gap):
+    # theta_gap = 1 only: h = exp(t^gap / gap), so h_{gap*j} = gap^-j / j!
+    # and every other row is exactly 0; at gap 17 the zero runs straddle
+    # leaf and block boundaries
+    n_max = 20000
+    tab = cw.build_h_table(cw.table([0.0] * (gap - 1) + [1.0, 0.0]), n_max)
+    assert np.array_equal(tab.mant == 0, np.arange(n_max + 1) % gap != 0)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for j in range(n_max // gap + 1):
+            want = mpmath.mpf(gap) ** -j / mpmath.factorial(j)
+            got = mpmath.ldexp(mpmath.mpf(float(tab.mant[gap * j])),
+                               int(tab.expo[gap * j]))
+            worst = max(worst, float(abs(got / want - 1)))
+    assert worst <= 1e-12
+
+
+def test_block_solve_has_no_per_row_calls(monkeypatch):
+    # numpy calls of one n = 2*10^4 build, counted rather than timed: each
+    # block takes W - 1 products to invert its leaves of W = min(_LEAF, B)
+    # rows, and one correlation per leaf after its first
+    calls = collections.Counter()
+    blocks = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    leaf_solve = oracle._leaf_solve
+
+    def solve(cross, u, s):
+        blocks.append(len(cross))
+        return leaf_solve(cross, u, s)
+
+    monkeypatch.setattr(oracle, "_leaf_solve", solve)
+    monkeypatch.setattr(np, "dot", counted("dot", np.dot))
+    monkeypatch.setattr(np, "correlate", counted("correlate", np.correlate))
+    cw.build_h_table(cw.polynomial(1.0), 20000)
+    assert sum(blocks) == 20000
+    widths = [min(oracle._LEAF, B) for B in blocks]
+    assert calls["dot"] == sum(W - 1 for W in widths)
+    assert calls["correlate"] == sum(-(-B // W) - 1 for B, W in zip(blocks, widths))
+    assert calls["dot"] + calls["correlate"] <= 20000 // 8
 
 
 def ldexp_scaled_dot(coef, mant, expo):
@@ -356,3 +434,15 @@ def test_finite_n_laws_desk(htable_desk):
         oracle.tail_count_mean(cw.build_h_table(w, 5), 5, 1)
     with pytest.raises(ValueError, match=ZERO_ROW):
         oracle.longest_cycle_cdf(cw.build_h_table(w, 5), 5, 1)
+
+
+def test_longest_cycle_cdf_ends_need_no_table(monkeypatch):
+    tab = cw.build_h_table(cw.polynomial(1.0), 50)
+    assert oracle.longest_cycle_cdf(tab, 30, 30) == 1.0  # the built value
+    monkeypatch.setattr(oracle, "exp_coefficients", None)  # any build fails
+    for x in (30, 30.5, 1e9, math.inf):
+        assert oracle.longest_cycle_cdf(tab, 30, x) == 1.0
+    for x in (0.999, 0, -3, -math.inf):
+        assert oracle.longest_cycle_cdf(tab, 30, x) == 0.0
+    with pytest.raises(ValueError):
+        oracle.longest_cycle_cdf(tab, 30, math.nan)
