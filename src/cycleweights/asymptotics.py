@@ -19,14 +19,10 @@ import numpy as np
 
 from .oracle import ScaledReal
 from .weights import (EWENS, POLYNOMIAL, WeightSequence, exp_sums,
-                      g_theta_partial, theta_log_range)
+                      theta_log_range)
 
 if TYPE_CHECKING:
     import mpmath
-
-# truncation rule for all infinite sums: smallest K with K*v >= TAIL_DECADES,
-# leaving tails below e^-60 times a polynomial factor
-TAIL_DECADES = 60.0
 
 _MAX_NEWTON_ITERS = 200
 
@@ -58,6 +54,8 @@ class SaddleData:
     r_n: float
     a_n: float
     b_n: float
+    # max(8, ceil(60/v_n)): a reported scale of the sums' length; no sum
+    # stops there, exp_sums picks its own K
     truncation_K: int
     residual: float
     weight: WeightSequence
@@ -65,10 +63,6 @@ class SaddleData:
     @property
     def alpha(self) -> float:
         return self.weight.growth_alpha
-
-
-def truncation_K(v: float) -> int:
-    return max(8, int(math.ceil(TAIL_DECADES / v)))
 
 
 def ell_n(n_star: float, alpha: float) -> float:
@@ -84,8 +78,7 @@ def _saddle_sums(w: WeightSequence, v: float,
     """(sum theta_k e^{-kv}, sum k theta_k e^{-kv}): closed forms for Ewens
     (z/(1-z) and z/(1-z)^2 times vartheta, z = e^{-v}), the zeta series for
     polynomial weights with v <= SERIES_RADIUS, both series reading and
-    filling the zeta values `zetas`, else exp_sums over
-    k <= truncation_K(v)."""
+    filling the zeta values `zetas`, else exp_sums."""
     if w.family == EWENS:
         z, one_minus_z = math.exp(-v), -math.expm1(-v)
         a = w.vartheta * z / one_minus_z
@@ -93,7 +86,7 @@ def _saddle_sums(w: WeightSequence, v: float,
     if w.family == POLYNOMIAL and v <= SERIES_RADIUS:
         return (float(polylog_series(w.alpha, -v, zetas)[0]),
                 float(polylog_series(w.alpha + 1.0, -v, zetas)[0]))
-    return tuple(exp_sums(w, v, 1, truncation_K(v), (0, 1)))
+    return tuple(exp_sums(w, v, 1, (0, 1))[0])
 
 
 def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
@@ -101,8 +94,6 @@ def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
 
     The map v -> sum theta_k e^{-kv} is strictly decreasing, so a bisection
     bracket around the asymptotic initial guess keeps Newton safe.
-    truncation_K is ceil(60/v_n) whichever way the sums were taken; it
-    measures the sums' work only where they go through exp_sums.
 
     The zeta values of the series are computed once per solve and shared
     by every Newton step, and by a_n's and b_n's series: b_n's
@@ -147,8 +138,8 @@ def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
         ell = math.nan
     return SaddleData(n=n, v_n=v, n_star=n_star, ell_n=ell,
                       r_n=math.exp(-v), a_n=s, b_n=sk,
-                      truncation_K=truncation_K(v), residual=abs(s - n) / n,
-                      weight=w)
+                      truncation_K=max(8, math.ceil(60.0 / v)),
+                      residual=abs(s - n) / n, weight=w)
 
 
 def zeta(s: float) -> float:
@@ -251,14 +242,14 @@ def polylog_asymp(delta: float, v: float) -> Tuple[float, float, float]:
     """Compare sum_k k^delta e^{-kv} with Gamma(delta+1) v^{-delta-1} + zeta(-delta),
     the first two terms of the series in polylog_series.
 
-    Returns (approx, direct, abs_error).  The direct sum is truncated with a
-    certified tail below 1e-14 of its value.
+    Returns (approx, direct, abs_error).  The direct sum is exp_sums', with
+    a certified tail below 2^-53 of its value.
     """
     if delta == round(delta) and delta <= -1:
         raise ValueError(f"delta={delta} is an excluded negative integer")
     if not 0.0 < v < 1.0:
         raise ValueError("v must be in (0, 1)")
-    direct = exp_sums(None, v, 1, truncation_K(v), (delta,))[0]
+    direct = exp_sums(None, v, 1, (delta,))[0][0]
     head = itertools.islice(_series_terms(delta, np.float64(-v)), 2)
     approx = float(sum(head))
     return approx, direct, abs(direct - approx)
@@ -294,7 +285,7 @@ def partial_sum_asymp(delta: float, v: float, x: float,
                  for j in range(n_terms + 1))
     integral_part = f_x / v * series
     correction = BOUNDARY_C0 * f_x
-    direct = exp_sums(None, v, int(xc), truncation_K(v) + int(xc), (delta,))[0]
+    direct = exp_sums(None, v, int(xc), (delta,))[0][0]
     return integral_part, correction, direct, in_regime
 
 
@@ -302,8 +293,8 @@ def saddle_h_estimate(w: WeightSequence, n: int) -> Tuple[ScaledReal, SaddleData
     """Saddle-point estimate of h_n = [t^n] exp(g(t)).
 
     estimate = (2 pi)^{-1/2} r^{-n} b_n^{-1/2} exp(g(r)) at r = r_n, with
-    g(r) = -vartheta log(1-r) for Ewens weights and the zeta series of
-    sum k^{alpha-1} e^{-k v_n} for polynomial ones.
+    g(r) = -vartheta log(1-r) for Ewens weights, the zeta series of
+    sum k^{alpha-1} e^{-k v_n} for polynomial ones, else exp_sums.
     """
     if n < 10:
         raise ValueError("saddle estimate needs n >= 10")
@@ -313,7 +304,7 @@ def saddle_h_estimate(w: WeightSequence, n: int) -> Tuple[ScaledReal, SaddleData
     elif w.family == POLYNOMIAL and sd.v_n <= SERIES_RADIUS:
         g_r = float(polylog_series(w.alpha - 1.0, -sd.v_n)[0])
     else:
-        g_r = g_theta_partial(w, sd.r_n, 1e-13)[0]
+        g_r = exp_sums(w, sd.v_n, 1, (-1,))[0][0]
     log_est = (-0.5 * math.log(2.0 * math.pi)
                + n * sd.v_n
                - 0.5 * math.log(sd.b_n)
@@ -340,11 +331,11 @@ def threshold_x(sd: SaddleData, y: float) -> float:
 
 
 def expected_tail_count(w: WeightSequence, sd: SaddleData, x: float) -> float:
-    """sum_{k >= max(x,1)} (theta_k/k) e^{-k v_n}, truncated with K*v >= 60."""
+    """sum_{k >= max(x,1)} (theta_k/k) e^{-k v_n}, by exp_sums."""
     if x < 0:
         raise ValueError("x must be >= 0")
     lo = max(1, int(math.ceil(x)))
-    return exp_sums(w, sd.v_n, lo, truncation_K(sd.v_n) + lo, (-1,))[0]
+    return exp_sums(w, sd.v_n, lo, (-1,))[0][0]
 
 
 @dataclass
@@ -390,9 +381,9 @@ def admissibility_diagnostics(w: WeightSequence, n: int, s: float,
     For polynomial weights Re g on the circle is the zeta series at
     mu = -v_n + i phi, all PHI_POINTS points at once; other weights, and
     circles reaching past SERIES_RADIUS, sum the PHI_POINTS x K cosines up
-    to the truncation K.  With s != 0 the tilt's share, over
-    ceil(x_n) <= k <= K, is such a cosine scan in every case, so it stays
-    O(PHI_POINTS x (K - ceil(x_n))).
+    to the K that exp_sums certifies for the terms (theta_k/k) e^{-k v_n}.
+    With s != 0 the tilt's share, over ceil(x_n) <= k <= K_x (exp_sums'
+    K from ceil(x_n)), is such a scan in every case.
     """
     if n < 100:
         raise ValueError("diagnostics need n >= 100")
@@ -401,14 +392,13 @@ def admissibility_diagnostics(w: WeightSequence, n: int, s: float,
     alpha = w.growth_alpha
     sd = solve_saddle(w, n)
     x_n = threshold_x(sd, y)
-    K = truncation_K(sd.v_n)
     lo = max(1, math.ceil(x_n))
     tilt = math.expm1(s)
     a_n, b_n = sd.a_n, sd.b_n
     if tilt:
-        # the tilt's share of the saddle's sums, from k >= x_n
-        tail = exp_sums(w, sd.v_n, lo, K, (0, 1))
-        a_n, b_n = a_n + tilt * tail[0], b_n + tilt * tail[1]
+        # the tilt's share of the saddle's sums, and its cosine scan's K
+        (tail_a, tail_b, _), K_x, _ = exp_sums(w, sd.v_n, lo, (0, 1, -1))
+        a_n, b_n = a_n + tilt * tail_a, b_n + tilt * tail_b
     residual = abs(a_n - n) / math.sqrt(b_n)
     # width exponent xi inside the admissible open interval, biased to its
     # upper end (alpha+2)/2
@@ -422,9 +412,10 @@ def admissibility_diagnostics(w: WeightSequence, n: int, s: float,
     if w.family == POLYNOMIAL and np.abs(mu).max() <= SERIES_RADIUS:
         re_g = polylog_series(alpha - 1.0, mu)[0].real
     else:
+        K = exp_sums(w, sd.v_n, 1, (-1,))[1]
         re_g = _cos_sums(w, sd.v_n, phis, 1, K)
     if tilt:
-        re_g += tilt * _cos_sums(w, sd.v_n, phis, lo, K)
+        re_g += tilt * _cos_sums(w, sd.v_n, phis, lo, K_x)
     tol = 1e-12 * max(1.0, abs(re_g[0]))
     violations = int(np.sum(re_g > re_g[0] + tol))
     return AdmissibilityReport(residual=residual, width=width,

@@ -53,19 +53,6 @@ def _cache_path(cache_dir: str, w: weights.WeightSequence, n_max: int) -> str:
     return os.path.join(cache_dir, f"htable_{w.family}_{tag}_n{n_max}.cwht")
 
 
-def _load_or_build_htable(w, n_max: int,
-                          cache_dir: Optional[str]) -> oracle.HTable:
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = _cache_path(cache_dir, w, n_max)
-        if os.path.exists(path):
-            return oracle.HTable.load(path, w)
-        tab = oracle.build_h_table(w, n_max)
-        tab.save(path)
-        return tab
-    return oracle.build_h_table(w, n_max)
-
-
 def _parse_grid(text: str) -> List[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
@@ -97,9 +84,13 @@ def _emit_report(rep: stats.VerificationReport, out_path: Optional[str]) -> int:
 
 def cmd_htable(args) -> int:
     w = _weight_from_args(args)
-    if not args.cache_dir:
-        raise ValueError("htable needs --cache-dir")
-    tab = _load_or_build_htable(w, args.n, args.cache_dir)
+    os.makedirs(args.cache_dir, exist_ok=True)
+    path = _cache_path(args.cache_dir, w, args.n)
+    if os.path.exists(path):
+        tab = oracle.HTable.load(path, w)
+    else:
+        tab = oracle.build_h_table(w, args.n)
+        tab.save(path)
     print(f"htable ready: n_max={tab.n_max} "
           f"log h_n={tab.value(tab.n_max).log():.6f}")
     return EXIT_OK
@@ -146,7 +137,7 @@ def cmd_saddle(args) -> int:
 
 def cmd_sample(args) -> int:
     w = _weight_from_args(args)
-    tab = _load_or_build_htable(w, args.n, args.cache_dir)
+    tab = oracle.build_h_table(w, args.n)
     cfg = sampler.SamplerConfig(n=args.n, num_samples=args.samples,
                                 seed=args.seed)
     stream = sampler.sample_batch(w, tab, cfg)
@@ -166,7 +157,7 @@ def cmd_verify(args) -> int:
     # every report needs polynomial growth: reject zero-growth weights
     # before any sample is drawn
     asymptotics.threshold_x(sd, 0)
-    tab = _load_or_build_htable(w, args.n, args.cache_dir)
+    tab = oracle.build_h_table(w, args.n)
     cfg = sampler.SamplerConfig(n=args.n, num_samples=args.samples,
                                 seed=args.seed)
     batch = list(sampler.sample_batch(w, tab, cfg))
@@ -218,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("htable", help="build/cache an HTable")
     common(sp)
-    sp.add_argument("--cache-dir", default=None)
+    sp.add_argument("--cache-dir", required=True)
     sp.set_defaults(func=cmd_htable)
 
     sp = sub.add_parser("oracle", help="small-n enumeration cross-checks")
@@ -235,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--cache-dir", default=None)
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("verify", help="run a verification experiment")
@@ -247,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x-grid", default=None)
     sp.add_argument("--k-longest", type=int, default=3)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--cache-dir", default=None)
     sp.add_argument("--tol", action="append", metavar="KEY=VALUE")
     sp.set_defaults(func=cmd_verify)
 

@@ -539,12 +539,15 @@ def tail_count_mean(h: HTable, n: int, x: float) -> float:
 def longest_cycle_cdf(h: HTable, n: int, x: float) -> float:
     """Exact P(longest cycle <= x) at size n: h_n^(<=x) / h_n, where
     h^(<=x) is the table of the weights with theta_k = 0 for k > x, built
-    by exp_coefficients; x >= n and x < 1 need no table."""
+    by exp_coefficients.  x >= n and x < 1 need no table; nor does x >= n/2,
+    where at most one cycle is longer than x: 1 - E[#cycles > x]."""
     check_row(n, h.weight, h.log_array())
     if x >= n:
         return 1.0
     if x < 1:
         return 0.0
+    if 2 * x >= n:
+        return 1.0 - tail_count_mean(h, n, math.floor(x) + 1)
     theta = theta_array(h.weight, n)
     theta[math.floor(x) + 1:] = 0.0
     num_m, num_e = exp_coefficients(theta, n)

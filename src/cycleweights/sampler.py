@@ -122,15 +122,11 @@ def substream_keys(seed: int, indices) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def substream_key(seed: int, index: int) -> int:
-    """64-bit key of sample `index`."""
-    return int(substream_keys(seed, [index])[0])
-
-
 def substream_rng(seed: int, index: int) -> np.random.Generator:
     """Sample `index`'s stream as a Generator, whose random() gives the
     uniforms philox_uniforms computes for its key."""
-    return np.random.Generator(np.random.Philox(key=substream_key(seed, index)))
+    return np.random.Generator(np.random.Philox(
+        key=int(substream_keys(seed, [index])[0])))
 
 
 def _philox_mul(m: np.ndarray, c: np.ndarray, lo: np.ndarray = None,

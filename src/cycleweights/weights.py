@@ -9,9 +9,9 @@ length k.  Three families are supported:
   by power-law extrapolation fitted to the last two entries.
 
 The generating function g(t) = sum_k (theta_k / k) t^k has radius of
-convergence 1 for these families; partial sums come with a certified
-geometric tail bound.  Every sum of theta_k k^e e^{-kv} over a range of k
-goes through one kernel, ``exp_sums``.
+convergence 1 for these families.  Every sum of theta_k k^e e^{-kv} over
+k >= lo goes through one kernel, ``exp_sums``, which stops each sum by one
+rule: a geometric bound on its tail, certified below 2^-53 of the sum.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ POLYNOMIAL = "polynomial"
 EWENS = "ewens"
 TABLE = "table"
 
-# terms per chunk in exp_sums and g_theta_partial: bounds their temporaries
-# to a few arrays of this length, whatever the number of terms
+# largest block of terms in exp_sums: bounds its temporaries to a few
+# arrays of this length, whatever the number of terms
 _CHUNK = 1 << 16
 
 
@@ -135,40 +135,72 @@ def theta_log_array(w: WeightSequence, k_max: int) -> np.ndarray:
     return np.concatenate(([-np.inf], theta_log_range(w, 1, k_max)))
 
 
-def exp_sums(w: Optional[WeightSequence], v: float, lo: int, hi: int,
-             exps: Sequence[float]) -> List[float]:
-    """[sum_{k=lo}^{hi} theta_k k^e e^{-kv} for e in exps], theta = 1 when w
-    is None.
+def exp_sums(w: Optional[WeightSequence], v: float, lo: int,
+             exps: Sequence[float]) -> Tuple[List[float], int, List[float]]:
+    """Sums over k >= lo of theta_k k^e e^{-kv} for e in exps (theta = 1
+    when w is None), with the K they stop at and bounds on their tails.
+
+    sums[i] runs over lo <= k <= K.  From k_min on (a table's last entry,
+    else 1) a term's ratio to the one before is at most q_k = ((k+1)/k)^
+    max(a+e, 0) e^{-v}, a = growth_alpha, and q_k falls with k, so tails[i]
+    = t_K q_K / (1 - q_K) bounds the terms past K.  K is the first
+    k >= max(lo, k_min) where that bound is at most 2^-53 of the partial
+    sum for every exponent.
 
     The terms of the first exponent e0 are exp(ln theta_k + e0 ln k - k v),
     so k^e0 e^{-kv} never overflows mid-product; the other exponents take
     them times k^(e - e0).  Polynomial weights join alpha to e0, so each
-    chunk takes ln k once.  The terms are summed chunk by chunk.
+    block takes ln k once.  Blocks double from 256 terms up to _CHUNK.
     """
-    totals = [0.0] * len(exps)
+    if not v > 0:
+        raise ValueError(f"v must be positive, got {v}")
     e0 = exps[0]
     poly = w is not None and w.family == POLYNOMIAL
     power = e0 + w.alpha if poly else e0
-    for a in range(lo, hi + 1, _CHUNK):
-        b = min(a + _CHUNK - 1, hi)
-        k = np.arange(a, b + 1, dtype=np.float64)
+    a = 0.0 if w is None else w.growth_alpha
+    k_min = len(w.values) if w is not None and w.family == TABLE else 1
+    p = np.maximum(a + np.asarray(exps, dtype=np.float64), 0.0)[:, None]
+    totals = np.zeros(len(exps))
+    start, size = lo, 256
+    while True:
+        k = np.arange(start, start + size, dtype=np.float64)
         base = -k * v
         if w is not None and not poly:
-            base += theta_log_range(w, a, b)
+            base += theta_log_range(w, start, start + size - 1)
         terms = np.exp(base + power * np.log(k) if power else base)
-        for i, e in enumerate(exps):
-            totals[i] += float(np.sum(terms if e == e0 else terms * k ** (e - e0)))
-    return totals
+        rows = np.array([terms if e == e0 else terms * k ** (e - e0)
+                         for e in exps])
+        block = rows.sum(axis=1)
+        # once passed, the test keeps passing as k grows (t_k and q_k fall,
+        # the partial sums rise): a block whose last term fails holds no K
+        if _tail_test(p, v, k_min, k[-1:], rows[:, -1:],
+                      (totals + block)[:, None])[1][0]:
+            tails, ok = _tail_test(p, v, k_min, k, rows, totals[:, None]
+                                   + np.cumsum(rows, axis=1))
+            ok[-1] = True  # as tested above
+            j = int(np.argmax(ok))
+            sums = totals + rows[:, :j + 1].sum(axis=1)
+            return sums.tolist(), start + j, tails[:, j].tolist()
+        totals += block
+        start, size = start + size, min(2 * size, _CHUNK)
+
+
+def _tail_test(p, v, k_min, k, rows, partial):
+    """(t_k q_k/(1 - q_k) for each exponent's row of terms, and whether k >=
+    k_min and each row has q_k < 1 and that bound <= 2^-53 of its sum)."""
+    neg_log_q = v - p * np.log1p(1.0 / k)  # q/(1-q) = 1/expm1(-log q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tails = rows / np.expm1(neg_log_q)
+    return tails, (k >= k_min) & np.all(
+        (neg_log_q > 0.0) & (tails <= 2.0 ** -53 * partial), axis=0)
 
 
 def g_theta_partial(w: WeightSequence, t: float, eps: float) -> Tuple[float, int, float]:
     """Partial sum of g(t) = sum (theta_k/k) t^k with a certified tail bound.
 
-    Returns (value, K, tail_bound) where the dropped tail beyond K is at
-    most tail_bound <= eps.  K is the first k where the geometric ratio
-    bound a_k * q/(1-q), q = ((k+1)/k)^a * t, certifies the remainder.
-    The bound needs a_{k+1}/a_k <= q from k on, which a table only
-    guarantees past its last entry.
+    Returns (value, K, tail_bound): exp_sums' sum of the terms k <= K at
+    v = -log t, and its bound on the terms past K.  Raises ValueError if
+    that bound exceeds eps.
     """
     if not 0.0 <= t < 1.0:
         raise ValueError(f"t must be in [0, 1), got {t}")
@@ -176,21 +208,8 @@ def g_theta_partial(w: WeightSequence, t: float, eps: float) -> Tuple[float, int
         raise ValueError("eps must be positive")
     if t == 0.0:
         return 0.0, 0, 0.0
-    a = w.growth_alpha
-    k_min = len(w.values) if w.family == TABLE else 1
-    log_t = math.log(t)
-    # blocks double from 256 terms up to _CHUNK, so a small K tests few terms
-    lo, hi = 1, 256
-    while hi <= 10**8:
-        k = np.arange(lo, hi + 1, dtype=np.float64)
-        q = ((k + 1) / k) ** a * t
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tail = (np.exp(theta_log_range(w, lo, hi) - np.log(k) + k * log_t)
-                    * q / (1.0 - q))
-        ok = (k >= k_min) & (q < 1.0) & (tail <= eps)
-        if ok.any():
-            j = int(np.argmax(ok))
-            K = lo + j
-            return exp_sums(w, -log_t, 1, K, (-1,))[0], K, float(tail[j])
-        lo, hi = hi + 1, hi + min(2 * len(k), _CHUNK)
-    raise RuntimeError("g_theta_partial failed to certify tail")
+    (value,), K, (tail,) = exp_sums(w, -math.log(t), 1, (-1,))
+    if tail > eps:
+        raise ValueError(f"g_theta_partial: certified tail {tail:.3g} "
+                         f"exceeds eps={eps:.3g}")
+    return value, K, tail

@@ -127,7 +127,7 @@ def _mpmath_polylog(delta, mu):
 def test_polylog_series_matches_exp_sums(alpha):
     deltas = (alpha - 1.0, alpha, alpha + 1.0)
     for v in SERIES_VS:
-        direct = exp_sums(None, v, 1, asymptotics.truncation_K(v), deltas)
+        direct = exp_sums(None, v, 1, deltas)[0]
         for delta, ref in zip(deltas, direct):
             value, bound = asymptotics.polylog_series(delta, -v)
             assert value == pytest.approx(ref, rel=1e-12), (delta, v)
@@ -245,12 +245,34 @@ def test_mpmath_is_imported_on_first_zeta():
 def test_ewens_closed_forms(vartheta, n):
     w = cw.ewens(vartheta)
     est, sd = cw.saddle_h_estimate(w, n)
-    a_n, b_n = exp_sums(w, sd.v_n, 1, sd.truncation_K, (0, 1))
+    a_n, b_n = exp_sums(w, sd.v_n, 1, (0, 1))[0]
     assert sd.a_n == pytest.approx(a_n, rel=1e-12)
     assert sd.b_n == pytest.approx(b_n, rel=1e-12)
     g_r = est.log() - (n * sd.v_n - 0.5 * math.log(2.0 * math.pi * sd.b_n))
     assert g_r == pytest.approx(g_theta_partial(w, sd.r_n, 1e-13)[0],
                                 rel=1e-12)
+
+
+def _sum_to_20K(w, v, lo, e):
+    """sum_{lo <= k <= 20 K} theta_k k^e e^{-kv}, K the length exp_sums
+    takes, by fsum."""
+    K = exp_sums(w, v, lo, (e,))[1]
+    k = np.arange(lo, 20 * K + 1, dtype=np.float64)
+    return math.fsum(np.exp(theta_log_range(w, lo, 20 * K) + e * np.log(k)
+                            - k * v))
+
+
+def test_large_alpha_sums_reach_their_tails():
+    # these sums went past ceil(60/v) = 6 terms: a_n missed 1.08e-9 of
+    # itself at alpha = 40, and the tail count 1.5e-12 at alpha = 20
+    w = cw.polynomial(40.0)
+    sd = cw.solve_saddle(w, 10**6)
+    assert sd.truncation_K == 8
+    assert sd.a_n == pytest.approx(_sum_to_20K(w, sd.v_n, 1, 0), rel=1e-15)
+    w = cw.polynomial(20.0)
+    sd = cw.solve_saddle(w, 10**6)
+    assert cw.expected_tail_count(w, sd, 1) == pytest.approx(
+        _sum_to_20K(w, sd.v_n, 1, -1), rel=1e-15)
 
 
 def test_partial_sum_delta0():

@@ -33,10 +33,14 @@ def test_htable_cache_and_sample(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     assert run_command(["htable", "--alpha", "1", "--n", "200",
                         "--cache-dir", cache]) == 0
+    # sample builds its own table; it takes no cache
     out = str(tmp_path / "samples.jsonl")
     assert run_command(["sample", "--alpha", "1", "--n", "200",
                         "--samples", "10", "--seed", "3",
-                        "--cache-dir", cache, "--out", out]) == 0
+                        "--cache-dir", cache, "--out", out]) == 2
+    assert run_command(["sample", "--alpha", "1", "--n", "200",
+                        "--samples", "10", "--seed", "3",
+                        "--out", out]) == 0
     rows = [json.loads(line) for line in open(out)]
     assert len(rows) == 10
     assert all(sum(m * c for m, c in r["cycles"]) == 200 for r in rows)
@@ -47,8 +51,8 @@ def test_cache_keeps_weights_that_format_alike_apart(tmp_path, capsys):
     cache = str(tmp_path)
     assert run_command(["htable", "--alpha", "1", "--n", "100",
                         "--cache-dir", cache]) == 0
-    assert run_command(["sample", "--alpha", "1.0000001", "--n", "100",
-                        "--samples", "2", "--cache-dir", cache]) == 0
+    assert run_command(["htable", "--alpha", "1.0000001", "--n", "100",
+                        "--cache-dir", cache]) == 0
     assert len(list(tmp_path.iterdir())) == 2
 
 

@@ -436,6 +436,28 @@ def test_finite_n_laws_desk(htable_desk):
         oracle.longest_cycle_cdf(cw.build_h_table(w, 5), 5, 1)
 
 
+@pytest.mark.parametrize("w", [cw.polynomial(0.5), cw.polynomial(3.0),
+                               cw.table([0, 1, 0, 2])])
+def test_longest_cycle_cdf_upper_half_needs_no_table(w, monkeypatch):
+    # x >= n/2 leaves room for one cycle longer than x: P(L1 <= x) is
+    # 1 - E[#cycles > x], from the table as it is
+    n = 20
+    pmf = cw.exact_statistic_pmf(w, n, "L1")
+    tab = cw.build_h_table(w, 3 * n)
+    monkeypatch.setattr(oracle, "exp_coefficients", None)  # any build fails
+    for x in range(n // 2, n):
+        cdf = sum(p for m, p in pmf.items() if m <= x)
+        assert oracle.longest_cycle_cdf(tab, n, x) == pytest.approx(
+            cdf, rel=1e-14, abs=1e-15)
+
+
+def test_longest_cycle_cdf_at_most_one():
+    # the ratio of a restricted table to a larger table's h_500 read
+    # 1.0000000000000009 here
+    tab = cw.build_h_table(cw.polynomial(3.0), 1000)
+    assert oracle.longest_cycle_cdf(tab, 500, 499) == 1.0
+
+
 def test_longest_cycle_cdf_ends_need_no_table(monkeypatch):
     tab = cw.build_h_table(cw.polynomial(1.0), 50)
     assert oracle.longest_cycle_cdf(tab, 30, 30) == 1.0  # the built value

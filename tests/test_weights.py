@@ -80,6 +80,9 @@ def test_g_partial_domain():
         weights.g_theta_partial(weights.polynomial(1.0), 1.0, 1e-12)
     with pytest.raises(ValueError):
         weights.g_theta_partial(weights.polynomial(1.0), 0.5, -1.0)
+    # the certified tail is ~2^-53 of g(0.5) = 1, above this eps
+    with pytest.raises(ValueError, match="exceeds eps"):
+        weights.g_theta_partial(weights.polynomial(1.0), 0.5, 1e-300)
 
 
 def test_g_partial_monotone_in_t():
@@ -144,25 +147,47 @@ def _fsum_reference(w, v, lo, hi, e):
 
 @pytest.mark.parametrize("w", FAMILIES.values(), ids=FAMILIES.keys())
 def test_exp_sums_against_fsum(w):
-    lo, hi = 5, 5 + 3 * weights._CHUNK + 123  # spans four chunks
-    v = 3e-5
     exps = (-1, 0, 1)
-    got = weights.exp_sums(w, v, lo, hi, exps)
-    for e, g in zip(exps, got):
-        assert g == pytest.approx(_fsum_reference(w, v, lo, hi, e), rel=1e-12)
-    # a range inside one chunk
-    got = weights.exp_sums(w, 0.1, 3, 200, exps)
-    for e, g in zip(exps, got):
-        assert g == pytest.approx(_fsum_reference(w, 0.1, 3, 200, e),
-                                  rel=1e-12)
+    # the doubling blocks and then whole chunks, and a sum of a few blocks
+    for v, lo, k_range in ((2e-4, 5, (2 * weights._CHUNK, 10**6)),
+                           (0.1, 3, (256, 1024))):
+        got, K, _ = weights.exp_sums(w, v, lo, exps)
+        assert k_range[0] < K < k_range[1]
+        for e, g in zip(exps, got):
+            assert g == pytest.approx(_fsum_reference(w, v, lo, K, e),
+                                      rel=1e-12)
 
 
 @pytest.mark.parametrize("delta", [-0.5, 0.0, 2.5])
 def test_exp_sums_without_weights(delta):
-    lo, hi = 1, 3 * weights._CHUNK + 7
-    got, = weights.exp_sums(None, 2e-5, lo, hi, (delta,))
-    assert got == pytest.approx(_fsum_reference(None, 2e-5, lo, hi, delta),
+    (got,), K, _ = weights.exp_sums(None, 1e-4, 1, (delta,))
+    assert K > 3 * weights._CHUNK
+    assert got == pytest.approx(_fsum_reference(None, 1e-4, 1, K, delta),
                                 rel=1e-12)
+
+
+TAIL_CASES = {**{f"poly{a}": (weights.polynomial(a), (-1, 0, 1))
+                 for a in (0.05, 0.5, 1.0, 3.0, 20.0, 40.0)},
+              "ewens2": (weights.ewens(2.0), (-1, 0, 1)),
+              "table1001": (weights.table([1, 0, 0, 1]), (-1, 0, 1)),
+              **{f"none{d}": (None, (d,)) for d in (-0.5, 0.0, 2.5)}}
+
+
+@pytest.mark.parametrize("v", [0.05, 10.5])
+@pytest.mark.parametrize("case", TAIL_CASES.values(), ids=TAIL_CASES.keys())
+def test_exp_sums_tail_bounds(case, v):
+    # each certified tail covers the terms k = K+1 .. 20K and is at most
+    # 2^-52 of its sum, from k = 1 and from past the largest term; 1e-12
+    # is the terms' own round-off (~k v ulps)
+    w, exps = case
+    a = 0.0 if w is None else w.growth_alpha
+    for lo in (1, int(2.0 * (a + 1.0) / v) + 1):
+        sums, K, tails = weights.exp_sums(w, v, lo, exps)
+        assert K >= lo
+        for e, s, tail in zip(exps, sums, tails):
+            gap = _fsum_reference(w, v, K + 1, 20 * K, e)
+            assert gap <= tail * (1.0 + 1e-12), (lo, e)
+            assert tail <= 2.0 ** -52 * abs(s), (lo, e)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
