@@ -15,6 +15,7 @@ Exit codes: 0 all requested checks passed, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -198,7 +199,10 @@ def cmd_expansions(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a build takes
+    about a millisecond, and parse_args leaves the parser as it was."""
     p = argparse.ArgumentParser(prog="cycleweights", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -540,7 +540,11 @@ def longest_cycle_cdf(h: HTable, n: int, x: float) -> float:
     """Exact P(longest cycle <= x) at size n: h_n^(<=x) / h_n, where
     h^(<=x) is the table of the weights with theta_k = 0 for k > x, built
     by exp_coefficients.  x >= n and x < 1 need no table; nor does x >= n/2,
-    where at most one cycle is longer than x: 1 - E[#cycles > x]."""
+    where at most one cycle is longer than x: 1 - E[#cycles > x].
+
+    h_n comes from a build to the same n as h^(<=x): builds to different
+    sizes differ in the last bits, and their ratio can exceed 1 where the
+    probability is 1 to double precision."""
     check_row(n, h.weight, h.log_array())
     if x >= n:
         return 1.0
@@ -548,10 +552,13 @@ def longest_cycle_cdf(h: HTable, n: int, x: float) -> float:
         return 0.0
     if 2 * x >= n:
         return 1.0 - tail_count_mean(h, n, math.floor(x) + 1)
+    top = math.floor(x)
     theta = theta_array(h.weight, n)
-    theta[math.floor(x) + 1:] = 0.0
+    den_m, den_e = ((h.mant, h.expo) if n == h.n_max
+                    else exp_coefficients(theta, n))
+    theta[top + 1:] = 0.0
     num_m, num_e = exp_coefficients(theta, n)
-    return _ratio(num_m[n], num_e[n], h.mant[n], h.expo[n])
+    return _ratio(num_m[n], num_e[n], den_m[n], den_e[n])
 
 
 def corollary_bound_check(w: WeightSequence, n: int, u: float, v: float):

@@ -43,6 +43,15 @@ uses those its draw needs.  Its value therefore
 depends only on the seed and its index, not on the batch size, the
 chunking or any other sample.
 
+A step where some row has an envelope makes one pass over its arrays:
+every row takes the k = m test and a proposal, whose geometric variables
+are the rows of one array so that each operation runs along the step's
+rows, and the rows without an envelope, which fail both, then take the
+scan's draw.
+A chunk's read-ahead holds sample i's uniforms for its j-th step after a
+refill in row i * steps + j, so a step gathers each sample's uniforms as
+one contiguous row.
+
 The streams are numpy's Philox4x64-10, bit for bit.  Philox maps (key,
 counter) to random words, so a batch computes its chunk's uniforms in one
 set of in-place numpy array operations, keys and counters side by side,
@@ -301,6 +310,14 @@ class CycleTypeSampler:
                 self._accept_k -= np.log(ks + j)
             # theta_m / (m h_m), the probability of k = m
             self._last = np.exp(self.log_theta - np.log(ks) - self.log_h)
+        # a row without an envelope fails the k = m test and proposes k = 1
+        # with acceptance probability 0, in finite arithmetic: _step
+        # replaces its draw by the scan's
+        off = ~self._envelope
+        self._rate[off] = 1.0
+        self._cut[off] = 0.0
+        self._accept_m[off] = np.inf
+        self._last[off] = 0.0
 
     def _first_cycles(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
         """First-cycle lengths for remaining sizes m >= 1 and uniforms u.
@@ -377,19 +394,31 @@ class CycleTypeSampler:
             for i in range(0, len(m), rows)])
 
     def _propose(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """One proposal for each row of size m with an envelope, from the
-        row's uniforms u (one row of self._width each): the accepted first
-        cycle, or 0 where the proposal is rejected."""
+        """One proposal for each row of size m, from the row's uniforms u
+        (one row of self._width each): the accepted first cycle, or 0 where
+        the proposal is rejected.  A row without an envelope, by the
+        constants _init_envelope gives it, proposes k = 1 and rejects it."""
         c = self._rate[m]
-        # geometric variables of ratio exp(-c) by inversion, each truncated
-        # below m - 1
-        g = np.floor(np.log1p(u[:, :-1] * self._cut[m, None]) / -c[:, None])
-        k = 1.0 + g.sum(axis=1)
+        # k = 1 + geometric variables of ratio exp(-c) by inversion, each
+        # truncated below m - 1: row j of g holds every row's j-th one, so
+        # each operation runs along the rows.  Their floors are integers
+        # below 2^53, so the sum is exact in any order
+        g = np.empty((u.shape[1] - 1, len(m)))
+        np.multiply(u[:, :-1].T, self._cut[m], out=g)
+        np.log1p(g, out=g)
+        g /= -c
+        np.floor(g, out=g)
+        k = g.sum(axis=0)
+        k += 1.0
         ok = k < m
         k = np.where(ok, k, 1.0).astype(np.int64)
-        log_a = (self._accept_k[k] + c * k - self._accept_m[m]
-                 + self.log_h[m - k])
-        return np.where(ok & (u[:, -1] < np.exp(log_a)), k, 0)
+        log_a = self._accept_k[k]
+        log_a += c * k
+        log_a -= self._accept_m[m]
+        log_a += self.log_h[m - k]
+        np.exp(log_a, out=log_a)
+        ok &= u[:, -1] < log_a
+        return np.where(ok, k, 0)
 
     def _step(self, m: np.ndarray, pending: np.ndarray,
               u: np.ndarray) -> np.ndarray:
@@ -397,19 +426,21 @@ class CycleTypeSampler:
         row's uniforms u[:, 0] (the scan or the k = m test) and u[:, 1:]
         (one proposal): their first cycles, or 0 for a row whose proposal
         was rejected.  Such a row is `pending` on its next step, which
-        retries the proposal without the k = m test."""
+        retries the proposal without the k = m test.
+
+        Every row takes the k = m test and a proposal in one pass over the
+        step's arrays; the rows without an envelope, whose k = m test always
+        fails, are then overwritten by the scan."""
         env = self._envelope[m]
         if not env.any():
             return self._scan(m, u[:, 0])
-        k = np.zeros(len(m), dtype=np.int64)
+        last = u[:, 0] < self._last[m]
+        last &= ~pending
+        k = np.where(last, m, self._propose(m, u[:, 1:]))
         scan = np.flatnonzero(~env)
+        self.proposals += len(m) - scan.size - int(np.count_nonzero(last))
         if scan.size:
             k[scan] = self._scan(m[scan], u[scan, 0])
-        last = env & ~pending & (u[:, 0] < self._last[m])
-        k[last] = m[last]
-        rows = np.flatnonzero(env & ~last)
-        self.proposals += int(rows.size)
-        k[rows] = self._propose(m[rows], u[rows, 1:])
         return k
 
     def sample(self, n: int, rng: np.random.Generator) -> CycleType:
@@ -438,7 +469,9 @@ class CycleTypeSampler:
         steps = max(1, min(n, _LOOKAHEAD) // d)  # steps per refill
         key_type = _key_type(count, n)
         live = np.arange(count, dtype=key_type)
-        u = fill(live, 0, steps * d).reshape(count, steps, d)
+        # read-ahead: row i * steps + j holds sample i's uniforms for the
+        # j-th step after a refill, so that a step gathers whole rows
+        buf = np.ascontiguousarray(fill(live, 0, steps * d)).reshape(-1, d)
         m = np.full(count, n)
         pending = np.zeros(count, dtype=bool)
         drawn = []  # per step: sample * (n + 1) + first-cycle length
@@ -446,19 +479,21 @@ class CycleTypeSampler:
         while live.size:
             col = step % steps
             if step and not col:
-                u[live] = fill(live, step * d, steps * d).reshape(-1, steps, d)
-            k = self._step(m, pending, u[live, col])
-            pending = k == 0
-            keys = live[~pending] * (n + 1)
-            keys += k[~pending]
-            drawn.append(keys)
+                buf.reshape(count, -1)[live] = fill(live, step * d, steps * d)
+            k = self._step(m, pending, np.take(buf, live * steps + col, axis=0))
+            done = k > 0
+            pending = ~done
+            keys = live * (n + 1)
+            keys += k
+            drawn.append(keys[done])
             m = m - k
             alive = m > 0
-            live, m, pending = live[alive], m[alive], pending[alive]
+            if not alive.all():
+                live, m, pending = live[alive], m[alive], pending[alive]
             step += 1
         # the chunk's working arrays are freed before its output is built:
         # together they set the batch's peak memory
-        del u
+        del buf
         keys = np.concatenate(drawn)
         del drawn
         # C_m of each (sample, length), in sample then length order: the

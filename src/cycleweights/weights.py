@@ -150,7 +150,10 @@ def exp_sums(w: Optional[WeightSequence], v: float, lo: int,
     The terms of the first exponent e0 are exp(ln theta_k + e0 ln k - k v),
     so k^e0 e^{-kv} never overflows mid-product; the other exponents take
     them times k^(e - e0).  Polynomial weights join alpha to e0, so each
-    block takes ln k once.  Blocks double from 256 terms up to _CHUNK.
+    block takes ln k once.  The first block holds about 40/v terms, within
+    [256, _CHUNK], which covers most sums whose terms start near their
+    largest (past it e^{-kv} falls 2^-53-fold in 37/v terms); later blocks
+    double up to _CHUNK.
     """
     if not v > 0:
         raise ValueError(f"v must be positive, got {v}")
@@ -161,7 +164,7 @@ def exp_sums(w: Optional[WeightSequence], v: float, lo: int,
     k_min = len(w.values) if w is not None and w.family == TABLE else 1
     p = np.maximum(a + np.asarray(exps, dtype=np.float64), 0.0)[:, None]
     totals = np.zeros(len(exps))
-    start, size = lo, 256
+    start, size = lo, int(min(max(40.0 / v, 256), _CHUNK))
     while True:
         k = np.arange(start, start + size, dtype=np.float64)
         base = -k * v

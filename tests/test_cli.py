@@ -107,6 +107,19 @@ def test_verify_zero_growth_fails_before_sampling(experiment, monkeypatch,
     assert "ell_n is undefined" in capsys.readouterr().err
 
 
+def test_parser_is_built_once():
+    # run_command reuses one parser, and a parse leaves nothing in it for
+    # the next: appended options and defaults start afresh
+    assert cli.build_parser() is cli.build_parser()
+    base = ["verify", "poisson", "--alpha", "1", "--n", "300", "--samples", "5"]
+    first = cli.build_parser().parse_args(base + ["--tol", "a=1", "--seed", "4"])
+    second = cli.build_parser().parse_args(base)
+    assert first.tol == ["a=1"] and first.seed == 4
+    assert second.tol is None and second.seed == 0
+    assert run_command(["nonsense"]) == 2
+    assert run_command(["saddle", "--alpha", "1", "--n", "100"]) == 0
+
+
 def test_htable_truncated_cache_is_validation_error(tmp_path, capsys):
     cache = tmp_path / "cache"
     argv = ["htable", "--alpha", "1", "--n", "200", "--cache-dir", str(cache)]

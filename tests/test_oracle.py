@@ -456,6 +456,13 @@ def test_longest_cycle_cdf_at_most_one():
     # 1.0000000000000009 here
     tab = cw.build_h_table(cw.polynomial(3.0), 1000)
     assert oracle.longest_cycle_cdf(tab, 500, 499) == 1.0
+    # below n/2 a restricted table is divided by h_n from a build to the
+    # same n; a larger table's h_n gave 1.0000000000000009, ...0002 and
+    # ...0506 in turn
+    assert oracle.longest_cycle_cdf(tab, 500, 166) == 1.0
+    assert oracle.longest_cycle_cdf(tab, 999, 333) == 1.0
+    tab = cw.build_h_table(cw.table([1, 1, 0]), 3000)  # no cycle above 2
+    assert oracle.longest_cycle_cdf(tab, 2999, 2) == 1.0
 
 
 def test_longest_cycle_cdf_ends_need_no_table(monkeypatch):

@@ -306,6 +306,85 @@ def test_rejection_work():
     assert accepted[0] / s.proposals >= 0.9
 
 
+def reference_proposal(s, m, u):
+    """The broadcast proposal that _propose replaced: the proposed k (1
+    where k >= m), whether k < m, and the acceptance probability."""
+    c = s._rate[m]
+    g = np.floor(np.log1p(u[:, :-1] * s._cut[m, None]) / -c[:, None])
+    k = 1.0 + g.sum(axis=1)
+    ok = k < m
+    k = np.where(ok, k, 1.0).astype(np.int64)
+    log_a = (s._accept_k[k] + c * k - s._accept_m[m] + s.log_h[m - k])
+    return k, ok, np.exp(log_a)
+
+
+def reference_propose(s, m, u):
+    k, ok, p = reference_proposal(s, m, u)
+    return np.where(ok & (u[:, -1] < p), k, 0)
+
+
+def reference_step(s, m, pending, u):
+    """The general step the one-pass step replaced: the first cycles, and
+    the number of proposals made."""
+    env = s._envelope[m]
+    if not env.any():
+        return s._scan(m, u[:, 0]), 0
+    k = np.zeros(len(m), dtype=np.int64)
+    scan = np.flatnonzero(~env)
+    if scan.size:
+        k[scan] = s._scan(m[scan], u[scan, 0])
+    last = env & ~pending & (u[:, 0] < s._last[m])
+    k[last] = m[last]
+    rows = np.flatnonzero(env & ~last)
+    k[rows] = reference_propose(s, m[rows], u[rows, 1:])
+    return k, rows.size
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+def test_one_pass_step_matches_reference(alpha):
+    # the proposal (r = 1, 2, 4 geometric variables) and the one-pass
+    # step against the broadcast proposal and the general step, on
+    # random steps that mix scanned rows, k = m rows and pending retries.
+    # Some acceptance uniforms sit on or just below the reference's
+    # probability, so that a last-bit change in it moves a draw
+    w = cw.polynomial(alpha)
+    n = 2000
+    tab = cw.build_h_table(w, n)
+    new, ref = smp.CycleTypeSampler(w, tab), smp.CycleTypeSampler(w, tab)
+    d = 1 + new._width
+    assert d == math.floor(alpha) + 3
+    rng = np.random.default_rng(int(10 * alpha))
+    sizes = np.flatnonzero(new._envelope)
+    moved = 0
+    for rows in (1, 7, 300, 1400):
+        for mixed in (False, True):
+            m = rng.integers(1, n + 1, rows) if mixed else rng.choice(sizes, rows)
+            env = new._envelope[m]
+            pending = env & (rng.random(rows) < 0.3)
+            u = rng.random((rows, d))
+            last = rng.random(rows) < 0.1
+            u[last, 0] *= new._last[m[last]]
+            _, ok, p = reference_proposal(ref, m, u[:, 1:])
+            edge = env & ok & (p < 1) & (rng.random(rows) < 0.3)
+            u[edge, -1] = p[edge]
+            below = edge & (rng.random(rows) < 0.5)
+            u[below, -1] = np.nextafter(p[below], 0.0)
+            moved += int(np.count_nonzero(edge & ~pending))
+            assert np.array_equal(new._propose(m[env], u[env, 1:]),
+                                  reference_propose(ref, m[env], u[env, 1:]))
+            before = new.proposals
+            k = new._step(m, pending, u)
+            want, proposals = reference_step(ref, m, pending, u)
+            assert k.dtype == want.dtype and np.array_equal(k, want)
+            assert new.proposals - before == proposals
+            assert new.scanned == ref.scanned
+            if mixed and rows > 7:
+                assert 0 < np.count_nonzero(env) < rows
+                assert np.any(env & ~pending & (k == m))
+                assert np.any(pending & (k > 0)) and np.any(k == 0)
+    assert moved > 100
+
+
 def test_desk_batch_matches_exact_finite_n_laws(desk_batch, htable_desk):
     # the desk batch against the exact finite-n laws: the mean number of
     # cycles of length >= x by a z-bound, the longest cycle's CDF by DKW
