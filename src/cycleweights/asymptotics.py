@@ -73,20 +73,23 @@ def ell_n(n_star: float, alpha: float) -> float:
     return core + (alpha - 1.0) * math.log(core)
 
 
-def _saddle_sums(w: WeightSequence, v: float,
-                 zetas: Dict[mpmath.mpf, float]) -> Tuple[float, float]:
-    """(sum theta_k e^{-kv}, sum k theta_k e^{-kv}): closed forms for Ewens
-    (z/(1-z) and z/(1-z)^2 times vartheta, z = e^{-v}), the zeta series for
-    polynomial weights with v <= SERIES_RADIUS, both series reading and
-    filling the zeta values `zetas`, else exp_sums."""
+def _weight_sums(w: WeightSequence, v: float, exps: Tuple[int, ...],
+                 zetas: Optional[Dict[mpmath.mpf, float]] = None
+                 ) -> Tuple[float, ...]:
+    """sum_{k>=1} k^e theta_k e^{-kv} for each e in exps: closed forms for
+    Ewens (-log(1-z), z/(1-z) and z/(1-z)^2 times vartheta at e = -1, 0
+    and 1, z = e^{-v}), the zeta series for polynomial weights with
+    v <= SERIES_RADIUS, each series reading and filling the zeta values
+    `zetas`, else exp_sums."""
     if w.family == EWENS:
         z, one_minus_z = math.exp(-v), -math.expm1(-v)
         a = w.vartheta * z / one_minus_z
-        return a, a / one_minus_z
+        closed = {-1: -w.vartheta * math.log1p(-z), 0: a, 1: a / one_minus_z}
+        return tuple(closed[e] for e in exps)
     if w.family == POLYNOMIAL and v <= SERIES_RADIUS:
-        return (float(polylog_series(w.alpha, -v, zetas)[0]),
-                float(polylog_series(w.alpha + 1.0, -v, zetas)[0]))
-    return tuple(exp_sums(w, v, 1, (0, 1))[0])
+        return tuple(float(polylog_series(w.alpha + e, -v, zetas)[0])
+                     for e in exps)
+    return tuple(exp_sums(w, v, 1, exps)[0])
 
 
 def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
@@ -113,7 +116,7 @@ def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
     zetas: Dict[mpmath.mpf, float] = {}
     for _ in range(_MAX_NEWTON_ITERS):
         # the sums of the last v evaluated are the returned a_n, b_n
-        s, sk = _saddle_sums(w, v, zetas)
+        s, sk = _weight_sums(w, v, (0, 1), zetas)
         f = s - n
         if abs(f) <= 1e-12 * n:
             break
@@ -293,18 +296,12 @@ def saddle_h_estimate(w: WeightSequence, n: int) -> Tuple[ScaledReal, SaddleData
     """Saddle-point estimate of h_n = [t^n] exp(g(t)).
 
     estimate = (2 pi)^{-1/2} r^{-n} b_n^{-1/2} exp(g(r)) at r = r_n, with
-    g(r) = -vartheta log(1-r) for Ewens weights, the zeta series of
-    sum k^{alpha-1} e^{-k v_n} for polynomial ones, else exp_sums.
+    g(r) = sum (theta_k/k) r^k taken as solve_saddle takes its sums.
     """
     if n < 10:
         raise ValueError("saddle estimate needs n >= 10")
     sd = solve_saddle(w, n)
-    if w.family == EWENS:
-        g_r = -w.vartheta * math.log1p(-sd.r_n)
-    elif w.family == POLYNOMIAL and sd.v_n <= SERIES_RADIUS:
-        g_r = float(polylog_series(w.alpha - 1.0, -sd.v_n)[0])
-    else:
-        g_r = exp_sums(w, sd.v_n, 1, (-1,))[0][0]
+    (g_r,) = _weight_sums(w, sd.v_n, (-1,))
     log_est = (-0.5 * math.log(2.0 * math.pi)
                + n * sd.v_n
                - 0.5 * math.log(sd.b_n)
@@ -319,8 +316,8 @@ def threshold_x(sd: SaddleData, y: float) -> float:
     Weights without polynomial growth (Ewens, most tables) have no ell_n
     and raise ValueError.
     """
-    if y < 0:
-        raise ValueError("y must be >= 0")
+    if not y >= 0:
+        raise ValueError(f"y must be >= 0, got {y}")
     if math.isnan(sd.ell_n):
         raise ValueError(f"ell_n is undefined for {sd.weight!r}: x_n(y) "
                          f"needs weights growing like k^alpha with "

@@ -130,7 +130,7 @@ def cmd_saddle(args) -> int:
     print(f"b_n       = {_fmt(sd.b_n)}")
     print(f"K         = {sd.truncation_K}")
     print(f"residual  = {_fmt(sd.residual)}")
-    if args.diagnostics and args.n >= 100 and w.family == "polynomial":
+    if args.diagnostics:
         rep = asymptotics.admissibility_diagnostics(w, args.n, s=0.0, y=1.0)
         print(rep.to_json())
     return EXIT_OK

@@ -26,9 +26,10 @@ a single draw is a chunk of one.  Chunks and scan groups are sized by one
 budget of 2^16 cells.  A chunk at size n holds
 max(2048, 2^16 // min(n, 32)) samples, each reading ahead min(n, 32)
 uniforms, so every n >= 32 takes chunks of 2048 (refilled every 8 steps
-where a step reads 4 uniforms, as at alpha = 1), and n = 6 one of 10922.
-A chunk records each first cycle as the key sample * (n + 1) + length,
-an int32 where every key fits and an int64 otherwise, and counts C_m
+where a step reads 4 uniforms, as at alpha = 1), and n = 6 one of 10922;
+past n = 1 048 574 chunks shrink to (2^31 - 1) // (n + 1) samples.
+A chunk records each first cycle as the int32 key
+sample * (n + 1) + length, which that cap keeps below 2^31, and counts C_m
 from the runs of its sorted keys into one Columns of read-only int32
 arrays; each of its samples is handed out as a CycleType row handle on
 it, with no per-sample array.  A scan group holds
@@ -97,14 +98,10 @@ _BUFFER = _CHUNK * _LOOKAHEAD
 
 def _chunk_size(n: int) -> int:
     """Samples per chunk at size n: a buffer of min(n, _LOOKAHEAD) uniforms
-    each, _CHUNK for every n >= _LOOKAHEAD."""
-    return max(_CHUNK, _BUFFER // min(n, _LOOKAHEAD))
-
-
-def _key_type(count: int, n: int) -> type:
-    """dtype of the (sample, length) keys sample * (n + 1) + length of a
-    chunk of `count` samples at size n: int32 where they all fit."""
-    return np.int32 if count * (n + 1) <= 2**31 - 1 else np.int64
+    each, _CHUNK for every n >= _LOOKAHEAD, and at most (2^31 - 1) // (n + 1),
+    so that the keys sample * (n + 1) + length fit int32."""
+    return min(max(_CHUNK, _BUFFER // min(n, _LOOKAHEAD)),
+               (2**31 - 1) // (n + 1))
 
 
 @dataclass
@@ -242,10 +239,11 @@ class CycleTypeSampler:
         self.n_max = n = h.n_max
         self.log_theta = theta_log_array(w, n)
         self.log_h = h.log_array()
-        # scan inputs: -log m - log h_m per m (NaN until first use), and the
-        # log h windows: row n - m, column k holds log h_{m-k}, read from the
-        # reversed log h padded with -inf, so that k > m has probability 0
-        self._scan_base = np.full(n + 1, np.nan)
+        # scan inputs: -log m - log h_m per m, and the log h windows: row
+        # n - m, column k holds log h_{m-k}, read from the reversed log h
+        # padded with -inf, so that k > m has probability 0
+        with np.errstate(divide="ignore"):
+            self._scan_base = -np.log(np.arange(n + 1)) - self.log_h
         h_rev = np.concatenate((self.log_h[::-1], np.full(n, -np.inf)))
         self._windows = sliding_window_view(h_rev, n + 1)
         self._init_envelope()
@@ -334,14 +332,7 @@ class CycleTypeSampler:
         if not rows.size:
             return k
         m, u = m[rows], u[rows]
-        base = self._scan_base[m]
-        fresh = np.isnan(base)
-        if np.count_nonzero(fresh):
-            mf = m[fresh]
-            base[fresh] = (-np.array([math.log(x) for x in mf.tolist()])
-                           - self.log_h[mf])
-            self._scan_base[mf] = base[fresh]
-        base = base[:, None]
+        base = self._scan_base[m][:, None]
         start = self.n_max - m  # window row
         unresolved = len(m)
         acc = np.zeros(len(m))
@@ -467,8 +458,7 @@ class CycleTypeSampler:
         the samples still running."""
         d = 1 + (self._width if self._envelope[:n + 1].any() else 0)
         steps = max(1, min(n, _LOOKAHEAD) // d)  # steps per refill
-        key_type = _key_type(count, n)
-        live = np.arange(count, dtype=key_type)
+        live = np.arange(count, dtype=np.int32)
         # read-ahead: row i * steps + j holds sample i's uniforms for the
         # j-th step after a refill, so that a step gathers whole rows
         buf = np.ascontiguousarray(fill(live, 0, steps * d)).reshape(-1, d)
@@ -510,9 +500,9 @@ class CycleTypeSampler:
         keys = keys[starts]
         del starts
         bounds = np.searchsorted(
-            keys, np.arange(count + 1, dtype=key_type) * (n + 1))
+            keys, np.arange(count + 1, dtype=np.int32) * (n + 1))
         cols = Columns(bounds[:-1].astype(np.int32),
-                       (keys % (n + 1)).astype(np.int32, copy=False), counts, n)
+                       keys % (n + 1), counts, n)
         for a in (cols.starts, cols.m, cols.c):
             a.flags.writeable = False
         bounds = bounds.tolist()

@@ -2,8 +2,8 @@
 
 A cycle type is a row of an int32 CSR Columns (row starts, m ascending,
 C_m), and a sampled batch is the rows of its chunks' Columns, in order.
-Every report takes its batch as one Columns: a one-chunk batch as is,
-and otherwise each run of consecutive rows of one Columns as one slice.
+Every report copies its batch into one Columns, each run of consecutive
+rows of one Columns as one slice.
 Tail counts #{cycles of length >= x} and the K longest cycles are numpy
 reductions over those arrays.  The reports are the Monte Carlo checks:
 Poisson increments over a y-grid, the Gumbel law of the rescaled longest
@@ -123,9 +123,8 @@ def gumbel_cdf(x: float) -> float:
 
 def columns(batch: Iterable[CycleType]) -> Columns:
     """The batch's rows as one Columns.  Each run of rows that follow one
-    another in one Columns is copied as one slice; a batch that is exactly
-    one Columns' rows, in order, is that Columns, with no copy.  Rows of
-    different sizes n, or with no cycles, are a ValueError."""
+    another in one Columns is copied as one slice.  Rows of different
+    sizes n, or with no cycles, are a ValueError."""
     cts = list(batch)
     if not cts:
         raise ValueError("empty batch")
@@ -143,12 +142,8 @@ def columns(batch: Iterable[CycleType]) -> Columns:
         raise ValueError(f"batch mixes cycle types of sizes {sizes_n}")
     starts = np.zeros(len(cts), np.int32)
     np.cumsum(sizes[:-1], out=starts[1:])
-    src, a, b = runs[0]
-    if len(runs) == 1 and a == 0 and b == len(src.m) \
-            and np.array_equal(starts, src.starts):
-        return src
     return Columns(starts, np.concatenate([r.m[a:b] for r, a, b in runs]),
-                   np.concatenate([r.c[a:b] for r, a, b in runs]), src.n)
+                   np.concatenate([r.c[a:b] for r, a, b in runs]), sizes_n[0])
 
 
 def tail_counts(cols: Columns, x: float) -> np.ndarray:
@@ -200,10 +195,19 @@ def _check_saddle(sd: SaddleData, n: int,
                          + ("" if w is None else f" for {w}"))
 
 
-def _tol(overrides: Optional[dict], key: str) -> float:
-    if overrides and key in overrides:
-        return overrides[key]
-    return DEFAULT_TOLERANCES[key]
+def _tolerances(overrides: Optional[dict]) -> dict:
+    """DEFAULT_TOLERANCES with the overrides merged in.  A key that is not
+    in DEFAULT_TOLERANCES, or a value that is not finite and >= 0, is a
+    ValueError."""
+    tols = dict(DEFAULT_TOLERANCES)
+    for key, value in (overrides or {}).items():
+        if key not in tols:
+            raise ValueError(f"unknown tolerance {key!r}; the known ones are "
+                             f"{', '.join(DEFAULT_TOLERANCES)}")
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"tolerance {key}={value} must be finite and >= 0")
+        tols[key] = value
+    return tols
 
 
 def verify_poisson_increments(batch: Iterable, sd: SaddleData,
@@ -211,6 +215,7 @@ def verify_poisson_increments(batch: Iterable, sd: SaddleData,
                               tolerances: Optional[dict] = None
                               ) -> VerificationReport:
     """Increments of P_y over the grid vs independent Poisson targets."""
+    tols = _tolerances(tolerances)
     cols = columns(batch)
     _check_saddle(sd, cols.n)
     ys = list(y_grid)
@@ -224,10 +229,8 @@ def verify_poisson_increments(batch: Iterable, sd: SaddleData,
         "poisson_increments",
         {"n": sd.n, "alpha": sd.alpha, "num_samples": len(cols.starts),
          "y_grid": ys})
-    mean_tol = _tol(tolerances, "increment_mean_rel")
-    vm_lo = _tol(tolerances, "var_mean_lo")
-    vm_hi = _tol(tolerances, "var_mean_hi")
-    tv_tol = _tol(tolerances, "poisson_tv")
+    mean_tol = tols["increment_mean_rel"]
+    vm_lo, vm_hi = tols["var_mean_lo"], tols["var_mean_hi"]
     for j, target in enumerate(targets):
         col = incs[:, j]
         mean = float(np.mean(col))
@@ -242,8 +245,7 @@ def verify_poisson_increments(batch: Iterable, sd: SaddleData,
         k_max = max(int(col.max()), int(10 * max(target, 0.1)) + 10)
         tv = tv_distance(emp, poisson_pmf(float(target), k_max))
         rep.distances[f"tv_inc_{j}"] = tv
-        rep.add_bound(f"tv_inc_{j}", tv, tv_tol)
-    corr_tol = _tol(tolerances, "correlation")
+        rep.add_bound(f"tv_inc_{j}", tv, tols["poisson_tv"])
     for a in range(len(targets)):
         for b in range(a + 1, len(targets)):
             ca, cb = incs[:, a], incs[:, b]
@@ -251,7 +253,7 @@ def verify_poisson_increments(batch: Iterable, sd: SaddleData,
                 corr = 0.0
             else:
                 corr = float(np.corrcoef(ca, cb)[0, 1])
-            rep.add_bound(f"abs_corr_{a}_{b}", abs(corr), corr_tol)
+            rep.add_bound(f"abs_corr_{a}_{b}", abs(corr), tols["correlation"])
     return rep
 
 
@@ -268,6 +270,7 @@ def verify_gumbel(batch: Iterable, sd: SaddleData, K: int,
     """Rescaled longest cycles vs the Gumbel / exponential-partial-sum laws."""
     if K < 1:
         raise ValueError("K must be >= 1")
+    tols = _tolerances(tolerances)
     cols = columns(batch)
     _check_saddle(sd, cols.n)
     num = len(cols.starts)
@@ -282,12 +285,12 @@ def verify_gumbel(batch: Iterable, sd: SaddleData, K: int,
     jump_violations = int(np.sum(np.any(ys[:, 1:] < ys[:, :-1], axis=1)))
     ks1 = ks_distance(rescaled[:, 0], gumbel_cdf)
     rep.distances["ks_L1_gumbel"] = ks1
-    rep.add_bound("ks_L1_gumbel", ks1, _tol(tolerances, "gumbel_ks_1"))
+    rep.add_bound("ks_L1_gumbel", ks1, tols["gumbel_ks_1"])
     for j in range(2, K + 1):
         ref = exponential_partial_sum_reference(j, num)
         ksj = ks_two_sample(rescaled[:, j - 1], ref)
         rep.distances[f"ks_L{j}_ref"] = ksj
-        rep.add_bound(f"ks_L{j}_ref", ksj, _tol(tolerances, "gumbel_ks_j"))
+        rep.add_bound(f"ks_L{j}_ref", ksj, tols["gumbel_ks_j"])
     rep.add_bound("jump_time_violations", jump_violations, 0)
     return rep
 
@@ -303,6 +306,7 @@ def cumulative_profile(batch: Iterable, alpha: float,
     n, solved here if not given."""
     from . import weights as weights_mod
 
+    rel_tol = _tolerances(tolerances)["profile_rel"]
     cols = columns(batch)
     n = cols.n
     if w is None:
@@ -319,8 +323,9 @@ def cumulative_profile(batch: Iterable, alpha: float,
         "cumulative_profile",
         {"n": n, "alpha": alpha, "num_samples": len(cols.starts),
          "x_grid": list(x_grid)})
-    rel_tol = _tol(tolerances, "profile_rel")
     for x in x_grid:
+        if not x >= 0:
+            raise ValueError(f"x_grid points must be >= 0, got {x}")
         thr = max(1.0, x * scale)
         emp = float(np.mean(tail_counts(cols, thr)))
         pred = expected_tail_count(w, sd, thr)
@@ -334,6 +339,7 @@ def bn_event_frequency(batch: Iterable, sd: SaddleData,
                        ) -> VerificationReport:
     """Frequency of any cycle exceeding the cap 2 n* ell_n vs its
     Markov-type bound 2 * sum_{k > cap} (theta_k/k) e^{-k v_n}."""
+    bn_tol = _tolerances(tolerances)["bn_freq"]
     cols = columns(batch)
     num = len(cols.starts)
     if w is None:
@@ -347,8 +353,6 @@ def bn_event_frequency(batch: Iterable, sd: SaddleData,
         "bn_event",
         {"n": sd.n, "num_samples": num, "cap": cap})
     rep.distances["markov_bound"] = bound
-    rep.add_bound("bn_frequency", freq,
-                  min(_tol(tolerances, "bn_freq"), limit)
-                  if tolerances and "bn_freq" in tolerances else limit)
-    rep.add_bound("bn_frequency_abs", freq, _tol(tolerances, "bn_freq"))
+    rep.add_bound("bn_frequency", freq, limit)
+    rep.add_bound("bn_frequency_abs", freq, bn_tol)
     return rep

@@ -22,11 +22,39 @@ def test_oracle_command(capsys):
     assert "0.076923" in out and "0.46153846" in out
 
 
-def test_validation_errors():
+def test_validation_errors(capsys):
     assert run_command(["saddle", "--n", "100"]) == 2  # no family
     assert run_command(["saddle", "--alpha", "1", "--vartheta", "2",
                         "--n", "10"]) == 2  # conflicting families
     assert run_command(["nonsense"]) == 2
+    # bad grid points and tolerances, and diagnostics they do not cover:
+    # each error names the value
+    capsys.readouterr()
+    for experiment, extra, named in [
+            ("poisson", ["--y-grid", "1,nan"], "got nan"),
+            ("profile", ["--x-grid", "nan,1", "--tol", "profile_rel=0.5"],
+             "got nan"),
+            ("profile", ["--x-grid=-3,1", "--tol", "profile_rel=0.5"],
+             "got -3.0"),
+            ("profile", ["--tol", "profil_rel=0.5"], "'profil_rel'"),
+            ("profile", ["--tol", "profile_rel=nan"], "profile_rel=nan"),
+            ("bn", ["--tol", "bn_freq=-0.1"], "bn_freq=-0.1")]:
+        assert run_command(["verify", experiment, "--alpha", "1", "--n", "300",
+                            "--samples", "20"] + extra) == 2
+        assert named in capsys.readouterr().err
+    for argv, named in [(["--alpha", "1", "--n", "50"], "n >= 100"),
+                        (["--vartheta", "2", "--n", "1000"],
+                         "ell_n is undefined")]:
+        assert run_command(["saddle", "--diagnostics"] + argv) == 2
+        assert named in capsys.readouterr().err
+
+
+def test_saddle_diagnostics(capsys):
+    assert run_command(["saddle", "--alpha", "1", "--n", "1000",
+                        "--diagnostics"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert set(json.loads(last)) == {"residual", "width",
+                                     "monotonicity_violations", "bn_ratio"}
 
 
 def test_htable_cache_and_sample(tmp_path, capsys):

@@ -99,29 +99,52 @@ KERNEL_WEIGHTS = {
 }
 
 
-def mp_h_table(w, n_max):
-    """h_0..h_n_max from the plain O(n^2) recurrence at 40 digits."""
-    with mpmath.workdps(40):
-        theta = [mpmath.mpf(float(t)) for t in weights.theta_array(w, n_max)]
-        h = [mpmath.mpf(1)]
-        for n in range(1, n_max + 1):
-            h.append(mpmath.fdot(theta[1:n + 1], h[::-1]) / n)
-    return h
+def int_h_table(w, n_max, bits=256):
+    """h_0..h_n_max from the plain O(n^2) recurrence in Python integers:
+    row m is mant[m] * 2**expo[m], mant of `bits` bits or 0.  Each row
+    carries its own exponent, since h spans far more than any one
+    fixed-point scale (a table with h_n = 1/n! up to n = 301 jumps by
+    ~2^2000).  A row's sum keeps bits + 64 bits below its largest term,
+    truncating smaller terms, and the division by n truncates to `bits`
+    bits, so a row adds a relative error of about 2^-(bits-1) to the
+    largest among the rows it reads (every term is nonnegative): below
+    1e-73 at n = 1500 for 256 bits."""
+    theta = [float(t).as_integer_ratio() for t in weights.theta_array(w, n_max)]
+    tm = [p for p, q in theta]
+    te = [1 - q.bit_length() for p, q in theta]  # q is a power of two
+    mant, expo = [1], [0]
+    for n in range(1, n_max + 1):
+        terms = [(tm[k] * mant[n - k], te[k] + expo[n - k])
+                 for k in range(1, n + 1) if tm[k] and mant[n - k]]
+        if not terms:
+            mant.append(0)
+            expo.append(0)
+            continue
+        base = max(e + m.bit_length() for m, e in terms) - bits - 64
+        total = sum(m << (e - base) if e >= base else m >> (base - e)
+                    for m, e in terms)
+        q = (total << bits) // n
+        cut = q.bit_length() - bits
+        mant.append(q >> cut)
+        expo.append(base - bits + cut)
+    return mant, expo
 
 
 @pytest.mark.parametrize("name", KERNEL_WEIGHTS)
 def test_kernel_matches_mpmath_recurrence(name):
+    # the reference is int_h_table, at 256 bits per row; it matches a
+    # 40-digit mpmath recurrence to ~1e-40 on these weights
     w, n_max = KERNEL_WEIGHTS[name], 1500
     tab = cw.build_h_table(w, n_max)
-    ref = mp_h_table(w, n_max)
-    zero = [x == 0 for x in ref]
+    ref_mant, ref_expo = int_h_table(w, n_max)
+    zero = [x == 0 for x in ref_mant]
     assert np.array_equal(tab.mant == 0, zero)
     worst = 0.0
-    with mpmath.workdps(40):
-        for m in range(n_max + 1):
-            if not zero[m]:
-                got = mpmath.ldexp(mpmath.mpf(float(tab.mant[m])), int(tab.expo[m]))
-                worst = max(worst, float(abs(got / ref[m] - 1)))
+    for m in range(n_max + 1):
+        if not zero[m]:
+            ratio = math.ldexp(float(tab.mant[m]) / float(ref_mant[m]),
+                               int(tab.expo[m]) - ref_expo[m])
+            worst = max(worst, abs(ratio - 1))
     assert worst <= 1e-12
 
 

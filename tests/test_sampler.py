@@ -534,10 +534,9 @@ def test_wide_lockstep_chunks(monkeypatch):
     assert len(full) == 5000
     assert len(steps) == -(-5000 // smp._CHUNK) == 3
     assert fills == [-(-s // (smp._LOOKAHEAD // 4)) for s in steps]
-    # neither the chunk geometry nor the key width changes a sample:
-    # narrower chunks (512 samples reading 128 uniforms ahead) give the
-    # same batch, a tiny budget its first 60 samples, and int64 keys its
-    # first 300
+    # the chunk geometry does not change a sample: narrower chunks (512
+    # samples reading 128 uniforms ahead) give the same batch, and a tiny
+    # budget its first 60 samples
     with monkeypatch.context() as mp:
         mp.setattr(smp, "_CHUNK", 512)
         mp.setattr(smp, "_LOOKAHEAD", 128)
@@ -547,19 +546,21 @@ def test_wide_lockstep_chunks(monkeypatch):
                             "_BUFFER": 60}.items():
             mp.setattr(smp, name, value)
         assert batch(60) == full[:60]
-    assert smp._key_type(300, 2000) is np.int32
-    with monkeypatch.context() as mp:
-        mp.setattr(smp, "_key_type", lambda count, n: np.int64)
-        assert batch(300) == full[:300]
 
 
 def test_key_type_limit():
-    # keys reach count * (n + 1) - 1 < count * (n + 1); the bound array
-    # reaches count * (n + 1) itself
-    assert smp._key_type(2**16, 2**15 - 2) is np.int32
-    assert smp._key_type(1, 2**31 - 2) is np.int32
-    assert smp._key_type(1, 2**31 - 1) is np.int64
-    assert smp._key_type(2048, 2 * 10**6) is np.int64
+    # keys reach count * (n + 1) - 1 < count * (n + 1), and the bound array
+    # count * (n + 1) itself: both fit int32 at every n up to 2^30, and
+    # chunks keep _CHUNK samples up to n = 1 048 574
+    ns = np.unique(np.concatenate([
+        np.arange(1, 2**12), np.geomspace(2**12, 2**30, 4000).astype(np.int64),
+        [2**20 - 2, 2**20 - 1, 2**20, 2**30]]))
+    sizes = np.array([smp._chunk_size(int(n)) for n in ns])
+    assert sizes.min() >= 1
+    assert np.all(sizes * (ns + 1) <= 2**31 - 1)
+    mid = (ns >= 32) & (ns <= 1_048_574)
+    assert np.all(sizes[mid] == smp._CHUNK)
+    assert smp._chunk_size(1_048_575) == smp._CHUNK - 1
 
 
 def test_refill_past_read_ahead():
