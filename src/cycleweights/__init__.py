@@ -17,7 +17,7 @@ from .asymptotics import (SaddleData, admissibility_diagnostics, ell_n,
                           polylog_asymp, saddle_h_estimate, solve_saddle,
                           threshold_x)
 from .stats import (VerificationReport, bn_event_frequency,
-                    cumulative_profile, ks_distance, ks_two_sample,
-                    tv_distance, verify_gumbel, verify_poisson_increments)
+                    cumulative_profile, ks_distance, verify_gumbel,
+                    verify_poisson_increments)
 
 __version__ = "0.1.0"

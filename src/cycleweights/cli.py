@@ -153,7 +153,21 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     w = _weight_from_args(args)
-    tols = _parse_tols(args.tol)
+    # check the experiment's inputs before any sample is drawn
+    tols = stats.merge_tolerances(_parse_tols(args.tol))
+    if args.experiment == "poisson":
+        report = functools.partial(
+            stats.verify_poisson_increments, y_grid=stats.check_grid(
+                _parse_grid(args.y_grid), "y_grid", nondecreasing=True))
+    elif args.experiment == "gumbel":
+        report = functools.partial(stats.verify_gumbel,
+                                   K=stats.check_k(args.k_longest))
+    elif args.experiment == "profile":
+        report = functools.partial(
+            stats.cumulative_profile, alpha=w.growth_alpha, w=w,
+            x_grid=stats.check_grid(_parse_grid(args.x_grid), "x_grid"))
+    else:
+        report = functools.partial(stats.bn_event_frequency, w=w)
     sd = asymptotics.solve_saddle(w, args.n)
     # every report needs polynomial growth: reject zero-growth weights
     # before any sample is drawn
@@ -162,21 +176,7 @@ def cmd_verify(args) -> int:
     cfg = sampler.SamplerConfig(n=args.n, num_samples=args.samples,
                                 seed=args.seed)
     batch = list(sampler.sample_batch(w, tab, cfg))
-    if args.experiment == "poisson":
-        grid = _parse_grid(args.y_grid) if args.y_grid else [0.5, 1.0, 2.0]
-        rep = stats.verify_poisson_increments(batch, sd, grid,
-                                              tolerances=tols)
-    elif args.experiment == "gumbel":
-        rep = stats.verify_gumbel(batch, sd, args.k_longest, tolerances=tols)
-    elif args.experiment == "profile":
-        grid = _parse_grid(args.x_grid) if args.x_grid else [0.5, 1.0, 2.0]
-        rep = stats.cumulative_profile(batch, w.growth_alpha, grid, w=w,
-                                       tolerances=tols, sd=sd)
-    elif args.experiment == "bn":
-        rep = stats.bn_event_frequency(batch, sd, w=w, tolerances=tols)
-    else:
-        raise ValueError(f"unknown experiment {args.experiment!r}")
-    return _emit_report(rep, args.out)
+    return _emit_report(report(batch, sd=sd, tolerances=tols), args.out)
 
 
 def cmd_expansions(args) -> int:
@@ -237,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--y-grid", default=None)
-    sp.add_argument("--x-grid", default=None)
+    sp.add_argument("--y-grid", default="0.5,1,2")
+    sp.add_argument("--x-grid", default="0.5,1,2")
     sp.add_argument("--k-longest", type=int, default=3)
     sp.add_argument("--out", default=None)
     sp.add_argument("--tol", action="append", metavar="KEY=VALUE")

@@ -5,16 +5,17 @@ C_m), and a sampled batch is the rows of its chunks' Columns, in order.
 Every report copies its batch into one Columns, each run of consecutive
 rows of one Columns as one slice.
 Tail counts #{cycles of length >= x} and the K longest cycles are numpy
-reductions over those arrays.  The reports are the Monte Carlo checks:
-Poisson increments over a y-grid, the Gumbel law of the rescaled longest
-cycle, the cumulative-count profile against its direct-sum prediction,
-and the frequency of the rare event that any cycle exceeds the cap
-2 n* ell_n.
+reductions over those arrays.  The reports check a sampled batch:
+Poisson increments over a y-grid, the law of each rescaled j-th longest
+cycle (the j-th point of the limit Poisson process, Gumbel at j = 1),
+the cumulative-count profile against its direct-sum prediction, and the
+frequency of the rare event that any cycle exceeds the cap 2 n* ell_n.
+Every reference law is a closed form evaluated on numpy arrays, so a
+report draws no random numbers: its output depends on its batch alone.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
@@ -23,7 +24,7 @@ import numpy as np
 
 from .asymptotics import SaddleData, expected_tail_count, solve_saddle, threshold_x
 from .oracle import Columns, CycleType
-from .weights import WeightSequence
+from .weights import WeightSequence, polynomial
 
 
 @dataclass
@@ -66,56 +67,44 @@ class VerificationReport:
                 "checks": [c.to_dict() for c in self.checks],
                 "distances": self.distances}
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # distances
 
-def tv_distance(p: Dict[int, float], q: Dict[int, float]) -> float:
-    """Total variation 0.5 * sum |p_i - q_i| between discrete pmfs."""
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-
-
-def ks_distance(samples: Sequence[float], cdf: Callable[[float], float]) -> float:
-    """One-sample KS: sup over sample points of |F_emp - F|."""
+def ks_distance(samples: Sequence[float],
+                cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """One-sample KS: sup over sample points of |F_emp - F|.  cdf is
+    called once, on the sorted samples."""
     xs = np.sort(np.asarray(samples, dtype=np.float64))
     n = len(xs)
     if n == 0:
         raise ValueError("empty sample")
-    F = np.array([cdf(x) for x in xs])
+    F = cdf(xs)
     lo = np.abs(F - np.arange(n) / n)
     hi = np.abs(F - np.arange(1, n + 1) / n)
     return float(max(lo.max(), hi.max()))
 
 
-def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> float:
-    """Two-sample KS statistic over the merged sample points."""
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("empty sample")
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / len(a)
-    fb = np.searchsorted(b, grid, side="right") / len(b)
-    return float(np.max(np.abs(fa - fb)))
+def poisson_pmf(mean, k_max: int) -> np.ndarray:
+    """P(N = k) for k = 0..k_max along the last axis, N ~ Poisson(mean);
+    mean may be an array.  A cumulative product, taken over logs so that
+    e^{-mean} cannot underflow."""
+    mean = np.asarray(mean, dtype=np.float64)[..., None]
+    with np.errstate(divide="ignore"):  # mean 0: log 0 = -inf, pmf [1, 0..]
+        steps = np.log(mean / np.arange(1, k_max + 1))
+    return np.exp(np.cumsum(np.concatenate([-mean, steps], axis=-1), axis=-1))
 
 
-def poisson_pmf(mean: float, k_max: int) -> Dict[int, float]:
-    if mean == 0.0:
-        return {0: 1.0}
-    out = {}
-    logs = -mean + np.arange(k_max + 1) * math.log(mean) \
-        - np.array([math.lgamma(k + 1) for k in range(k_max + 1)])
-    for k, lp in enumerate(logs):
-        out[k] = math.exp(lp)
-    return out
-
-
-def gumbel_cdf(x: float) -> float:
-    return math.exp(-math.exp(-x))
+def point_cdf(j: int, x) -> np.ndarray:
+    """P(xi_j <= x) for the j-th largest point xi_j of the Poisson process
+    with intensity e^{-x} dx: fewer than j points lie above x, a Poisson
+    count of mean y = e^{-x}, so it is e^{-y} sum_{i<j} y^i / i!.  It is 0
+    at x = -inf (a sample with fewer than j cycles) and 1 at +inf; j = 1
+    is the Gumbel law."""
+    # past |x| = 700 the value is 0 or 1 in double for any j that fits in
+    # memory, and the clip keeps y finite and > 0
+    t = np.clip(np.asarray(x, dtype=np.float64), -700.0, 700.0)
+    return poisson_pmf(np.exp(-t), j - 1).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +184,7 @@ def _check_saddle(sd: SaddleData, n: int,
                          + ("" if w is None else f" for {w}"))
 
 
-def _tolerances(overrides: Optional[dict]) -> dict:
+def merge_tolerances(overrides: Optional[dict]) -> dict:
     """DEFAULT_TOLERANCES with the overrides merged in.  A key that is not
     in DEFAULT_TOLERANCES, or a value that is not finite and >= 0, is a
     ValueError."""
@@ -210,17 +199,37 @@ def _tolerances(overrides: Optional[dict]) -> dict:
     return tols
 
 
+def check_grid(points: Iterable[float], name: str,
+               nondecreasing: bool = False) -> List[float]:
+    """The grid as a list.  An empty grid, a point that is not >= 0, or
+    (if nondecreasing) a point below the one before it is a ValueError."""
+    pts = list(points)
+    if not pts:
+        raise ValueError(f"{name} is empty")
+    for p in pts:
+        if not p >= 0:
+            raise ValueError(f"{name} points must be >= 0, got {p}")
+    if nondecreasing and any(b < a for a, b in zip(pts, pts[1:])):
+        raise ValueError(f"{name} must be nondecreasing, got {pts}")
+    return pts
+
+
+def check_k(K: int) -> int:
+    """K, the number of longest cycles; K < 1 is a ValueError."""
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    return K
+
+
 def verify_poisson_increments(batch: Iterable, sd: SaddleData,
                               y_grid: Sequence[float],
                               tolerances: Optional[dict] = None
                               ) -> VerificationReport:
     """Increments of P_y over the grid vs independent Poisson targets."""
-    tols = _tolerances(tolerances)
+    tols = merge_tolerances(tolerances)
+    ys = check_grid(y_grid, "y_grid", nondecreasing=True)
     cols = columns(batch)
     _check_saddle(sd, cols.n)
-    ys = list(y_grid)
-    if any(b < a for a, b in zip(ys, ys[1:])):
-        raise ValueError("y_grid must be nondecreasing")
     counts = np.stack([tail_counts(cols, threshold_x(sd, y)) for y in ys],
                       axis=1)
     incs = np.diff(counts, axis=1, prepend=0)
@@ -240,10 +249,9 @@ def verify_poisson_increments(batch: Iterable, sd: SaddleData,
             vm = float(np.var(col)) / mean
             mid = 0.5 * (vm_lo + vm_hi)
             rep.add(f"var_mean_inc_{j}", vm, mid, vm_hi - mid)
-        emp = {k: int(f) / len(col)
-               for k, f in enumerate(np.bincount(col)) if f}
         k_max = max(int(col.max()), int(10 * max(target, 0.1)) + 10)
-        tv = tv_distance(emp, poisson_pmf(float(target), k_max))
+        emp = np.bincount(col, minlength=k_max + 1) / len(col)
+        tv = 0.5 * float(np.abs(emp - poisson_pmf(target, k_max)).sum())
         rep.distances[f"tv_inc_{j}"] = tv
         rep.add_bound(f"tv_inc_{j}", tv, tols["poisson_tv"])
     for a in range(len(targets)):
@@ -257,41 +265,29 @@ def verify_poisson_increments(batch: Iterable, sd: SaddleData,
     return rep
 
 
-def exponential_partial_sum_reference(j: int, size: int,
-                                      seed: int = 20240917) -> np.ndarray:
-    """-log(E_1 + ... + E_j) for iid standard exponentials, fixed seed."""
-    rng = np.random.default_rng(seed + j)
-    sums = rng.standard_exponential(size=(size, j)).sum(axis=1)
-    return -np.log(sums)
-
-
 def verify_gumbel(batch: Iterable, sd: SaddleData, K: int,
                   tolerances: Optional[dict] = None) -> VerificationReport:
-    """Rescaled longest cycles vs the Gumbel / exponential-partial-sum laws."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    tols = _tolerances(tolerances)
+    """Rescaled j-th longest cycles, j = 1..K, vs the law of the j-th point
+    of the limit Poisson process (point_cdf)."""
+    check_k(K)
+    tols = merge_tolerances(tolerances)
     cols = columns(batch)
     _check_saddle(sd, cols.n)
-    num = len(cols.starts)
     rep = VerificationReport(
         "gumbel_longest_cycles",
-        {"n": sd.n, "num_samples": num, "K": K})
+        {"n": sd.n, "num_samples": len(cols.starts), "K": K})
     L = longest(cols, K)
     rescaled = np.where(L > 0, (L - threshold_x(sd, 1.0)) / sd.n_star, -np.inf)
-    # jump times y_j = exp(ell - L_j/n*) must be nondecreasing in j; a
-    # missing cycle has y_j = inf
-    ys = np.exp(-rescaled)
-    jump_violations = int(np.sum(np.any(ys[:, 1:] < ys[:, :-1], axis=1)))
-    ks1 = ks_distance(rescaled[:, 0], gumbel_cdf)
-    rep.distances["ks_L1_gumbel"] = ks1
-    rep.add_bound("ks_L1_gumbel", ks1, tols["gumbel_ks_1"])
-    for j in range(2, K + 1):
-        ref = exponential_partial_sum_reference(j, num)
-        ksj = ks_two_sample(rescaled[:, j - 1], ref)
-        rep.distances[f"ks_L{j}_ref"] = ksj
-        rep.add_bound(f"ks_L{j}_ref", ksj, tols["gumbel_ks_j"])
-    rep.add_bound("jump_time_violations", jump_violations, 0)
+    # jump times y_j = exp(ell - L_j/n*) must be nondecreasing in j, so the
+    # rescaled lengths nonincreasing; a missing cycle has y_j = inf
+    jumps = int(np.any(rescaled[:, 1:] > rescaled[:, :-1], axis=1).sum())
+    for j in range(1, K + 1):
+        name, tol = (("ks_L1_gumbel", "gumbel_ks_1") if j == 1
+                     else (f"ks_L{j}_ref", "gumbel_ks_j"))
+        ks = ks_distance(rescaled[:, j - 1], lambda x: point_cdf(j, x))
+        rep.distances[name] = ks
+        rep.add_bound(name, ks, tols[tol])
+    rep.add_bound("jump_time_violations", jumps, 0)
     return rep
 
 
@@ -304,13 +300,12 @@ def cumulative_profile(batch: Iterable, alpha: float,
     """Mean cumulative counts above x * n^{1/(1+alpha)} vs the direct-sum
     prediction at the saddle radius.  sd is the saddle of w at the batch's
     n, solved here if not given."""
-    from . import weights as weights_mod
-
-    rel_tol = _tolerances(tolerances)["profile_rel"]
+    rel_tol = merge_tolerances(tolerances)["profile_rel"]
+    xs = check_grid(x_grid, "x_grid")
     cols = columns(batch)
     n = cols.n
     if w is None:
-        w = weights_mod.polynomial(alpha)
+        w = polynomial(alpha)
     if sd is None:
         sd = solve_saddle(w, n)
     else:
@@ -322,10 +317,8 @@ def cumulative_profile(batch: Iterable, alpha: float,
     rep = VerificationReport(
         "cumulative_profile",
         {"n": n, "alpha": alpha, "num_samples": len(cols.starts),
-         "x_grid": list(x_grid)})
-    for x in x_grid:
-        if not x >= 0:
-            raise ValueError(f"x_grid points must be >= 0, got {x}")
+         "x_grid": xs})
+    for x in xs:
         thr = max(1.0, x * scale)
         emp = float(np.mean(tail_counts(cols, thr)))
         pred = expected_tail_count(w, sd, thr)
@@ -339,7 +332,7 @@ def bn_event_frequency(batch: Iterable, sd: SaddleData,
                        ) -> VerificationReport:
     """Frequency of any cycle exceeding the cap 2 n* ell_n vs its
     Markov-type bound 2 * sum_{k > cap} (theta_k/k) e^{-k v_n}."""
-    bn_tol = _tolerances(tolerances)["bn_freq"]
+    bn_tol = merge_tolerances(tolerances)["bn_freq"]
     cols = columns(batch)
     num = len(cols.starts)
     if w is None:

@@ -22,22 +22,29 @@ def test_oracle_command(capsys):
     assert "0.076923" in out and "0.46153846" in out
 
 
-def test_validation_errors(capsys):
+def test_validation_errors(capsys, monkeypatch):
     assert run_command(["saddle", "--n", "100"]) == 2  # no family
     assert run_command(["saddle", "--alpha", "1", "--vartheta", "2",
                         "--n", "10"]) == 2  # conflicting families
     assert run_command(["nonsense"]) == 2
-    # bad grid points and tolerances, and diagnostics they do not cover:
-    # each error names the value
+    # bad grids, K and tolerances, each rejected before any sample is
+    # drawn, and diagnostics they do not cover: each error names the value
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the inputs were checked")
+    monkeypatch.setattr(sampler, "sample_batch", no_sampling)
     capsys.readouterr()
     for experiment, extra, named in [
             ("poisson", ["--y-grid", "1,nan"], "got nan"),
+            ("poisson", ["--y-grid=,"], "y_grid is empty"),
+            ("poisson", ["--y-grid", "2,1"], "[2.0, 1.0]"),
             ("profile", ["--x-grid", "nan,1", "--tol", "profile_rel=0.5"],
              "got nan"),
             ("profile", ["--x-grid=-3,1", "--tol", "profile_rel=0.5"],
              "got -3.0"),
+            ("profile", ["--x-grid=,"], "x_grid is empty"),
             ("profile", ["--tol", "profil_rel=0.5"], "'profil_rel'"),
             ("profile", ["--tol", "profile_rel=nan"], "profile_rel=nan"),
+            ("gumbel", ["--k-longest", "0"], "K must be >= 1, got 0"),
             ("bn", ["--tol", "bn_freq=-0.1"], "bn_freq=-0.1")]:
         assert run_command(["verify", experiment, "--alpha", "1", "--n", "300",
                             "--samples", "20"] + extra) == 2

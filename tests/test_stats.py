@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,10 +49,18 @@ def test_longest_identity_exhaustive():
         assert stats.longest(cols, n).tolist() == expect
 
 
-def test_tv_distance_hand_computed():
-    assert stats.tv_distance({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}) == 0.0
-    assert stats.tv_distance({0: 1.0}, {1: 1.0}) == 1.0
-    assert stats.tv_distance({0: 0.7, 1: 0.3}, {0: 0.4, 1: 0.6}) == pytest.approx(0.3)
+def test_tv_distance_hand_computed(desk_saddle):
+    # 0, 1, 1 and 2 cycles of length >= x_n(1) against Poisson(1), whose
+    # pmf the report cuts at k_max = 20
+    L = math.ceil(cw.threshold_x(desk_saddle, 1.0))
+    batch = [ct({1: 20000}, 20000), ct({1: 20000 - L, L: 1}, 20000),
+             ct({1: 20000 - L, L: 1}, 20000),
+             ct({1: 20000 - 2 * L, L: 2}, 20000)]
+    rep = cw.verify_poisson_increments(batch, desk_saddle, [1.0])
+    pmf = [math.exp(-1) / math.factorial(k) for k in range(21)]
+    want = 0.5 * (abs(0.25 - pmf[0]) + abs(0.5 - pmf[1])
+                  + abs(0.25 - pmf[2]) + sum(pmf[3:]))
+    assert rep.distances["tv_inc_0"] == pytest.approx(want, rel=1e-14)
 
 
 def test_ks_distance_hand_computed():
@@ -59,20 +69,18 @@ def test_ks_distance_hand_computed():
     assert d == pytest.approx(0.25)
 
 
-def test_ks_two_sample_hand_computed():
-    assert stats.ks_two_sample([0.0, 1.0], [0.0, 1.0]) == 0.0
-    assert stats.ks_two_sample([0.0, 0.1], [5.0, 6.0]) == 1.0
-
-
 def test_gumbel_cdf_value():
-    assert stats.gumbel_cdf(0.0) == pytest.approx(math.exp(-1))
+    assert stats.point_cdf(1, 0.0) == pytest.approx(math.exp(-1))
+    # fewer than j points, and the far right
+    assert stats.point_cdf(3, [-np.inf, np.inf]).tolist() == [0.0, 1.0]
 
 
 def test_poisson_pmf():
     pmf = stats.poisson_pmf(2.0, 30)
-    assert sum(pmf.values()) == pytest.approx(1.0, abs=1e-10)
+    assert pmf.shape == (31,)
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-10)
     assert pmf[0] == pytest.approx(math.exp(-2))
-    assert stats.poisson_pmf(0.0, 5) == {0: 1.0}
+    assert stats.poisson_pmf(0.0, 5).tolist() == [1.0, 0, 0, 0, 0, 0]
 
 
 def test_process_path_monotone(desk_saddle):
@@ -118,13 +126,18 @@ def test_verify_poisson_rejects_empty(desk_saddle):
         cw.verify_poisson_increments([], desk_saddle, [1.0])
     with pytest.raises(ValueError):  # a row without cycles
         cw.verify_poisson_increments([ct({}, 0)], desk_saddle, [1.0])
+    # an empty grid
+    batch = [ct({1: 20000}, 20000)]
+    with pytest.raises(ValueError, match="y_grid is empty"):
+        cw.verify_poisson_increments(batch, desk_saddle, [])
+    with pytest.raises(ValueError, match="x_grid is empty"):
+        cw.cumulative_profile(batch, 1.0, [], sd=desk_saddle)
 
 
 def test_verify_report_json_schema(desk_saddle):
-    import json
     batch = [ct({1: 20000}, 20000)] * 5
     rep = cw.verify_poisson_increments(batch, desk_saddle, [1.0])
-    d = json.loads(rep.to_json())
+    d = json.loads(json.dumps(rep.to_dict()))
     assert set(d) == {"experiment", "config", "checks", "distances"}
     for c in d["checks"]:
         assert set(c) == {"name", "observed", "target", "tol", "pass"}
@@ -132,16 +145,76 @@ def test_verify_report_json_schema(desk_saddle):
         assert c["pass"] == (abs(c["observed"] - c["target"]) <= c["tol"])
 
 
-def test_exponential_reference_mean():
-    ref = stats.exponential_partial_sum_reference(2, 200000)
-    # E[-log(E1+E2)] = -digamma(2) = gamma - 1
-    assert np.mean(ref) == pytest.approx(0.5772156649 - 1.0, abs=0.01)
+def exponential_partial_sums(j, size, seed=20240917):
+    """-log(E_1 + ... + E_j) for iid standard exponentials: draws of the
+    j-th largest point of the Poisson process with intensity e^{-x} dx."""
+    rng = np.random.default_rng(seed + j)
+    return -np.log(rng.standard_exponential(size=(size, j)).sum(axis=1))
 
 
-def test_reference_fixed_seed():
-    a = stats.exponential_partial_sum_reference(3, 100)
-    b = stats.exponential_partial_sum_reference(3, 100)
-    assert np.array_equal(a, b)
+def test_point_cdf_matches_exponential_sums():
+    # DKW: the KS distance of N draws exceeds eps with probability at most
+    # 2 exp(-2 N eps^2) = delta
+    size, delta = 200000, 1e-6
+    eps = math.sqrt(math.log(2 / delta) / (2 * size))
+    for j in (1, 2, 3, 5):
+        draws = exponential_partial_sums(j, size)
+        assert stats.ks_distance(draws, lambda x: stats.point_cdf(j, x)) \
+            <= eps
+
+
+def test_gumbel_with_fewer_than_k_cycles(desk_saddle):
+    # one, two, two and many cycles: the missing j-th longest cycles are
+    # -inf, where the limit law puts no mass
+    sd = desk_saddle
+    batch = [ct({20000: 1}, 20000), ct({10000: 2}, 20000),
+             ct({5000: 1, 15000: 1}, 20000),
+             ct({1: 20000 - 700 - 850 - 900, 700: 1, 850: 1, 900: 1}, 20000),
+             ct({1: 18000, 2000: 1}, 20000)]
+    lengths = [[20000], [10000, 10000], [15000, 5000], [900, 850, 700],
+               [2000, 1, 1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = cw.verify_gumbel(batch, sd, 3)
+    x1 = cw.threshold_x(sd, 1.0)
+
+    def cdf(j, x):
+        if x == -math.inf:
+            return 0.0
+        y = math.exp(-x)
+        return math.exp(-y) * sum(y**i / math.factorial(i) for i in range(j))
+
+    for j, name in ((1, "ks_L1_gumbel"), (2, "ks_L2_ref"), (3, "ks_L3_ref")):
+        xs = sorted((ls[j - 1] - x1) / sd.n_star if len(ls) >= j
+                    else -math.inf for ls in lengths)
+        # sup |F_emp - F| is reached just below or at a sample point
+        want = max(max(abs(cdf(j, x) - sum(v < x for v in xs) / 5),
+                       abs(cdf(j, x) - sum(v <= x for v in xs) / 5))
+                   for x in xs)
+        assert rep.distances[name] == pytest.approx(want, rel=1e-12)
+    assert rep.distances["ks_L3_ref"] >= 3 / 5  # three rows lack L3
+    jumps = [c for c in rep.checks if c.name == "jump_time_violations"][0]
+    assert jumps.observed == 0
+
+
+def test_reports_draw_no_random_numbers(desk_batch, desk_saddle, poly1,
+                                        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "Generator", refuse)
+
+    def reports():
+        return [json.dumps(rep.to_dict(), sort_keys=True) for rep in (
+            cw.verify_poisson_increments(desk_batch, desk_saddle,
+                                         [0.5, 1.0, 2.0]),
+            cw.verify_gumbel(desk_batch, desk_saddle, 3),
+            cw.cumulative_profile(desk_batch, 1.0, [0.5, 1.0, 2.0], w=poly1,
+                                  sd=desk_saddle),
+            cw.bn_event_frequency(desk_batch, desk_saddle))]
+
+    assert reports() == reports()
 
 
 def test_bn_event_trivial(desk_saddle):
@@ -189,7 +262,7 @@ def test_cumulative_profile_takes_a_solved_saddle(poly1, htable_2000,
     monkeypatch.setattr(cw.asymptotics, "solve_saddle", refuse)
     monkeypatch.setattr(stats, "solve_saddle", refuse)
     got = cw.cumulative_profile(batch, 1.0, [0.5, 1.0, 2.0], w=poly1, sd=sd)
-    assert got.to_json() == want.to_json()
+    assert got.to_dict() == want.to_dict()
     # a saddle of another n or other weights is refused
     with pytest.raises(ValueError, match="sd was solved"):
         cw.cumulative_profile(batch, 1.0, [1.0], w=poly1,
