@@ -10,7 +10,6 @@ residual, width of convergence, monotonicity scan on the saddle circle).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
@@ -312,9 +311,10 @@ def saddle_h_estimate(w: WeightSequence, n: int) -> Tuple[ScaledReal, SaddleData
 def threshold_x(sd: SaddleData, y: float) -> float:
     """Cycle-length threshold x_n(y) = n*(ell_n + min(-log y, ell_n)).
 
-    y = 0 maps to the cap 2 n* ell_n; larger y lowers the threshold.
-    Weights without polynomial growth (Ewens, most tables) have no ell_n
-    and raise ValueError.
+    y = 0 maps to the cap 2 n* ell_n; larger y lowers the threshold, to 0
+    at y = e^ell_n.  A larger y, whose threshold would be negative, raises
+    ValueError, as do weights without polynomial growth (Ewens, most
+    tables), which have no ell_n.
     """
     if not y >= 0:
         raise ValueError(f"y must be >= 0, got {y}")
@@ -324,6 +324,9 @@ def threshold_x(sd: SaddleData, y: float) -> float:
                          f"alpha log n* > 0")
     if y == 0.0:
         return 2.0 * sd.n_star * sd.ell_n
+    if math.log(y) > sd.ell_n:
+        raise ValueError(f"y={y} exceeds e^ell_n = {math.exp(sd.ell_n):.6g} "
+                         f"at n={sd.n}: x_n(y) would be negative")
     return sd.n_star * (sd.ell_n + min(-math.log(y), sd.ell_n))
 
 
@@ -341,14 +344,6 @@ class AdmissibilityReport:
     width: float
     monotonicity_violations: int
     bn_ratio: float
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "residual": self.residual,
-            "width": self.width,
-            "monotonicity_violations": self.monotonicity_violations,
-            "bn_ratio": self.bn_ratio,
-        })
 
 
 def _cos_sums(w: WeightSequence, v: float, phis: np.ndarray, lo: int,

@@ -15,6 +15,7 @@ Exit codes: 0 all requested checks passed, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -132,7 +133,7 @@ def cmd_saddle(args) -> int:
     print(f"residual  = {_fmt(sd.residual)}")
     if args.diagnostics:
         rep = asymptotics.admissibility_diagnostics(w, args.n, s=0.0, y=1.0)
-        print(rep.to_json())
+        print(json.dumps(dataclasses.asdict(rep)))
     return EXIT_OK
 
 
@@ -169,9 +170,10 @@ def cmd_verify(args) -> int:
     else:
         report = functools.partial(stats.bn_event_frequency, w=w)
     sd = asymptotics.solve_saddle(w, args.n)
-    # every report needs polynomial growth: reject zero-growth weights
-    # before any sample is drawn
-    asymptotics.threshold_x(sd, 0)
+    # every report needs polynomial growth, and every y-grid point at most
+    # e^ell_n: reject both before the table is built
+    for y in [0.0, *report.keywords.get("y_grid", [])]:
+        asymptotics.threshold_x(sd, y)
     tab = oracle.build_h_table(w, args.n)
     cfg = sampler.SamplerConfig(n=args.n, num_samples=args.samples,
                                 seed=args.seed)
@@ -206,10 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cycleweights", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, n_required=True):
+    def common(sp):
         sp.add_argument("--alpha", type=float, default=None)
         sp.add_argument("--vartheta", type=float, default=None)
-        sp.add_argument("--n", type=int, required=n_required)
+        sp.add_argument("--n", type=int, required=True)
 
     sp = sub.add_parser("htable", help="build/cache an HTable")
     common(sp)

@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .weights import WeightSequence, theta_array, theta_log, theta_log_range
+from .weights import WeightSequence, theta_array, theta_log
 
 ENUMERATION_CAP = 60
 SERIES_CAP = 220
@@ -51,12 +51,12 @@ def zero_row_error(w: WeightSequence, n: int) -> ValueError:
                       f"has positive weight")
 
 
-def check_row(n: int, w: WeightSequence, log_h: np.ndarray) -> None:
-    """Reject a size n outside the table of natural logs log_h, or with
+def check_row(n: int, w: WeightSequence, mant: np.ndarray) -> None:
+    """Reject a size n outside the table whose mantissas are mant, or with
     h_n = 0."""
-    if n < 1 or n >= len(log_h):
-        raise CapacityError(f"n={n} outside table range 1..{len(log_h) - 1}")
-    if log_h[n] == -np.inf:
+    if n < 1 or n >= len(mant):
+        raise CapacityError(f"n={n} outside table range 1..{len(mant) - 1}")
+    if mant[n] == 0.0:
         raise zero_row_error(w, n)
 
 
@@ -504,61 +504,59 @@ def exact_statistic_pmf(w: WeightSequence, n: int, statistic: str,
     return pmf
 
 
-def mgf_series(w: WeightSequence, n: int, x: float, s: float) -> float:
-    """E[exp(s * #cycles of length >= x)] via truncated series extraction.
+def _tilted_ratio(w: WeightSequence, n: int, lo: int, c: float,
+                  h: HTable = None) -> float:
+    """[t^n] exp(sum_k c_k t^k / k) / h_n, with c_k = theta_k below lo and
+    c * theta_k from lo on.
 
-    Extracts [t^n] exp((e^s - 1) * sum_{x<=k<=n} (theta_k/k) t^k + g(t))
-    and divides by h_n, both as degree-n truncated series.
-    """
-    if n > SERIES_CAP:
-        raise CapacityError(f"n={n} exceeds series cap {SERIES_CAP}")
+    Both rows come from exp_coefficients builds to size n (h's own row when
+    h.n_max == n): builds to different sizes differ in the last bits, and
+    their ratio can exceed 1 where the probability is 1 to double
+    precision."""
+    theta = theta_array(w, n)
+    den_m, den_e = ((h.mant, h.expo) if h is not None and h.n_max == n
+                    else exp_coefficients(theta, n))
+    if den_m[n] == 0.0:
+        raise zero_row_error(w, n)
+    theta[lo:] *= c
+    num_m, num_e = exp_coefficients(theta, n)
+    return _ratio(num_m[n], num_e[n], den_m[n], den_e[n])
+
+
+def mgf_series(w: WeightSequence, n: int, x: float, s: float) -> float:
+    """E[exp(s * #cycles of length >= x)] via truncated series extraction:
+    [t^n] exp((e^s - 1) * sum_{x<=k<=n} (theta_k/k) t^k + g(t)) / h_n."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    coeff = theta_array(w, n)  # k * a_k
-    coeff[max(1, math.ceil(x)):] *= math.exp(s)  # 1 + (e^s - 1)
-    num_m, num_e = exp_coefficients(coeff, n)
-    h = build_h_table(w, n)
-    if h.mant[n] == 0.0:
-        raise zero_row_error(w, n)
-    return _ratio(num_m[n], num_e[n], h.mant[n], h.expo[n])
+    return _tilted_ratio(w, n, max(1, math.ceil(x)), math.exp(s))
 
 
 def tail_count_mean(h: HTable, n: int, x: float) -> float:
     """Exact E[number of cycles of length >= x] at size n, in O(n) from the
-    table: sum_{max(x,1) <= k <= n} (theta_k / k) h_{n-k} / h_n."""
-    log_h = h.log_array()
-    check_row(n, h.weight, log_h)
+    table: sum_{max(x,1) <= k <= n} (theta_k / k) h_{n-k} / h_n, summed over
+    the (mantissa, exponent) rows by _scaled_dot."""
+    check_row(n, h.weight, h.mant)
     lo = max(1, math.ceil(x))
     if lo > n:
         return 0.0
-    k = np.arange(lo, n + 1)
-    return math.fsum(np.exp(theta_log_range(h.weight, lo, n) - np.log(k)
-                            + log_h[n - k] - log_h[n]))
+    a = theta_array(h.weight, n)[lo:] / np.arange(lo, n + 1)
+    total, top = _scaled_dot(a, h.mant[n - lo::-1], h.expo[n - lo::-1])
+    return _ratio(total, top, h.mant[n], h.expo[n])
 
 
 def longest_cycle_cdf(h: HTable, n: int, x: float) -> float:
     """Exact P(longest cycle <= x) at size n: h_n^(<=x) / h_n, where
-    h^(<=x) is the table of the weights with theta_k = 0 for k > x, built
-    by exp_coefficients.  x >= n and x < 1 need no table; nor does x >= n/2,
-    where at most one cycle is longer than x: 1 - E[#cycles > x].
-
-    h_n comes from a build to the same n as h^(<=x): builds to different
-    sizes differ in the last bits, and their ratio can exceed 1 where the
-    probability is 1 to double precision."""
-    check_row(n, h.weight, h.log_array())
+    h^(<=x) is the table of the weights with theta_k = 0 for k > x, by
+    _tilted_ratio.  x >= n and x < 1 need no table; nor does x >= n/2,
+    where at most one cycle is longer than x: 1 - E[#cycles > x]."""
+    check_row(n, h.weight, h.mant)
     if x >= n:
         return 1.0
     if x < 1:
         return 0.0
     if 2 * x >= n:
         return 1.0 - tail_count_mean(h, n, math.floor(x) + 1)
-    top = math.floor(x)
-    theta = theta_array(h.weight, n)
-    den_m, den_e = ((h.mant, h.expo) if n == h.n_max
-                    else exp_coefficients(theta, n))
-    theta[top + 1:] = 0.0
-    num_m, num_e = exp_coefficients(theta, n)
-    return _ratio(num_m[n], num_e[n], den_m[n], den_e[n])
+    return _tilted_ratio(h.weight, n, math.floor(x) + 1, 0.0, h)
 
 
 def corollary_bound_check(w: WeightSequence, n: int, u: float, v: float):

@@ -111,7 +111,7 @@ class SamplerConfig:
     seed: int
 
     def validate(self, h: HTable) -> None:
-        check_row(self.n, h.weight, h.log_array())
+        check_row(self.n, h.weight, h.mant)
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
 
@@ -233,10 +233,12 @@ class CycleTypeSampler:
         if h.weight != w:
             raise ValueError("HTable was built for a different weight sequence")
         self.w = w
-        # the table's size, not the table: HTable caches its shared sampler,
-        # and a reference back would make the pair a cycle that outlives its
-        # last user until the garbage collector runs
+        # the table's size and mantissas (for check_row), not the table:
+        # HTable caches its shared sampler, and a reference back would make
+        # the pair a cycle that outlives its last user until the garbage
+        # collector runs
         self.n_max = n = h.n_max
+        self.mant = h.mant
         self.log_theta = theta_log_array(w, n)
         self.log_h = h.log_array()
         # scan inputs: -log m - log h_m per m, and the log h windows: row
@@ -442,7 +444,7 @@ class CycleTypeSampler:
         it; a reused rng gives draws from the same distribution, but not
         those of one stream read without gaps.
         """
-        check_row(n, self.w, self.log_h)
+        check_row(n, self.w, self.mant)
         return next(self._sample_lockstep(
             n, 1, lambda rows, start, width: rng.random((1, width))))
 

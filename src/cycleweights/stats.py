@@ -10,15 +10,17 @@ Poisson increments over a y-grid, the law of each rescaled j-th longest
 cycle (the j-th point of the limit Poisson process, Gumbel at j = 1),
 the cumulative-count profile against its direct-sum prediction, and the
 frequency of the rare event that any cycle exceeds the cap 2 n* ell_n.
-Every reference law is a closed form evaluated on numpy arrays, so a
-report draws no random numbers: its output depends on its batch alone.
+A report is its experiment, its config and its checks; each number in
+its JSON appears once.  Every reference law is a closed form evaluated
+on numpy arrays, so a report draws no random numbers: its output depends
+on its batch alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +47,6 @@ class VerificationReport:
     experiment: str
     config: dict
     checks: List[Check] = field(default_factory=list)
-    distances: Dict[str, float] = field(default_factory=dict)
 
     def add(self, name: str, observed: float, target: float,
             tol: float) -> None:
@@ -64,8 +65,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {"experiment": self.experiment, "config": self.config,
-                "checks": [c.to_dict() for c in self.checks],
-                "distances": self.distances}
+                "checks": [c.to_dict() for c in self.checks]}
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,6 @@ def verify_poisson_increments(batch: Iterable, sd: SaddleData,
         k_max = max(int(col.max()), int(10 * max(target, 0.1)) + 10)
         emp = np.bincount(col, minlength=k_max + 1) / len(col)
         tv = 0.5 * float(np.abs(emp - poisson_pmf(target, k_max)).sum())
-        rep.distances[f"tv_inc_{j}"] = tv
         rep.add_bound(f"tv_inc_{j}", tv, tols["poisson_tv"])
     for a in range(len(targets)):
         for b in range(a + 1, len(targets)):
@@ -285,7 +284,6 @@ def verify_gumbel(batch: Iterable, sd: SaddleData, K: int,
         name, tol = (("ks_L1_gumbel", "gumbel_ks_1") if j == 1
                      else (f"ks_L{j}_ref", "gumbel_ks_j"))
         ks = ks_distance(rescaled[:, j - 1], lambda x: point_cdf(j, x))
-        rep.distances[name] = ks
         rep.add_bound(name, ks, tols[tol])
     rep.add_bound("jump_time_violations", jumps, 0)
     return rep
@@ -344,8 +342,7 @@ def bn_event_frequency(batch: Iterable, sd: SaddleData,
     limit = max(3.0 * bound, 5.0 / math.sqrt(num))
     rep = VerificationReport(
         "bn_event",
-        {"n": sd.n, "num_samples": num, "cap": cap})
-    rep.distances["markov_bound"] = bound
+        {"n": sd.n, "num_samples": num, "cap": cap, "markov_bound": bound})
     rep.add_bound("bn_frequency", freq, limit)
     rep.add_bound("bn_frequency_abs", freq, bn_tol)
     return rep

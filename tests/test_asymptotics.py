@@ -361,6 +361,14 @@ def test_threshold_x():
     for bad in (-1.0, math.nan, -math.inf):
         with pytest.raises(ValueError, match=f"got {bad}"):
             cw.threshold_x(sd, bad)
+    # past y = e^ell_n the threshold would be negative
+    sd = cw.solve_saddle(cw.polynomial(0.05), 10**6)
+    assert math.exp(sd.ell_n) == pytest.approx(2.87, abs=0.01)
+    assert cw.threshold_x(sd, 2.0) > 0
+    for bad in (4.0, math.inf):
+        with pytest.raises(ValueError,
+                           match=f"y={bad} exceeds e\\^ell_n = 2.87"):
+            cw.threshold_x(sd, bad)
 
 
 def test_diagnostics_s0_matches_saddle():
@@ -437,8 +445,7 @@ def test_diagnostics_bounded_memory():
 
 
 def test_diagnostics_json_fields():
-    import json
+    import dataclasses
     rep = cw.admissibility_diagnostics(cw.polynomial(1.0), 1000, s=0.0, y=0.5)
-    d = json.loads(rep.to_json())
-    assert set(d) == {"residual", "width", "monotonicity_violations",
-                      "bn_ratio"}
+    assert list(dataclasses.asdict(rep)) == [
+        "residual", "width", "monotonicity_violations", "bn_ratio"]

@@ -60,8 +60,21 @@ def test_saddle_diagnostics(capsys):
     assert run_command(["saddle", "--alpha", "1", "--n", "1000",
                         "--diagnostics"]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
-    assert set(json.loads(last)) == {"residual", "width",
-                                     "monotonicity_violations", "bn_ratio"}
+    assert list(json.loads(last)) == ["residual", "width",
+                                      "monotonicity_violations", "bn_ratio"]
+
+
+def test_verify_y_grid_past_e_ell_is_validation_error(capsys, monkeypatch):
+    # e^ell_n = 2.87 at alpha 0.05, n = 1e6, so y = 4 has a negative
+    # threshold: refused before the table is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or sampled before the y-grid was checked")
+    monkeypatch.setattr(oracle, "build_h_table", refuse)
+    monkeypatch.setattr(sampler, "sample_batch", refuse)
+    assert run_command(["verify", "poisson", "--alpha", "0.05", "--n",
+                        "1000000", "--samples", "10",
+                        "--y-grid", "0.5,1,2,4"]) == 2
+    assert "y=4.0 exceeds e^ell_n = 2.87" in capsys.readouterr().err
 
 
 def test_htable_cache_and_sample(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import collections
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -322,6 +323,22 @@ def test_mgf_matches_enumeration(n, s):
         assert series == pytest.approx(enum, abs=1e-10 * max(1.0, enum))
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+def test_mgf_series_slope_matches_tail_count_mean(alpha):
+    # the central difference of the MGF at s = 0 is the mean up to
+    # O(s^2); n = 2000 is past the old series cap of 220
+    w = cw.polynomial(alpha)
+    n, s = 2000, 1e-3
+    tab = cw.build_h_table(w, n)
+    sd = cw.solve_saddle(w, n)
+    for y in (0.5, 2.0):
+        x = cw.threshold_x(sd, y)
+        slope = (cw.mgf_series(w, n, x, s)
+                 - cw.mgf_series(w, n, x, -s)) / (2 * s)
+        assert slope == pytest.approx(oracle.tail_count_mean(tab, n, x),
+                                      rel=1e-4)
+
+
 def test_corollary_bound():
     lhs, rhs, holds = cw.corollary_bound_check(cw.polynomial(1.0), 50, 0.5, 2.0)
     assert holds and lhs <= rhs
@@ -445,6 +462,26 @@ def test_finite_n_laws_match_enumeration(w):
         cdf = sum(p for ct, p in types if ct.counts[-1][0] <= x)
         assert oracle.longest_cycle_cdf(tab, n, x) == pytest.approx(cdf, rel=1e-12,
                                                                     abs=1e-15)
+
+
+def test_tail_count_mean_matches_exact_sum_of_rows():
+    # against the exact rational sum of the same table rows: a sum of
+    # nonnegative terms keeps a relative error of order n * eps
+    w = cw.polynomial(3.0)
+    n = 3000
+    tab = cw.build_h_table(w, n)
+    sd = cw.solve_saddle(w, n)
+    theta = weights.theta_array(w, n)
+
+    def row(j):
+        return Fraction(float(tab.mant[j])) * Fraction(2) ** int(tab.expo[j])
+
+    for y in (0.5, 1.0, 2.0):
+        x = cw.threshold_x(sd, y)
+        exact = sum(Fraction(float(theta[k])) / k * row(n - k)
+                    for k in range(math.ceil(x), n + 1)) / row(n)
+        got = Fraction(oracle.tail_count_mean(tab, n, x))
+        assert abs(got / exact - 1) <= 1e-14
 
 
 def test_finite_n_laws_desk(htable_desk):

@@ -60,7 +60,8 @@ def test_tv_distance_hand_computed(desk_saddle):
     pmf = [math.exp(-1) / math.factorial(k) for k in range(21)]
     want = 0.5 * (abs(0.25 - pmf[0]) + abs(0.5 - pmf[1])
                   + abs(0.25 - pmf[2]) + sum(pmf[3:]))
-    assert rep.distances["tv_inc_0"] == pytest.approx(want, rel=1e-14)
+    tv = [c for c in rep.checks if c.name == "tv_inc_0"][0]
+    assert tv.observed == pytest.approx(want, rel=1e-14)
 
 
 def test_ks_distance_hand_computed():
@@ -138,7 +139,7 @@ def test_verify_report_json_schema(desk_saddle):
     batch = [ct({1: 20000}, 20000)] * 5
     rep = cw.verify_poisson_increments(batch, desk_saddle, [1.0])
     d = json.loads(json.dumps(rep.to_dict()))
-    assert set(d) == {"experiment", "config", "checks", "distances"}
+    assert set(d) == {"experiment", "config", "checks"}
     for c in d["checks"]:
         assert set(c) == {"name", "observed", "target", "tol", "pass"}
         # pass flag recomputable from stored fields
@@ -184,6 +185,7 @@ def test_gumbel_with_fewer_than_k_cycles(desk_saddle):
         y = math.exp(-x)
         return math.exp(-y) * sum(y**i / math.factorial(i) for i in range(j))
 
+    observed = {c.name: c.observed for c in rep.checks}
     for j, name in ((1, "ks_L1_gumbel"), (2, "ks_L2_ref"), (3, "ks_L3_ref")):
         xs = sorted((ls[j - 1] - x1) / sd.n_star if len(ls) >= j
                     else -math.inf for ls in lengths)
@@ -191,10 +193,9 @@ def test_gumbel_with_fewer_than_k_cycles(desk_saddle):
         want = max(max(abs(cdf(j, x) - sum(v < x for v in xs) / 5),
                        abs(cdf(j, x) - sum(v <= x for v in xs) / 5))
                    for x in xs)
-        assert rep.distances[name] == pytest.approx(want, rel=1e-12)
-    assert rep.distances["ks_L3_ref"] >= 3 / 5  # three rows lack L3
-    jumps = [c for c in rep.checks if c.name == "jump_time_violations"][0]
-    assert jumps.observed == 0
+        assert observed[name] == pytest.approx(want, rel=1e-12)
+    assert observed["ks_L3_ref"] >= 3 / 5  # three rows lack L3
+    assert observed["jump_time_violations"] == 0
 
 
 def test_reports_draw_no_random_numbers(desk_batch, desk_saddle, poly1,
