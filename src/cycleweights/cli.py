@@ -77,10 +77,11 @@ def _emit_report(rep: stats.VerificationReport, out_path: Optional[str]) -> int:
         with open(out_path, "w") as f:
             f.write(text + "\n")
     print(text)
+    # stdout stays one JSON document
     for c in rep.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: observed={c.observed:.6g} "
-              f"target={c.target:.6g} tol={c.tol:.6g}")
+              f"target={c.target:.6g} tol={c.tol:.6g}", file=sys.stderr)
     return EXIT_OK if rep.all_pass else EXIT_FAIL
 
 

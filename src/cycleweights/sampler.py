@@ -22,20 +22,22 @@ length telescopes with the removed cycle lengths: O(n) per sample.
 One vectorised kernel scans the first cycles of many rows at once, side
 by side in doubling blocks.  Samples are drawn in chunks advanced in
 lockstep, one first cycle (or one rejected proposal) per sample per step;
-a single draw is a chunk of one.  Chunks and scan groups are sized by one
-budget of 2^16 cells.  A chunk at size n holds
-max(2048, 2^16 // min(n, 32)) samples, each reading ahead min(n, 32)
-uniforms, so every n >= 32 takes chunks of 2048 (refilled every 8 steps
+a single draw is a chunk of one.  A chunk at size n holds
+max(8192, 2^16 // min(n, 32)) samples, each reading ahead min(n, 32)
+uniforms, so every n >= 8 takes chunks of 8192 (refilled every 8 steps
 where a step reads 4 uniforms, as at alpha = 1), and n = 6 one of 10922;
-past n = 1 048 574 chunks shrink to (2^31 - 1) // (n + 1) samples.
-A chunk records each first cycle as the int32 key
-sample * (n + 1) + length, which that cap keeps below 2^31, and counts C_m
-from the runs of its sorted keys into one Columns of read-only int32
-arrays; each of its samples is handed out as a CycleType row handle on
-it, with no per-sample array.  A scan group holds
+past n = 262 142 chunks shrink to (2^31 - 1) // (n + 1) samples.  One
+budget of 2^16 cells bounds the work inside a chunk: a refill computes
+its uniforms in Philox tiles of at most 2^16 // width keys (2048 at a
+width of 32; at n = 6 all 10922 of a chunk), and a scan group holds
 max(256, 2^16 // max m) rows, and no block is wider than max m, so a
 group of rows of size <= 16 takes up to 4096 of them, or more where all
-are smaller.  Sample i reads its uniforms, in order, from its own
+are smaller.  A chunk writes each first cycle as the int32 key
+sample * (n + 1) + length, which the cap above keeps below 2^31, into one
+buffer sized by the expected number of cycles, and counts C_m from the
+runs of its sorted keys into one Columns of read-only int32 arrays; each
+of its samples is handed out as a CycleType row handle on it, with no
+per-sample array.  Sample i reads its uniforms, in order, from its own
 counter-based random stream keyed by (seed, i), the same number at every
 step: one where no row of the draw has an envelope (n <= 16, or tables),
 else one for the scan or the k = m test followed by one proposal's (a
@@ -54,9 +56,10 @@ refill in row i * steps + j, so a step gathers each sample's uniforms as
 one contiguous row.
 
 The streams are numpy's Philox4x64-10, bit for bit.  Philox maps (key,
-counter) to random words, so a batch computes its chunk's uniforms in one
-set of in-place numpy array operations, keys and counters side by side,
-the first two rounds on the key and counter vectors alone;
+counter) to random words, so a batch computes each refill's uniforms in
+in-place numpy array operations, a tile of keys at a time with keys and
+counters side by side, the first two rounds on the key and counter
+vectors alone;
 substream_rng gives the same stream as a Generator.
 """
 
@@ -86,20 +89,21 @@ _LO32, _SH32 = np.uint64((1 << 32) - 1), np.uint64(32)
 # scanned, larger ones drawn by rejection when the weights have an envelope
 _SCAN_BLOCK = 16
 # fewest samples advanced in lockstep
-_CHUNK = 2048
+_CHUNK = 8192
 # fewest rows scanned together
 _SCAN_ROWS = 256
 # uniforms read ahead from each sample's stream per refill
 _LOOKAHEAD = 32
-# cells of a chunk's read-ahead buffer, and of a scan group's (rows, block)
-# arrays, where the floors above allow it: 2^16
-_BUFFER = _CHUNK * _LOOKAHEAD
+# cells of a Philox tile (keys x uniforms), of a scan group's (rows, block)
+# arrays where _SCAN_ROWS allows it, and of a small-n chunk's read-ahead
+_BUFFER = 2**16
 
 
 def _chunk_size(n: int) -> int:
-    """Samples per chunk at size n: a buffer of min(n, _LOOKAHEAD) uniforms
-    each, _CHUNK for every n >= _LOOKAHEAD, and at most (2^31 - 1) // (n + 1),
-    so that the keys sample * (n + 1) + length fit int32."""
+    """Samples per chunk at size n: _CHUNK, or more where a read-ahead of
+    _BUFFER uniforms, min(n, _LOOKAHEAD) per sample, holds more (n < 8),
+    and at most (2^31 - 1) // (n + 1), so that the keys
+    sample * (n + 1) + length fit int32: chunks shrink past n = 262 142."""
     return min(max(_CHUNK, _BUFFER // min(n, _LOOKAHEAD)),
                (2**31 - 1) // (n + 1))
 
@@ -168,7 +172,8 @@ def _philox_mul(m: np.ndarray, c: np.ndarray, lo: np.ndarray = None,
 def philox_uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
     """Uniforms start .. start + count - 1 of each key's stream, one row per
     key: the values np.random.Generator(np.random.Philox(key=k)).random()
-    returns, computed for all keys at once.
+    returns, computed for all keys at once, in tiles of at most
+    _BUFFER // count keys, so that each tile's work arrays stay small.
 
     Philox4x64-10 (Salmon et al., SC'11) turns a counter (c0, c1, c2, c3)
     into four 64-bit words by ten rounds under key (k0, k1), bumped by
@@ -181,24 +186,45 @@ def philox_uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
     two rounds run on the key and block vectors, the other eight on
     (pair, block, key) arrays.
     """
+    keys = np.asarray(keys, dtype=np.uint64)
     first, skip = divmod(start, 4)
     blocks = -(-(skip + count) // 4)
-    rows = len(keys)
-    m0, m1 = _M[0, 0, 0], _M[1, 0, 0]
-    w0, w1 = _W[0, 0, 0], _W[1, 0, 0]
-    # round 1 on the block counters c, round 2 under key (k + W0, W1)
+    # round 1 on the block counters c, and round 2's block words: shared
+    # by every tile
     c_hi, c_lo = _philox_mul(
-        m0, np.arange(first + 1, first + blocks + 1, dtype=np.uint64))
-    b_hi, b_lo = _philox_mul(m1, c_hi)
-    k_hi, k_lo = _philox_mul(m0, np.array(keys, dtype=np.uint64))
+        _M[0, 0, 0], np.arange(first + 1, first + blocks + 1, dtype=np.uint64))
+    b_hi, b_lo = _philox_mul(_M[1, 0, 0], c_hi)
+    c_lo ^= _W[1, 0, 0]
+    # uniform 4 j + i is word i of block j.  A single tile's uniforms take
+    # the memory of its work arrays: a separate output array doubles the
+    # page faults of a 10^4-sample round at n = 6
+    tile = max(1, _BUFFER // count)
+    if len(keys) <= tile:
+        out = _philox_tile(keys, b_hi, b_lo, c_lo)
+    else:
+        out = np.empty((len(keys), blocks, 4))
+        for i in range(0, len(keys), tile):
+            _philox_tile(keys[i:i + tile], b_hi, b_lo, c_lo, out[i:i + tile])
+    return out.reshape(len(keys), -1)[:, skip:skip + count]
+
+
+def _philox_tile(keys: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray,
+                 c_lo: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """Rounds 2-10 of philox_uniforms for the uint64 keys, from the block
+    words b_hi, b_lo (round 2's product of round 1's high word) and
+    c_lo ^ W1.  Returns the uniforms shaped (key, block, word), in out if
+    given, else in the memory of the work arrays."""
+    rows = len(keys)
+    # round 2 under key (k + W0, W1)
+    k_hi, k_lo = _philox_mul(_M[0, 0, 0], keys.copy())
     key = np.empty((2, 1, rows), dtype=np.uint64)
     key[0, 0] = keys
-    key[0] += w0
-    key[1] = w1
+    key[0] += _W[0, 0, 0]
+    key[1] = _W[1, 0, 0]
     # counter words (c0, c2) and (c1, c3)
-    even = np.empty((2, blocks, rows), dtype=np.uint64)
+    even = np.empty((2, len(b_hi), rows), dtype=np.uint64)
     np.bitwise_xor(b_hi[:, None], key[0], out=even[0])
-    np.bitwise_xor((c_lo ^ w1)[:, None], k_hi, out=even[1])
+    np.bitwise_xor(c_lo[:, None], k_hi, out=even[1])
     odd = np.empty_like(even)
     odd[0] = b_lo[:, None]
     odd[1] = k_lo
@@ -215,15 +241,14 @@ def philox_uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
         odd ^= hi[::-1]
         odd ^= key
         even, odd, free = odd, lo[::-1], hi
-    # uniform 4 j + i is word i of block j, each word written straight
-    # into its column of the output, which takes the memory of the work
-    # arrays
+    # each word written straight into its column of the output
     even >>= np.uint64(11)
     odd >>= np.uint64(11)
-    out = work[:2].view(np.float64).reshape(rows, blocks, 4)
+    if out is None:
+        out = work[:2].view(np.float64).reshape(rows, len(b_hi), 4)
     for i, word in enumerate((even[0], odd[0], even[1], odd[1])):
         np.multiply(word.T, 2.0 ** -53, out=out[:, :, i])
-    return out.reshape(rows, -1)[:, skip:skip + count]
+    return out
 
 
 class CycleTypeSampler:
@@ -436,6 +461,13 @@ class CycleTypeSampler:
             k[scan] = self._scan(m[scan], u[scan, 0])
         return k
 
+    def _mean_cycles(self, n: int) -> float:
+        """Expected number of cycles at size n: the sum over k of
+        E[C_k] = theta_k h_{n-k} / (k h_n)."""
+        k = np.arange(1, n + 1)
+        return float(np.exp(self.log_theta[1:n + 1] - np.log(k)
+                            + self.log_h[n - 1::-1] - self.log_h[n]).sum())
+
     def sample(self, n: int, rng: np.random.Generator) -> CycleType:
         """One draw: a lockstep chunk of one sample.
 
@@ -466,7 +498,12 @@ class CycleTypeSampler:
         buf = np.ascontiguousarray(fill(live, 0, steps * d)).reshape(-1, d)
         m = np.full(count, n)
         pending = np.zeros(count, dtype=bool)
-        drawn = []  # per step: sample * (n + 1) + first-cycle length
+        # sample * (n + 1) + first-cycle length, in step order: room for
+        # the expected number of cycles, 5% and 64 more, and twice the
+        # keys drawn so far if the chunk draws more
+        keys = np.empty(int(count * self._mean_cycles(n) * 1.05) + 64,
+                        dtype=np.int32)
+        drawn = 0
         step = 0
         while live.size:
             col = step % steps
@@ -475,9 +512,14 @@ class CycleTypeSampler:
             k = self._step(m, pending, np.take(buf, live * steps + col, axis=0))
             done = k > 0
             pending = ~done
-            keys = live * (n + 1)
-            keys += k
-            drawn.append(keys[done])
+            new = live * (n + 1)
+            new += k
+            new = new[done]
+            if drawn + new.size > keys.size:
+                keys = np.concatenate(
+                    (keys[:drawn], np.empty(drawn + new.size, np.int32)))
+            keys[drawn:drawn + new.size] = new
+            drawn += new.size
             m = m - k
             alive = m > 0
             if not alive.all():
@@ -486,25 +528,26 @@ class CycleTypeSampler:
         # the chunk's working arrays are freed before its output is built:
         # together they set the batch's peak memory
         del buf
-        keys = np.concatenate(drawn)
-        del drawn
         # C_m of each (sample, length), in sample then length order: the
-        # lengths of the runs of equal keys
+        # lengths of the runs of equal keys.  Each array is freed as soon
+        # as it is used
+        keys = keys[:drawn]
         keys.sort()
-        first = np.empty(len(keys), dtype=bool)
+        first = np.empty(drawn, dtype=bool)
         first[0] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         starts = np.flatnonzero(first)
         del first
+        runs = keys[starts]
+        del keys
         counts = np.empty(len(starts), dtype=np.int32)
         np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-        counts[-1] = len(keys) - starts[-1]
-        keys = keys[starts]
+        counts[-1] = drawn - starts[-1]
         del starts
         bounds = np.searchsorted(
-            keys, np.arange(count + 1, dtype=np.int32) * (n + 1))
+            runs, np.arange(count + 1, dtype=np.int32) * (n + 1))
         cols = Columns(bounds[:-1].astype(np.int32),
-                       keys % (n + 1), counts, n)
+                       runs % (n + 1), counts, n)
         for a in (cols.starts, cols.m, cols.c):
             a.flags.writeable = False
         bounds = bounds.tolist()

@@ -191,6 +191,17 @@ def test_verify_profile_small(tmp_path, capsys):
     assert all(c["pass"] for c in rep["checks"])
 
 
+def test_verify_stdout_is_one_json_document(capsys):
+    # the report is all of stdout; the per-check lines go to stderr
+    rc = run_command(["verify", "gumbel", "--alpha", "1", "--n", "300",
+                      "--samples", "50", "--seed", "3"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert rc == (0 if all(c["pass"] for c in rep["checks"]) else 1)
+    assert [line.split()[1].rstrip(":") for line in err.splitlines()] == \
+        [c["name"] for c in rep["checks"]]
+
+
 def test_report_determinism(tmp_path):
     args = ["verify", "bn", "--alpha", "1", "--n", "500",
             "--samples", "100", "--seed", "5"]

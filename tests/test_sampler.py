@@ -401,6 +401,71 @@ def test_desk_batch_matches_exact_finite_n_laws(desk_batch, htable_desk):
         assert abs(np.mean(longest <= x) - exact) <= dkw_bound(num), x
 
 
+# families whose draws take every sampler path at n = 2000: rows drawn by
+# rejection (alpha = 0.5 and 3 with the r = 1 and r = 4 envelopes, and
+# Ewens(2)) next to scanned rows m <= 16, and weights scanned at every row
+# (alpha = 5, whose envelope is empty, and a table with gaps)
+EXACT_FAMILIES = [cw.polynomial(0.5), cw.polynomial(3.0), cw.polynomial(5.0),
+                  cw.ewens(2.0), cw.table([1, 0, 0, 1])]
+# samples per family.  Ewens(2) takes ten times more (at ~14 cycles each):
+# of all these envelopes only its own accepts many proposals with
+# probability near 1, where an acceptance test biased upwards is capped and
+# shows, moving E[#cycles] by ~1%
+EXACT_SAMPLES = [4000, 4000, 2000, 40000, 4000]
+
+
+@pytest.mark.parametrize("w,num", zip(EXACT_FAMILIES, EXACT_SAMPLES),
+                         ids=["poly0.5", "poly3", "poly5", "ewens2",
+                              "table1001"])
+def test_batch_matches_exact_finite_n_laws(w, num):
+    # a batch at n = 2000, whose first draws are at m > 1000, against the
+    # exact laws of the table: E[C_k] = a_k h_{n-k} / h_n (a_k = theta_k / k)
+    # for k <= 16 and three k around the longest cycle's median, by a
+    # z-bound with C_k's exact variance (E[C_k (C_k - 1)] = a_k^2 h_{n-2k}
+    # / h_n); E[#cycles >= x] on a grid, by a z-bound with the sample
+    # variance; and P(L1 <= x), by DKW.  DELTA is split over the checks
+    n = 2000
+    tab = cw.build_h_table(w, n)
+    # the sampler sizes its key buffer by the expected number of cycles
+    assert smp._shared_sampler(w, tab)._mean_cycles(n) == pytest.approx(
+        cw.tail_count_mean(tab, n, 1), rel=1e-12)
+    cols = cw.stats.columns(cw.sample_batch(
+        w, tab, cw.SamplerConfig(n=n, num_samples=num, seed=13)))
+    log_h = tab.log_array()
+    log_a = cw.weights.theta_log_array(w, n)
+    log_a[1:] -= np.log(np.arange(1, n + 1))
+    lo, hi = 1, n  # the median of L1, by bisection on its exact CDF
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = ((lo, mid) if cw.longest_cycle_cdf(tab, n, mid) >= 0.5
+                  else (mid + 1, hi))
+    ks = sorted(set(range(1, 17)) | {lo * 4 // 5, lo, lo * 5 // 4})
+    xs = [1, lo // 4, lo // 2, lo]
+    z = statistics.NormalDist().inv_cdf(
+        1 - DELTA / (2 * (len(ks) + len(xs) + 1)))
+    row = np.repeat(np.arange(num), np.diff(np.append(cols.starts,
+                                                      len(cols.m))))
+    for k in ks:
+        c_k = np.bincount(row, weights=np.where(cols.m == k, cols.c, 0),
+                          minlength=num)
+        mean = math.exp(log_a[k] + log_h[n - k] - log_h[n])
+        pairs = (math.exp(2 * log_a[k] + log_h[n - 2 * k] - log_h[n])
+                 if 2 * k <= n else 0.0)
+        sd = math.sqrt(mean + pairs - mean * mean)
+        assert abs(c_k.mean() - mean) <= z * sd / math.sqrt(num), ("C_k", k)
+    for x in xs:
+        counts = cw.stats.tail_counts(cols, x)
+        se = counts.std(ddof=1) / math.sqrt(num)
+        exact = cw.tail_count_mean(tab, n, x)
+        assert abs(counts.mean() - exact) <= z * se, ("tail", x)
+    longest = cols.m[np.append(cols.starts[1:], len(cols.m)) - 1]
+    eps = math.sqrt(math.log(2 * (len(ks) + len(xs) + 1) / DELTA)
+                    / (2 * num))
+    for x in (lo * 3 // 5, lo * 4 // 5, lo, lo * 5 // 4, lo * 8 // 5):
+        exact = cw.longest_cycle_cdf(tab, n, x)
+        assert abs(np.mean(longest <= x) - exact) <= eps, ("L1", x)
+
+
 # SHA-256 of the dump_samples JSONL of (weights, n, samples, seed)
 GOLDEN = [
     (cw.polynomial(1.0), 2000, 300, 7,
@@ -442,13 +507,14 @@ def test_batch_counters_match_single_draws(poly1):
 
 
 def test_batch_size_does_not_change_samples():
-    # 137-176 cycles per sample: more than one read-ahead of uniforms
+    # 41-70 cycles per sample: more than one read-ahead of uniforms.  The
+    # batches hold up to _CHUNK + 40 samples, so n is kept small
     w = cw.polynomial(3.0)
-    tab = cw.build_h_table(w, 2000)
+    tab = cw.build_h_table(w, 500)
     chunk = smp._CHUNK
 
     def batch(num):
-        cfg = cw.SamplerConfig(n=2000, num_samples=num, seed=21)
+        cfg = cw.SamplerConfig(n=500, num_samples=num, seed=21)
         return [ct.counts for ct in cw.sample_batch(w, tab, cfg)]
 
     full = batch(chunk + 40)
@@ -456,12 +522,14 @@ def test_batch_size_does_not_change_samples():
         assert batch(num) == full[:num]
     fresh = smp.CycleTypeSampler(w, tab)
     for i in (0, chunk - 1, chunk, chunk + 1, chunk + 39):
-        assert fresh.sample(2000, smp.substream_rng(21, i)).counts == full[i]
+        assert fresh.sample(500, smp.substream_rng(21, i)).counts == full[i]
 
 
-@pytest.mark.parametrize("n", [6, 20])
+@pytest.mark.parametrize("n", [6, 7])
 @pytest.mark.parametrize("budget", [
-    {"_BUFFER": 1},  # fixed chunks of _CHUNK, scan groups of _SCAN_ROWS
+    # fixed chunks of _CHUNK, scan groups of _SCAN_ROWS (max m >= 2), and
+    # Philox tiles of 512 // n keys
+    {"_BUFFER": 512},
     {"_CHUNK": 3, "_SCAN_ROWS": 2, "_BUFFER": 60},
 ], ids=["floors", "tiny"])
 def test_chunk_size_does_not_change_small_n_samples(small_table, n, budget,
@@ -505,19 +573,28 @@ def test_small_n_batch_is_one_chunk(monkeypatch):
 
 def test_wide_lockstep_chunks(monkeypatch):
     # per-chunk work at n = 2000, alpha = 1, counted rather than timed: a
-    # 5000-sample batch takes ceil(5000 / _CHUNK) chunks, each refilled
-    # every _LOOKAHEAD // 4 of its steps (a step reads 4 uniforms)
+    # 5000-sample batch is one chunk, refilled every _LOOKAHEAD // 4 of its
+    # steps (a step reads 4 uniforms), and each refill computes its
+    # uniforms in Philox tiles of at most _BUFFER cells (keys x uniforms)
     w = cw.polynomial(1.0)
     tab = cw.build_h_table(w, 2000)
-    steps, fills = [], []  # per chunk
-    philox, step = smp.philox_uniforms, smp.CycleTypeSampler._step
+    # per chunk its steps and refills; per refill its width, then the keys
+    # of each of its tiles
+    steps, fills, tiles = [], [], []
+    philox, tile, step = (smp.philox_uniforms, smp._philox_tile,
+                          smp.CycleTypeSampler._step)
 
     def counted_philox(keys, start, count):
         if start == 0:  # a chunk's first fill
             steps.append(0)
             fills.append(0)
         fills[-1] += 1
+        tiles.append([count])
         return philox(keys, start, count)
+
+    def counted_tile(keys, *args):
+        tiles[-1].append(len(keys))
+        return tile(keys, *args)
 
     def counted_step(self, *args):
         steps[-1] += 1
@@ -529,17 +606,31 @@ def test_wide_lockstep_chunks(monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(smp, "philox_uniforms", counted_philox)
+        mp.setattr(smp, "_philox_tile", counted_tile)
         mp.setattr(smp.CycleTypeSampler, "_step", counted_step)
         full = batch()
     assert len(full) == 5000
-    assert len(steps) == -(-5000 // smp._CHUNK) == 3
+    assert len(steps) == -(-5000 // smp._CHUNK) == 1
     assert fills == [-(-s // (smp._LOOKAHEAD // 4)) for s in steps]
-    # the chunk geometry does not change a sample: narrower chunks (512
-    # samples reading 128 uniforms ahead) give the same batch, and a tiny
-    # budget its first 60 samples
+    assert len(tiles) == sum(fills)
+    # the first refill reads 32 uniforms for 5000 keys: three tiles
+    assert len(tiles[0]) - 1 == -(-5000 // (smp._BUFFER // 32)) == 3
+    for count, *keys in tiles:
+        assert sum(keys) > 0
+        assert max(keys) * count <= smp._BUFFER
+    # the chunk geometry does not change a sample: chunks of 2048 (three
+    # for this batch), narrower chunks (512 samples reading 128 uniforms
+    # ahead) give the same batch, and a tiny budget its first 60 samples
+    with monkeypatch.context() as mp:
+        mp.setattr(smp, "_CHUNK", 2048)
+        assert batch() == full
     with monkeypatch.context() as mp:
         mp.setattr(smp, "_CHUNK", 512)
         mp.setattr(smp, "_LOOKAHEAD", 128)
+        assert batch() == full
+    # nor does a key buffer that starts at 64 keys and doubles when full
+    with monkeypatch.context() as mp:
+        mp.setattr(smp.CycleTypeSampler, "_mean_cycles", lambda self, n: 0.0)
         assert batch() == full
     with monkeypatch.context() as mp:
         for name, value in {"_CHUNK": 3, "_SCAN_ROWS": 2,
@@ -551,16 +642,16 @@ def test_wide_lockstep_chunks(monkeypatch):
 def test_key_type_limit():
     # keys reach count * (n + 1) - 1 < count * (n + 1), and the bound array
     # count * (n + 1) itself: both fit int32 at every n up to 2^30, and
-    # chunks keep _CHUNK samples up to n = 1 048 574
+    # chunks keep _CHUNK samples from n = 8 up to n = 262 142
     ns = np.unique(np.concatenate([
         np.arange(1, 2**12), np.geomspace(2**12, 2**30, 4000).astype(np.int64),
-        [2**20 - 2, 2**20 - 1, 2**20, 2**30]]))
+        [2**18 - 2, 2**18 - 1, 2**18, 2**20 - 2, 2**20 - 1, 2**20, 2**30]]))
     sizes = np.array([smp._chunk_size(int(n)) for n in ns])
     assert sizes.min() >= 1
     assert np.all(sizes * (ns + 1) <= 2**31 - 1)
-    mid = (ns >= 32) & (ns <= 1_048_574)
+    mid = (ns >= 8) & (ns <= 262_142)
     assert np.all(sizes[mid] == smp._CHUNK)
-    assert smp._chunk_size(1_048_575) == smp._CHUNK - 1
+    assert smp._chunk_size(262_143) == smp._CHUNK - 1
 
 
 def test_refill_past_read_ahead():
