@@ -20,13 +20,21 @@ drawn by an inverse-CDF scan in increasing k with early stopping, whose
 length telescopes with the removed cycle lengths: O(n) per sample.
 
 One vectorised kernel scans the first cycles of many rows at once, side
-by side in doubling blocks.  Samples are drawn in chunks advanced in
+by side in doubling blocks.  The first block of every row m <= 16 is the
+same on every draw, so the sampler tabulates its CDF once, with the
+scan's own arithmetic, and a group of rows that are all <= 16 draws by
+one gather and one comparison.  Samples are drawn in chunks advanced in
 lockstep, one first cycle (or one rejected proposal) per sample per step;
 a single draw is a chunk of one.  A chunk at size n holds
-max(8192, 2^16 // min(n, 32)) samples, each reading ahead min(n, 32)
-uniforms, so every n >= 8 takes chunks of 8192 (refilled every 8 steps
-where a step reads 4 uniforms, as at alpha = 1), and n = 6 one of 10922;
-past n = 262 142 chunks shrink to (2^31 - 1) // (n + 1) samples.  One
+max(8192, 2^16 // min(n, 32)) samples, so every n >= 8 takes chunks of
+8192, n = 6 one of 10922, and past n = 262 142 chunks shrink to
+(2^31 - 1) // (n + 1) samples.  A refill reads each running sample's
+uniforms for its next max(1, L // d) steps, where a step reads d
+uniforms and L = min(n, 32, 4 ceil(d E / 4)) for E the expected number
+of cycles at n: whole Philox blocks that cover the expected steps, so
+that a sample computes few uniforms it never reads.  At alpha = 1 that
+is 32 uniforms, 8 steps, at n = 2 * 10^4, and 4 at n = 6, where 99.2% of
+samples end within 4 steps and the rest take a second refill.  One
 budget of 2^16 cells bounds the work inside a chunk: a refill computes
 its uniforms in Philox tiles of at most 2^16 // width keys (2048 at a
 width of 32; at n = 6 all 10922 of a chunk), and a scan group holds
@@ -44,7 +52,7 @@ else one for the scan or the k = m test followed by one proposal's (a
 uniform per geometric variable and one for the acceptance test); a row
 uses those its draw needs.  Its value therefore
 depends only on the seed and its index, not on the batch size, the
-chunking or any other sample.
+chunking, the read-ahead or any other sample.
 
 A step where some row has an envelope makes one pass over its arrays:
 every row takes the k = m test and a proposal, whose geometric variables
@@ -68,7 +76,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
@@ -92,7 +100,7 @@ _SCAN_BLOCK = 16
 _CHUNK = 8192
 # fewest rows scanned together
 _SCAN_ROWS = 256
-# uniforms read ahead from each sample's stream per refill
+# most uniforms read ahead from each sample's stream per refill
 _LOOKAHEAD = 32
 # cells of a Philox tile (keys x uniforms), of a scan group's (rows, block)
 # arrays where _SCAN_ROWS allows it, and of a small-n chunk's read-ahead
@@ -101,8 +109,8 @@ _BUFFER = 2**16
 
 def _chunk_size(n: int) -> int:
     """Samples per chunk at size n: _CHUNK, or more where a read-ahead of
-    _BUFFER uniforms, min(n, _LOOKAHEAD) per sample, holds more (n < 8),
-    and at most (2^31 - 1) // (n + 1), so that the keys
+    _BUFFER uniforms, at most min(n, _LOOKAHEAD) per sample, holds more
+    (n < 8), and at most (2^31 - 1) // (n + 1), so that the keys
     sample * (n + 1) + length fit int32: chunks shrink past n = 262 142."""
     return min(max(_CHUNK, _BUFFER // min(n, _LOOKAHEAD)),
                (2**31 - 1) // (n + 1))
@@ -273,6 +281,17 @@ class CycleTypeSampler:
             self._scan_base = -np.log(np.arange(n + 1)) - self.log_h
         h_rev = np.concatenate((self.log_h[::-1], np.full(n, -np.inf)))
         self._windows = sliding_window_view(h_rev, n + 1)
+        # the first scan block of each row m <= _SCAN_BLOCK, cumulated with
+        # the scan's own arithmetic: row m, column j holds its CDF at
+        # k = j + 1, and its total from k = m on.  Row 0 and rows with
+        # h_m = 0 (NaN here) are never read
+        small = np.arange(min(n, _SCAN_BLOCK) + 1)
+        with np.errstate(invalid="ignore"):
+            cdf = self._windows[n - small, 1:_SCAN_BLOCK + 1]
+            cdf += self.log_theta[1:_SCAN_BLOCK + 1]
+            cdf += self._scan_base[small][:, None]
+            np.exp(cdf, out=cdf)
+        self._small_cdf = np.cumsum(cdf, axis=1)
         self._init_envelope()
         # instrumentation: total scanned k across all draws, round-off scan
         # exhaustions (CDF ended below u), and rejection proposals
@@ -359,12 +378,20 @@ class CycleTypeSampler:
         if not rows.size:
             return k
         m, u = m[rows], u[rows]
+        top = int(m.max())
+        if top <= _SCAN_BLOCK:
+            # one block, tabulated: k is one more than the CDF values
+            # below u, or m where all of them are (round-off)
+            below = (self._small_cdf[m, :top] < u[:, None]).sum(axis=1)
+            k[rows] = np.minimum(below + 1, m)
+            self.scanned += int(m.sum())
+            self.incidents += int(np.count_nonzero(below == top))
+            return k
         base = self._scan_base[m][:, None]
         start = self.n_max - m  # window row
         unresolved = len(m)
         acc = np.zeros(len(m))
         comp = np.zeros(len(m))
-        top = int(m.max())
         lo, block = 1, _SCAN_BLOCK
         while True:
             width = min(block, top - lo + 1)
@@ -471,10 +498,12 @@ class CycleTypeSampler:
     def sample(self, n: int, rng: np.random.Generator) -> CycleType:
         """One draw: a lockstep chunk of one sample.
 
-        It reads ahead up to min(n, 32) uniforms from rng and discards the
-        unused ones.  A fresh stream gives the draw sample_batch makes from
-        it; a reused rng gives draws from the same distribution, but not
-        those of one stream read without gaps.
+        It reads uniforms from rng one read-ahead at a time, as
+        _sample_lockstep sizes it, and discards those the draw leaves
+        unused.  A fresh stream gives the draw sample_batch makes from it.
+        A reused rng gives draws from the same distribution, but they are
+        not pinned: they are not those of one stream read without gaps,
+        and they change whenever the read-ahead rule does.
         """
         check_row(n, self.w, self.mant)
         return next(self._sample_lockstep(
@@ -488,10 +517,17 @@ class CycleTypeSampler:
         s * d + d - 1 of its stream, d = 1 if no row of size <= n has an
         envelope and 1 + r + 1 otherwise; a row uses those its draw needs.
         fill(rows, start, width) returns uniforms start .. start + width - 1
-        of the samples `rows`; it is called every min(n, 32) // d steps for
-        the samples still running."""
+        of the samples `rows`; it is called every max(1, L // d) steps for
+        the samples still running, L = min(n, 32, 4 ceil(d E / 4)) for E
+        the expected number of cycles, so that a refill computes whole
+        Philox blocks and little past the steps a sample is expected to
+        take.  Which uniforms a sample reads does not depend on L."""
         d = 1 + (self._width if self._envelope[:n + 1].any() else 0)
-        steps = max(1, min(n, _LOOKAHEAD) // d)  # steps per refill
+        cycles = self._mean_cycles(n)
+        # steps per refill: a read-ahead of whole Philox blocks that covers
+        # the expected steps, where that is below min(n, _LOOKAHEAD)
+        look = min(n, _LOOKAHEAD, 4 * math.ceil(d * cycles / 4))
+        steps = max(1, look // d)
         live = np.arange(count, dtype=np.int32)
         # read-ahead: row i * steps + j holds sample i's uniforms for the
         # j-th step after a refill, so that a step gathers whole rows
@@ -501,7 +537,7 @@ class CycleTypeSampler:
         # sample * (n + 1) + first-cycle length, in step order: room for
         # the expected number of cycles, 5% and 64 more, and twice the
         # keys drawn so far if the chunk draws more
-        keys = np.empty(int(count * self._mean_cycles(n) * 1.05) + 64,
+        keys = np.empty(int(count * cycles * 1.05) + 64,
                         dtype=np.int32)
         drawn = 0
         step = 0
@@ -574,17 +610,24 @@ def sample_batch(w: WeightSequence, h: HTable,
 
     Sample i is drawn from the substream keyed by (cfg.seed, i), so a
     shorter batch with the same seed is a prefix of a longer one.  Each
-    chunk's uniforms are computed together by philox_uniforms.
+    chunk's uniforms are computed together by philox_uniforms.  The
+    config is checked when the batch is made, before any sample is
+    drawn; the chunks are drawn one at a time as the samples are read,
+    and handed out through one chained iterator, with no generator
+    frame to resume per sample.
     """
     cfg.validate(h)
     sampler = _shared_sampler(w, h)
     chunk = _chunk_size(cfg.n)
-    for lo in range(0, cfg.num_samples, chunk):
+
+    def draw(lo: int) -> Iterator[CycleType]:
         keys = substream_keys(cfg.seed,
                               np.arange(lo, min(lo + chunk, cfg.num_samples)))
-        yield from sampler._sample_lockstep(
+        return sampler._sample_lockstep(
             cfg.n, len(keys),
             lambda rows, start, width: philox_uniforms(keys[rows], start, width))
+
+    return chain.from_iterable(map(draw, range(0, cfg.num_samples, chunk)))
 
 
 def dump_samples(samples: Iterable[CycleType], f: TextIO) -> int:

@@ -137,6 +137,21 @@ def test_sample_stdout_matches_out_file(tmp_path, capsys):
     assert len(printed.splitlines()) == 7
 
 
+def test_rejected_sample_keeps_out_file(tmp_path, capsys, monkeypatch):
+    # a sample run whose config is refused exits before it opens --out:
+    # no samples, and table([0, 1, 0]) at n = 9, where h_9 = 0
+    out = tmp_path / "samples.jsonl"
+    out.write_text("old rows\n")
+    for w, n, num, named in [
+            (weights.polynomial(1.0), 50, 0, "num_samples must be >= 1"),
+            (weights.table([0, 1, 0]), 9, 5, "h_9 = 0")]:
+        monkeypatch.setattr(cli, "_weight_from_args", lambda args: w)
+        assert run_command(["sample", "--alpha", "1", "--n", str(n),
+                            "--samples", str(num), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert out.read_text() == "old rows\n"
+
+
 def test_verify_zero_growth_is_validation_error(capsys):
     # Ewens weights have no ell_n, so x_n(y) and the rescaling are undefined
     assert run_command(["verify", "gumbel", "--vartheta", "2", "--n", "300",
