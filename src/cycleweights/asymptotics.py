@@ -163,9 +163,12 @@ def _series_terms(delta: float, mu: np.ndarray,
     term, then zeta(-delta-j) mu^j/j! for j = 0, 1, ...  Each zeta argument
     is -delta-j exactly, not rounded to a float.  zetas maps such exact
     arguments to their zeta values; the terms read it first and add what
-    they compute."""
+    they compute.  delta must not be a negative integer, where the Gamma
+    term and one zeta term have poles."""
     import mpmath
 
+    if delta == round(delta) and delta <= -1:
+        raise ValueError(f"delta={delta} is an excluded negative integer")
     zetas = {} if zetas is None else zetas
     yield math.gamma(1.0 + delta) * (-mu) ** (-1.0 - delta)
     power = np.ones_like(mu)
@@ -200,8 +203,6 @@ def polylog_series(delta: float, mu,
     zeta values at exact arguments to reuse and is filled with those the
     series computes (see _series_terms).
     """
-    if delta == round(delta) and delta <= -1:
-        raise ValueError(f"delta={delta} is an excluded negative integer")
     mu = np.asarray(mu, dtype=np.result_type(mu, np.float64))
     rho = np.abs(mu)
     if not (np.all(mu.real < 0) and np.all(rho <= SERIES_RADIUS)):
@@ -247,13 +248,12 @@ def polylog_asymp(delta: float, v: float) -> Tuple[float, float, float]:
     Returns (approx, direct, abs_error).  The direct sum is exp_sums', with
     a certified tail below 2^-53 of its value.
     """
-    if delta == round(delta) and delta <= -1:
-        raise ValueError(f"delta={delta} is an excluded negative integer")
     if not 0.0 < v < 1.0:
         raise ValueError("v must be in (0, 1)")
-    direct = exp_sums(None, v, 1, (delta,))[0][0]
+    # the series first: its terms reject an excluded delta
     head = itertools.islice(_series_terms(delta, np.float64(-v)), 2)
     approx = float(sum(head))
+    direct = exp_sums(None, v, 1, (delta,))[0][0]
     return approx, direct, abs(direct - approx)
 
 

@@ -95,21 +95,20 @@ def cmd_htable(args) -> int:
         tab = oracle.build_h_table(w, args.n)
         tab.save(path)
     print(f"htable ready: n_max={tab.n_max} "
-          f"log h_n={tab.value(tab.n_max).log():.6f}")
+          f"log h_n={tab.log_array()[tab.n_max]:.6f}")
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
     w = _weight_from_args(args)
     pmf = oracle.exact_statistic_pmf(w, args.n, "L1")
+    logs = oracle.build_h_table(w, args.n).log_array()
     print(f"L1 pmf at n={args.n}:")
     for k in sorted(pmf):
         print(f"  {k}: {_fmt(pmf[k])}")
-    tab = oracle.build_h_table(w, args.n)
     ok = True
     for m in range(1, args.n + 1):
-        exact = oracle.h_exact(w, m)
-        rel = abs(math.expm1(tab.value(m).log() - exact.log()))
+        rel = abs(math.expm1(logs[m] - oracle.h_exact(w, m).log()))
         if rel > 1e-10:
             ok = False
             print(f"[FAIL] h_{m}: recurrence vs enumeration rel err {rel:.3g}")
@@ -124,6 +123,9 @@ def cmd_oracle(args) -> int:
 def cmd_saddle(args) -> int:
     w = _weight_from_args(args)
     sd = asymptotics.solve_saddle(w, args.n)
+    # computed before any output, so that a rejected n prints nothing
+    rep = (asymptotics.admissibility_diagnostics(w, args.n, s=0.0, y=1.0)
+           if args.diagnostics else None)
     print(f"v_n       = {_fmt(sd.v_n)}")
     print(f"n*        = {_fmt(sd.n_star)}")
     print(f"ell_n     = {_fmt(sd.ell_n)}")
@@ -132,8 +134,7 @@ def cmd_saddle(args) -> int:
     print(f"b_n       = {_fmt(sd.b_n)}")
     print(f"K         = {sd.truncation_K}")
     print(f"residual  = {_fmt(sd.residual)}")
-    if args.diagnostics:
-        rep = asymptotics.admissibility_diagnostics(w, args.n, s=0.0, y=1.0)
+    if rep is not None:
         print(json.dumps(dataclasses.asdict(rep)))
     return EXIT_OK
 

@@ -10,7 +10,8 @@ the positive-coefficient series bound used as a cross-check of the
 saddle-point machinery.  Series coefficients span thousands of binary
 orders of magnitude, so they are kept as mantissa/exponent array pairs and
 computed by one blockwise, exponentially tilted FFT kernel
-(`exp_coefficients`); a `ScaledReal` is a read-only view of one such row.
+(`exp_coefficients`).  A `ScaledReal` is only the return of `h_exact` and
+of `asymptotics.saddle_h_estimate`.
 """
 
 from __future__ import annotations
@@ -214,11 +215,6 @@ class HTable:
     mant: np.ndarray  # float64, mantissas in [1,2) (or 0)
     expo: np.ndarray  # int64
 
-    def value(self, n: int) -> ScaledReal:
-        if not 0 <= n <= self.n_max:
-            raise CapacityError(f"n={n} outside table range 0..{self.n_max}")
-        return ScaledReal(float(self.mant[n]), int(self.expo[n]))
-
     def log_array(self) -> np.ndarray:
         """Natural logs of h_0..h_n_max; -inf where h_m = 0."""
         logm = np.log(self.mant, out=np.full(self.n_max + 1, -np.inf),
@@ -278,8 +274,9 @@ class HTable:
 
 
 class ScaledReal:
-    """Read-only view of one (mantissa, exponent) row: mantissa * 2**exponent
-    with mantissa in [1, 2), or 0."""
+    """mantissa * 2**exponent with mantissa in [1, 2), or 0: what h_exact
+    and saddle_h_estimate return.  Table rows are read as arrays, by
+    HTable.log_array or _ratio."""
 
     __slots__ = ("mantissa", "exponent")
 
@@ -466,8 +463,8 @@ def exp_coefficients(c: np.ndarray, n_max: int):
         else:
             for n in range(s, e):
                 total, top = _scaled_dot(c[n - lo:0:-1], mant[lo:n], expo[lo:n])
-                row = ScaledReal(total / n, top)
-                mant[n], expo[n] = row.mantissa, row.exponent
+                m, ex = math.frexp(total / n)
+                mant[n], expo[n] = 2.0 * m, (ex - 1 + top if m else 0)
         s = e
         size = min(2 * size, _BLOCK_MAX)
     return mant, expo
@@ -587,6 +584,6 @@ def corollary_bound_check(w: WeightSequence, n: int, u: float, v: float):
     h = build_h_table(w, n)
     Fr = float(np.sum(fcoef[1:] * sd.r_n ** k[1:]))
     f_at_r = (Fr * (1.0 + Fr)) ** 2
-    lhs = ScaledReal(*_scaled_dot(f, h.mant[::-1], h.expo[::-1])).to_float()
-    rhs = ScaledReal(h.mant[n] * (2.0 * f_at_r), int(h.expo[n])).to_float()
+    lhs = _ratio(*_scaled_dot(f, h.mant[::-1], h.expo[::-1]), 1.0, 0)
+    rhs = _ratio(h.mant[n] * (2.0 * f_at_r), h.expo[n], 1.0, 0)
     return lhs, rhs, lhs <= rhs

@@ -82,7 +82,7 @@ from typing import Callable, Iterable, Iterator, TextIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .oracle import Columns, CycleType, HTable, check_row
+from .oracle import Columns, CycleType, HTable, check_row, tail_count_mean
 from .weights import EWENS, POLYNOMIAL, WeightSequence, theta_log_array
 
 _MASK64 = (1 << 64) - 1
@@ -266,12 +266,11 @@ class CycleTypeSampler:
         if h.weight != w:
             raise ValueError("HTable was built for a different weight sequence")
         self.w = w
-        # the table's size and mantissas (for check_row), not the table:
-        # HTable caches its shared sampler, and a reference back would make
-        # the pair a cycle that outlives its last user until the garbage
-        # collector runs
-        self.n_max = n = h.n_max
-        self.mant = h.mant
+        # a table on the same arrays, not the table itself: HTable caches
+        # its shared sampler, and a reference back would make the pair a
+        # cycle that outlives its last user until the garbage collector runs
+        self.h = HTable(w, h.n_max, h.mant, h.expo)
+        n = h.n_max
         self.log_theta = theta_log_array(w, n)
         self.log_h = h.log_array()
         # scan inputs: -log m - log h_m per m, and the log h windows: row
@@ -319,7 +318,7 @@ class CycleTypeSampler:
         (only alpha >= 2, with L large) have short first cycles, and are
         scanned.
         """
-        n = self.n_max
+        n = self.h.n_max
         alpha = {POLYNOMIAL: self.w.alpha, EWENS: 0.0}.get(self.w.family)
         # rows drawn by rejection: m > _SCAN_BLOCK with Q_m < 1 and a small
         # loss; Q_m is a prefix maximum, so L falls with m, and they are
@@ -388,7 +387,7 @@ class CycleTypeSampler:
             self.incidents += int(np.count_nonzero(below == top))
             return k
         base = self._scan_base[m][:, None]
-        start = self.n_max - m  # window row
+        start = self.h.n_max - m  # window row
         unresolved = len(m)
         acc = np.zeros(len(m))
         comp = np.zeros(len(m))
@@ -488,13 +487,6 @@ class CycleTypeSampler:
             k[scan] = self._scan(m[scan], u[scan, 0])
         return k
 
-    def _mean_cycles(self, n: int) -> float:
-        """Expected number of cycles at size n: the sum over k of
-        E[C_k] = theta_k h_{n-k} / (k h_n)."""
-        k = np.arange(1, n + 1)
-        return float(np.exp(self.log_theta[1:n + 1] - np.log(k)
-                            + self.log_h[n - 1::-1] - self.log_h[n]).sum())
-
     def sample(self, n: int, rng: np.random.Generator) -> CycleType:
         """One draw: a lockstep chunk of one sample.
 
@@ -505,7 +497,7 @@ class CycleTypeSampler:
         not pinned: they are not those of one stream read without gaps,
         and they change whenever the read-ahead rule does.
         """
-        check_row(n, self.w, self.mant)
+        check_row(n, self.w, self.h.mant)
         return next(self._sample_lockstep(
             n, 1, lambda rows, start, width: rng.random((1, width))))
 
@@ -523,7 +515,7 @@ class CycleTypeSampler:
         Philox blocks and little past the steps a sample is expected to
         take.  Which uniforms a sample reads does not depend on L."""
         d = 1 + (self._width if self._envelope[:n + 1].any() else 0)
-        cycles = self._mean_cycles(n)
+        cycles = tail_count_mean(self.h, n, 1)
         # steps per refill: a read-ahead of whole Philox blocks that covers
         # the expected steps, where that is below min(n, _LOOKAHEAD)
         look = min(n, _LOOKAHEAD, 4 * math.ceil(d * cycles / 4))

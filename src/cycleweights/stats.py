@@ -54,11 +54,6 @@ class VerificationReport:
         self.checks.append(Check(name, float(observed), float(target),
                                  float(tol), bool(passed)))
 
-    def add_bound(self, name: str, observed: float, bound: float) -> None:
-        """Pass iff observed <= bound (recorded as target 0, tol bound)."""
-        self.checks.append(Check(name, float(observed), 0.0, float(bound),
-                                 bool(observed <= bound)))
-
     @property
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -252,7 +247,7 @@ def verify_poisson_increments(batch: Iterable, sd: SaddleData,
         k_max = max(int(col.max()), int(10 * max(target, 0.1)) + 10)
         emp = np.bincount(col, minlength=k_max + 1) / len(col)
         tv = 0.5 * float(np.abs(emp - poisson_pmf(target, k_max)).sum())
-        rep.add_bound(f"tv_inc_{j}", tv, tols["poisson_tv"])
+        rep.add(f"tv_inc_{j}", tv, 0.0, tols["poisson_tv"])
     for a in range(len(targets)):
         for b in range(a + 1, len(targets)):
             ca, cb = incs[:, a], incs[:, b]
@@ -260,7 +255,7 @@ def verify_poisson_increments(batch: Iterable, sd: SaddleData,
                 corr = 0.0
             else:
                 corr = float(np.corrcoef(ca, cb)[0, 1])
-            rep.add_bound(f"abs_corr_{a}_{b}", abs(corr), tols["correlation"])
+            rep.add(f"abs_corr_{a}_{b}", abs(corr), 0.0, tols["correlation"])
     return rep
 
 
@@ -284,8 +279,8 @@ def verify_gumbel(batch: Iterable, sd: SaddleData, K: int,
         name, tol = (("ks_L1_gumbel", "gumbel_ks_1") if j == 1
                      else (f"ks_L{j}_ref", "gumbel_ks_j"))
         ks = ks_distance(rescaled[:, j - 1], lambda x: point_cdf(j, x))
-        rep.add_bound(name, ks, tols[tol])
-    rep.add_bound("jump_time_violations", jumps, 0)
+        rep.add(name, ks, 0.0, tols[tol])
+    rep.add("jump_time_violations", jumps, 0.0, 0)
     return rep
 
 
@@ -343,6 +338,6 @@ def bn_event_frequency(batch: Iterable, sd: SaddleData,
     rep = VerificationReport(
         "bn_event",
         {"n": sd.n, "num_samples": num, "cap": cap, "markov_bound": bound})
-    rep.add_bound("bn_frequency", freq, limit)
-    rep.add_bound("bn_frequency_abs", freq, bn_tol)
+    rep.add("bn_frequency", freq, 0.0, limit)
+    rep.add("bn_frequency_abs", freq, 0.0, bn_tol)
     return rep

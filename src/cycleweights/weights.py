@@ -118,8 +118,15 @@ def _theta_range(w: WeightSequence, lo: int, hi: int) -> np.ndarray:
 
 
 def theta_array(w: WeightSequence, k_max: int) -> np.ndarray:
-    """theta_1..theta_k_max as a float array (index 0 unused, set to 0)."""
-    return np.concatenate(([0.0], _theta_range(w, 1, k_max)))
+    """theta_1..theta_k_max as a float array (index 0 unused, set to 0).
+    Raises ValueError if some theta_k overflows a double."""
+    with np.errstate(over="ignore"):
+        theta = np.concatenate(([0.0], _theta_range(w, 1, k_max)))
+    inf = np.isinf(theta)
+    if inf.any():
+        raise ValueError(f"theta_k of {w!r} overflows a double from "
+                         f"k={np.argmax(inf)} on; requested size {k_max}")
+    return theta
 
 
 def theta_log_range(w: WeightSequence, lo: int, hi: int) -> np.ndarray:

@@ -313,7 +313,7 @@ def test_h_estimate_against_table(htable_2000, poly1):
     ratios = []
     for n in (500, 1000, 2000):
         est, _ = cw.saddle_h_estimate(poly1, n)
-        ratios.append(math.exp(est.log() - htable_2000.value(n).log()))
+        ratios.append(math.exp(est.log() - htable_2000.log_array()[n]))
     assert 0.9 <= ratios[0] <= 1.1
     assert abs(ratios[0] - 1) >= abs(ratios[1] - 1) >= abs(ratios[2] - 1)
 
@@ -324,7 +324,7 @@ def test_h_estimate_table_weights():
     w = cw.table([1, 2, 3])
     tab = cw.build_h_table(w, 2000)
     gaps = [abs(math.expm1(cw.saddle_h_estimate(w, n)[0].log()
-                           - tab.value(n).log()))
+                           - tab.log_array()[n]))
             for n in (100, 300, 1000, 2000)]
     assert gaps[0] <= 0.025 and gaps[-1] <= 0.005
     assert gaps == sorted(gaps, reverse=True)

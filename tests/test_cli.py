@@ -1,9 +1,10 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
-from cycleweights import cli, oracle, sampler, weights
+from cycleweights import asymptotics, cli, oracle, sampler, weights
 from cycleweights.cli import run_command
 
 
@@ -53,7 +54,35 @@ def test_validation_errors(capsys, monkeypatch):
                         (["--vartheta", "2", "--n", "1000"],
                          "ell_n is undefined")]:
         assert run_command(["saddle", "--diagnostics"] + argv) == 2
-        assert named in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert named in err and out == ""
+
+
+def test_numeric_error_exits_3(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise asymptotics.SaddleError("no root")
+    monkeypatch.setattr(asymptotics, "solve_saddle", fail)
+    assert run_command(["saddle", "--alpha", "1", "--n", "100"]) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("numeric error:") and out == ""
+
+
+def test_theta_overflow_is_validation_error(tmp_path, capsys):
+    # theta_k = k^100 overflows a double from k = 1210 on, and k^400 from
+    # k = 6 on: refused before any table, sample or cache file is made
+    for argv, alpha, n, k in [
+            (["htable", "--cache-dir", str(tmp_path)], 100, 2000, 1210),
+            (["sample", "--samples", "2"], 100, 2000, 1210),
+            (["oracle"], 400, 8, 6)]:
+        assert run_command(argv + ["--alpha", str(alpha), "--n", str(n)]) == 2
+        out, err = capsys.readouterr()
+        assert f"alpha={alpha:.1f}" in err and f"k={k} " in err
+        assert f"size {n}" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+    # the largest size the check accepts still builds a finite table
+    logs = oracle.build_h_table(weights.polynomial(100.0), 1209).log_array()
+    assert np.all(np.isfinite(logs))
+    assert logs[-1] == pytest.approx(41814.16, rel=1e-6)
 
 
 def test_saddle_diagnostics(capsys):

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import math
 from fractions import Fraction
 
@@ -12,6 +13,11 @@ from cycleweights import oracle, weights
 
 def rel_err(a_log, b_log):
     return abs(math.expm1(a_log - b_log))
+
+
+def h_float(tab, n):
+    """Row n of the table as the nearest double."""
+    return oracle._ratio(tab.mant[n], tab.expo[n], 1.0, 0)
 
 
 def test_partitions_count():
@@ -61,7 +67,7 @@ def test_h_exact_values():
 
 def test_h_table_small_values():
     tab = cw.build_h_table(cw.polynomial(1.0), 3)
-    vals = [tab.value(i).to_float() for i in range(4)]
+    vals = [h_float(tab, i) for i in range(4)]
     assert vals == pytest.approx([1.0, 1.0, 1.5, 13 / 6])
 
 
@@ -69,8 +75,8 @@ def test_h_table_ewens_closed_forms():
     tab1 = cw.build_h_table(cw.ewens(1.0), 20)
     tab2 = cw.build_h_table(cw.ewens(2.0), 20)
     for n in range(21):
-        assert tab1.value(n).to_float() == pytest.approx(1.0, rel=1e-12)
-        assert tab2.value(n).to_float() == pytest.approx(n + 1, rel=1e-12)
+        assert h_float(tab1, n) == pytest.approx(1.0, rel=1e-12)
+        assert h_float(tab2, n) == pytest.approx(n + 1, rel=1e-12)
 
 
 @pytest.mark.parametrize("w", [cw.polynomial(1.0), cw.polynomial(2.0),
@@ -78,7 +84,7 @@ def test_h_table_ewens_closed_forms():
 def test_recurrence_matches_enumeration(w):
     tab = cw.build_h_table(w, 20)
     for n in range(1, 21):
-        assert rel_err(tab.value(n).log(), cw.h_exact(w, n).log()) < 1e-10
+        assert rel_err(tab.log_array()[n], cw.h_exact(w, n).log()) < 1e-10
 
 
 def test_recurrence_residual_invariant(htable_2000):
@@ -286,7 +292,7 @@ def test_series_identity_vs_table():
     w = cw.polynomial(1.5)
     tab = cw.build_h_table(w, 200)
     assert cw.mgf_series(w, 200, 1, 0.0) == pytest.approx(1.0, abs=1e-10)
-    assert tab.value(200).log() > 0  # sanity: entries grow
+    assert tab.log_array()[200] > 0  # sanity: entries grow
 
 
 def test_statistic_pmfs():
@@ -535,3 +541,38 @@ def test_longest_cycle_cdf_ends_need_no_table(monkeypatch):
         assert oracle.longest_cycle_cdf(tab, 30, x) == 0.0
     with pytest.raises(ValueError):
         oracle.longest_cycle_cdf(tab, 30, math.nan)
+
+
+# SHA-256 of mant.tobytes() + expo.tobytes() of build_h_table(w, n), and the
+# fewest rows the exact fallback must sum (the table's 12 at the time of
+# writing: its zero weights leave rows the FFT cannot resolve)
+H_GOLDEN = [
+    (cw.polynomial(0.5), 20000, 0,
+     "54b9e72e04ddbab2fd8d2aa5944adf94be1ea10a81f5fc3f0fd4832f68f1645e"),
+    (cw.polynomial(1.0), 20000, 0,
+     "6a92e2d455e3bea04db094e4f53c3a71258268e2537470ced85ceb73c35650d7"),
+    (cw.polynomial(3.0), 20000, 0,
+     "4fc342e1c15c403075d27a58ab3bb9227032d96ac594d6c060f819fe5b07ac04"),
+    (cw.ewens(0.3), 5000, 0,
+     "6508ff7158c3986e1189fe293d3ddabf36a2f1244804945229777ea81531f724"),
+    (cw.table([1, 0, 0, 1]), 3000, 1,
+     "6ac878bbe797ee6e4a45e4731a96a611d56d01277b13b00468462fd6f656335f"),
+]
+
+
+@pytest.mark.parametrize("w,n,fallback,digest", H_GOLDEN,
+                         ids=["poly0.5", "poly1", "poly3", "ewens0.3",
+                              "table1001"])
+def test_h_table_golden(w, n, fallback, digest, monkeypatch):
+    # the kernel's bytes, pinned: a build calls _scaled_dot once per row
+    # of the exact fallback and nowhere else
+    dot, rows = oracle._scaled_dot, []
+
+    def counted(*args):
+        rows.append(args)
+        return dot(*args)
+    monkeypatch.setattr(oracle, "_scaled_dot", counted)
+    tab = cw.build_h_table(w, n)
+    assert len(rows) >= fallback
+    assert hashlib.sha256(tab.mant.tobytes()
+                          + tab.expo.tobytes()).hexdigest() == digest

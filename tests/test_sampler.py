@@ -197,6 +197,20 @@ def test_config_validation(small_table):
         cw.SamplerConfig(n=100, num_samples=1, seed=0).validate(small_table)
 
 
+def test_sampler_refuses_another_weights_table():
+    # both before and after the table's shared sampler is cached
+    tab = cw.build_h_table(cw.polynomial(1.0), 40)
+    w = cw.polynomial(2.0)
+    cfg = cw.SamplerConfig(n=40, num_samples=4, seed=0)
+    for cached in (False, True):
+        assert hasattr(tab, "_sampler") == cached
+        with pytest.raises(ValueError, match="different weight"):
+            cw.sample_batch(w, tab, cfg)
+        list(cw.sample_batch(tab.weight, tab, cfg))
+    with pytest.raises(ValueError, match="different weight"):
+        smp.CycleTypeSampler(w, tab)
+
+
 def test_zero_row_is_rejected():
     # table([0, 1, 0]) allows 2-cycles only, so h_9 = 0: no permutation of
     # size 9 has positive weight, and both entry points refuse to sample
@@ -460,9 +474,6 @@ def test_batch_matches_exact_finite_n_laws(w, num):
     # variance; and P(L1 <= x), by DKW.  DELTA is split over the checks
     n = 2000
     tab = cw.build_h_table(w, n)
-    # the sampler sizes its key buffer by the expected number of cycles
-    assert smp._shared_sampler(w, tab)._mean_cycles(n) == pytest.approx(
-        cw.tail_count_mean(tab, n, 1), rel=1e-12)
     cols = cw.stats.columns(cw.sample_batch(
         w, tab, cw.SamplerConfig(n=n, num_samples=num, seed=13)))
     log_h = tab.log_array()
@@ -667,7 +678,7 @@ def test_wide_lockstep_chunks(monkeypatch):
         assert batch() == full
     # nor does a key buffer that starts at 64 keys and doubles when full
     with monkeypatch.context() as mp:
-        mp.setattr(smp.CycleTypeSampler, "_mean_cycles", lambda self, n: 0.0)
+        mp.setattr(smp, "tail_count_mean", lambda h, n, x: 0.0)
         assert batch() == full
     with monkeypatch.context() as mp:
         for name, value in {"_CHUNK": 3, "_SCAN_ROWS": 2,
