@@ -25,6 +25,9 @@ if TYPE_CHECKING:
 
 _MAX_NEWTON_ITERS = 200
 
+# zeta values by exact argument, shared by the zeta series (_series_terms)
+Zetas = Dict["mpmath.mpf", float]
+
 # the zeta series of polylog_series is used for |mu| <= SERIES_RADIUS < 2 pi;
 # its terms shrink like (|mu|/2pi)^j, so 4 keeps them below 0.64^j
 SERIES_RADIUS = 4.0
@@ -73,8 +76,7 @@ def ell_n(n_star: float, alpha: float) -> float:
 
 
 def _weight_sums(w: WeightSequence, v: float, exps: Tuple[int, ...],
-                 zetas: Optional[Dict[mpmath.mpf, float]] = None
-                 ) -> Tuple[float, ...]:
+                 zetas: Optional[Zetas] = None) -> Tuple[float, ...]:
     """sum_{k>=1} k^e theta_k e^{-kv} for each e in exps: closed forms for
     Ewens (-log(1-z), z/(1-z) and z/(1-z)^2 times vartheta at e = -1, 0
     and 1, z = e^{-v}), the zeta series for polynomial weights with
@@ -91,7 +93,7 @@ def _weight_sums(w: WeightSequence, v: float, exps: Tuple[int, ...],
     return tuple(exp_sums(w, v, 1, exps)[0])
 
 
-def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
+def solve_saddle(w: WeightSequence, n: int, zetas: Optional[Zetas] = None) -> SaddleData:
     """Solve sum theta_k e^{-kv} = n by safeguarded Newton iteration.
 
     The map v -> sum theta_k e^{-kv} is strictly decreasing, so a bisection
@@ -100,7 +102,10 @@ def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
     The zeta values of the series are computed once per solve and shared
     by every Newton step, and by a_n's and b_n's series: b_n's
     zeta(-(alpha+1)-j) is a_n's zeta(-alpha-(j+1)) wherever alpha + 1 is
-    exact in floating point.
+    exact in floating point.  zetas, if given, is that map of zeta values
+    (see _series_terms): the solve reads it and adds what it computes, so
+    a caller can share them with a later series; by default each solve
+    starts from an empty one.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -112,7 +117,7 @@ def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
     else:
         v = (n / math.gamma(alpha + 1.0)) ** (-1.0 / (1.0 + alpha))
     lo, hi = v / 10.0, 10.0 * v
-    zetas: Dict[mpmath.mpf, float] = {}
+    zetas = {} if zetas is None else zetas
     for _ in range(_MAX_NEWTON_ITERS):
         # the sums of the last v evaluated are the returned a_n, b_n
         s, sk = _weight_sums(w, v, (0, 1), zetas)
@@ -157,16 +162,17 @@ def zeta(s: float) -> float:
 
 
 def _series_terms(delta: float, mu: np.ndarray,
-                  zetas: Optional[Dict[mpmath.mpf, float]] = None
-                  ) -> Iterator[np.ndarray]:
+                  zetas: Optional[Zetas] = None) -> Iterator[np.ndarray]:
     """Terms of the zeta series of sum_{k>=1} k^delta e^{k mu}: the Gamma
     term, then zeta(-delta-j) mu^j/j! for j = 0, 1, ...  Each zeta argument
     is -delta-j exactly, not rounded to a float.  zetas maps such exact
     arguments to their zeta values; the terms read it first and add what
-    they compute.  delta must not be a negative integer, where the Gamma
-    term and one zeta term have poles."""
+    they compute.  delta must be finite and not a negative integer, where
+    the Gamma term and one zeta term have poles."""
     import mpmath
 
+    if not math.isfinite(delta):
+        raise ValueError(f"delta={delta} is not finite")
     if delta == round(delta) and delta <= -1:
         raise ValueError(f"delta={delta} is an excluded negative integer")
     zetas = {} if zetas is None else zetas
@@ -180,8 +186,7 @@ def _series_terms(delta: float, mu: np.ndarray,
         power = power * mu / (j + 1)
 
 
-def polylog_series(delta: float, mu,
-                   zetas: Optional[Dict[mpmath.mpf, float]] = None
+def polylog_series(delta: float, mu, zetas: Optional[Zetas] = None
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """sum_{k>=1} k^delta e^{k mu} from its zeta series, with an error bound.
 
@@ -295,12 +300,17 @@ def saddle_h_estimate(w: WeightSequence, n: int) -> Tuple[ScaledReal, SaddleData
     """Saddle-point estimate of h_n = [t^n] exp(g(t)).
 
     estimate = (2 pi)^{-1/2} r^{-n} b_n^{-1/2} exp(g(r)) at r = r_n, with
-    g(r) = sum (theta_k/k) r^k taken as solve_saddle takes its sums.
+    g(r) = sum (theta_k/k) r^k taken as solve_saddle takes its sums.  For
+    polynomial weights g(r)'s series (delta = alpha - 1) reads the solve's
+    zeta values: zeta(1-alpha-j) for j >= 1 is the solve's zeta(-alpha-(j-1))
+    wherever alpha - 1 is exact in floating point, so it computes only
+    zeta(1-alpha) and any term past the solve's.
     """
     if n < 10:
         raise ValueError("saddle estimate needs n >= 10")
-    sd = solve_saddle(w, n)
-    (g_r,) = _weight_sums(w, sd.v_n, (-1,))
+    zetas: Zetas = {}
+    sd = solve_saddle(w, n, zetas)
+    (g_r,) = _weight_sums(w, sd.v_n, (-1,), zetas)
     log_est = (-0.5 * math.log(2.0 * math.pi)
                + n * sd.v_n
                - 0.5 * math.log(sd.b_n)

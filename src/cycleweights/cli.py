@@ -87,12 +87,12 @@ def _emit_report(rep: stats.VerificationReport, out_path: Optional[str]) -> int:
 
 def cmd_htable(args) -> int:
     w = _weight_from_args(args)
-    os.makedirs(args.cache_dir, exist_ok=True)
     path = _cache_path(args.cache_dir, w, args.n)
     if os.path.exists(path):
         tab = oracle.HTable.load(path, w)
     else:
         tab = oracle.build_h_table(w, args.n)
+        os.makedirs(args.cache_dir, exist_ok=True)
         tab.save(path)
     print(f"htable ready: n_max={tab.n_max} "
           f"log h_n={tab.log_array()[tab.n_max]:.6f}")
@@ -126,14 +126,10 @@ def cmd_saddle(args) -> int:
     # computed before any output, so that a rejected n prints nothing
     rep = (asymptotics.admissibility_diagnostics(w, args.n, s=0.0, y=1.0)
            if args.diagnostics else None)
-    print(f"v_n       = {_fmt(sd.v_n)}")
-    print(f"n*        = {_fmt(sd.n_star)}")
-    print(f"ell_n     = {_fmt(sd.ell_n)}")
-    print(f"r_n       = {_fmt(sd.r_n)}")
-    print(f"a_n       = {_fmt(sd.a_n)}")
-    print(f"b_n       = {_fmt(sd.b_n)}")
-    print(f"K         = {sd.truncation_K}")
-    print(f"residual  = {_fmt(sd.residual)}")
+    for name, value in [("v_n", sd.v_n), ("n*", sd.n_star), ("ell_n", sd.ell_n),
+                        ("r_n", sd.r_n), ("a_n", sd.a_n), ("b_n", sd.b_n),
+                        ("K", sd.truncation_K), ("residual", sd.residual)]:
+        print(f"{name:<10}= {_fmt(value)}")
     if rep is not None:
         print(json.dumps(dataclasses.asdict(rep)))
     return EXIT_OK
@@ -141,9 +137,8 @@ def cmd_saddle(args) -> int:
 
 def cmd_sample(args) -> int:
     w = _weight_from_args(args)
+    cfg = sampler.SamplerConfig(args.n, args.samples, args.seed)
     tab = oracle.build_h_table(w, args.n)
-    cfg = sampler.SamplerConfig(n=args.n, num_samples=args.samples,
-                                seed=args.seed)
     stream = sampler.sample_batch(w, tab, cfg)
     if args.out:
         with open(args.out, "w") as f:
@@ -157,6 +152,7 @@ def cmd_sample(args) -> int:
 def cmd_verify(args) -> int:
     w = _weight_from_args(args)
     # check the experiment's inputs before any sample is drawn
+    cfg = sampler.SamplerConfig(args.n, args.samples, args.seed)
     tols = stats.merge_tolerances(_parse_tols(args.tol))
     if args.experiment == "poisson":
         report = functools.partial(
@@ -177,23 +173,17 @@ def cmd_verify(args) -> int:
     for y in [0.0, *report.keywords.get("y_grid", [])]:
         asymptotics.threshold_x(sd, y)
     tab = oracle.build_h_table(w, args.n)
-    cfg = sampler.SamplerConfig(n=args.n, num_samples=args.samples,
-                                seed=args.seed)
     batch = list(sampler.sample_batch(w, tab, cfg))
     return _emit_report(report(batch, sd=sd, tolerances=tols), args.out)
 
 
 def cmd_expansions(args) -> int:
-    deltas = _parse_grid(args.deltas)
-    vs = _parse_grid(args.vs)
-    rows = []
+    deltas, vs = _parse_grid(args.deltas), _parse_grid(args.vs)
+    lines = ["delta,v,direct,approx,abs_error"]
     for delta in deltas:
         for v in vs:
             approx, direct, err = asymptotics.polylog_asymp(delta, v)
-            rows.append((delta, v, direct, approx, err))
-    lines = ["delta,v,direct,approx,abs_error"]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+            lines.append(",".join(map(_fmt, (delta, v, direct, approx, err))))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as f:

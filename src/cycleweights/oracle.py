@@ -221,28 +221,40 @@ class HTable:
                       where=self.mant > 0)
         return logm + self.expo * math.log(2.0)
 
-    def recurrence_residual(self, n: int, theta: np.ndarray = None) -> float:
-        """Relative residual of n*h_n against the full convolution sum."""
-        if theta is None:
-            theta = theta_array(self.weight, self.n_max)
-        total, top = _scaled_dot(theta[:n + 1], self.mant[n::-1],
-                                 self.expo[n::-1])
-        if self.mant[n] == 0.0:  # right iff every term is zero too
-            return 0.0 if total == 0.0 else math.inf
-        return abs(_ratio(total, top, n * self.mant[n], self.expo[n]) - 1.0)
+    def recurrence_residuals(self, rows) -> np.ndarray:
+        """Relative residual of n*h_n against the full convolution sum
+        sum_k theta_k h_{n-k}, at each n of rows: 0 at a zero row whose
+        terms are all zero, inf at one whose terms are not.  theta is split
+        and the table reversed once, so each row is one _scaled_dot over
+        contiguous slices."""
+        cm, ce = _split(theta_array(self.weight, self.n_max))
+        rev_m, rev_e = self.mant[::-1].copy(), self.expo[::-1].copy()
+        out = np.empty(len(rows))
+        for i, n in enumerate(map(int, rows)):
+            total, top = _scaled_dot(cm[:n + 1], ce[:n + 1], rev_m[-n - 1:],
+                                     rev_e[-n - 1:])
+            if self.mant[n] == 0.0:
+                out[i] = 0.0 if total == 0.0 else math.inf
+            else:
+                out[i] = abs(_ratio(total, top, n * self.mant[n], self.expo[n]) - 1.0)
+        return out
 
     def save(self, path: str) -> None:
         with open(path, "wb") as f:
             f.write(_MAGIC)
             f.write(_HEADER.pack(_CACHE_VERSION, _weight_digest(self.weight),
                                  self.n_max))
-            pairs = np.empty(self.n_max + 1, dtype=_ROW)
-            pairs["m"] = self.mant
-            pairs["e"] = self.expo
-            pairs.tofile(f)
+            np.rec.fromarrays([self.mant, self.expo], dtype=_ROW).tofile(f)
 
     @classmethod
     def load(cls, path: str, weight: WeightSequence) -> "HTable":
+        """The table saved at path for weight, checked: its header (magic,
+        version, weight digest and row count) must match, and its sampled
+        recurrence residuals (recurrence_residuals) must be at most 1e-9 on
+        max(1, n_max // 100) rows drawn by default_rng(0), else ValueError
+        names the first failing row.  Each row's sum is O(n), so the check
+        is O(n_max^2), by one theta split and one reversed copy of the table
+        for all its rows."""
         with open(path, "rb") as f:
             if f.read(4) != _MAGIC:
                 raise ValueError(f"{path}: bad magic, not an HTable cache")
@@ -262,14 +274,12 @@ class HTable:
         pairs = np.frombuffer(payload, dtype=_ROW)
         tab = cls(weight=weight, n_max=int(n_max),
                   mant=pairs["m"].copy(), expo=pairs["e"].copy())
-        rng = np.random.default_rng(0)
-        k = max(1, tab.n_max // 100)
-        theta = theta_array(weight, tab.n_max)
-        for n in rng.choice(np.arange(1, tab.n_max + 1),
-                            size=min(k, tab.n_max), replace=False):
-            if tab.recurrence_residual(int(n), theta) > 1e-9:
-                raise ValueError(f"{path}: recurrence residual check "
-                                 f"failed at n={n}")
+        k = min(max(1, tab.n_max // 100), tab.n_max)
+        rows = np.random.default_rng(0).choice(tab.n_max, k, replace=False) + 1
+        bad = np.flatnonzero(tab.recurrence_residuals(rows) > 1e-9)
+        if bad.size:
+            raise ValueError(f"{path}: recurrence residual check "
+                             f"failed at n={rows[bad[0]]}")
         return tab
 
 
@@ -331,24 +341,40 @@ def _times_pow2(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 _POW2_DOWN = np.append(np.ldexp(1.0, -np.arange(1021)), 0.0)
 
 
-def _scaled_dot(coef: np.ndarray, mant: np.ndarray,
-                expo: np.ndarray) -> Tuple[float, int]:
-    """sum_i coef_i * mant_i 2**expo_i as (float, binary exponent); terms
-    more than 1020 binary orders below the largest vanish.
+# below any exponent a term can have: the exponent of a masked zero term
+_ZERO_EXP = -(1 << 48)
 
-    The terms are m_i 2**(ex_i - top) with m_i in [1/2, 2) (or 0), scaled
-    by a table of powers of two instead of np.ldexp: the products are
-    exact, and a dropped term is below 2^-1019, which cannot move a sum
-    whose top term is at least 1/2.  Zero terms may carry exponents above
-    top, so the table index is clipped at both ends."""
+
+def _split(coef: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """coef as _scaled_dot takes it: np.frexp's mantissas, in [1/2, 1) (or
+    0), and its exponents as int64."""
     cm, ce = np.frexp(coef)
-    m = cm * mant
-    ex = ce + expo
-    nz = m != 0.0
-    if not np.any(nz):
-        return 0.0, 0
-    top = int(np.max(ex[nz]))
-    return float(np.sum(m * np.take(_POW2_DOWN, top - ex, mode="clip"))), top
+    return cm, ce.astype(np.int64)
+
+
+def _scaled_dot(cm: np.ndarray, ce: np.ndarray, mant: np.ndarray,
+                expo: np.ndarray) -> Tuple[float, int]:
+    """sum_i coef_i * mant_i 2**expo_i as (float, binary exponent), for
+    (cm, ce) = _split(coef); terms more than 1020 binary orders below the
+    largest vanish.  Callers split their coefficients once and reuse them.
+
+    The terms are m_i 2**(ex_i - top) with m_i in [1/2, 2) (or 0) and top
+    the largest exponent of a nonzero term (0 if every term is zero),
+    scaled by a table of powers of two instead of np.ldexp: the products
+    are exact, and a dropped term is below 2^-1019, which cannot move a sum
+    whose top term is at least 1/2.  The zero terms (zero coefficients,
+    theta_0 among them, and zero rows) are masked, to exponent _ZERO_EXP,
+    only when one of them carries the largest exponent.  Zero terms may
+    still carry exponents above top, so the table index is clipped at both
+    ends.  The terms are summed in order."""
+    m, ex = cm * mant, ce + expo
+    i = np.argmax(ex)
+    if m[i] == 0.0:
+        ex[m == 0.0] = _ZERO_EXP
+        i = np.argmax(ex)
+    top = int(ex[i]) if m[i] != 0.0 else 0
+    m *= np.take(_POW2_DOWN, np.subtract(top, ex, out=ex), mode="clip")
+    return float(np.sum(m)), top
 
 
 def _middle_product(x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -461,8 +487,12 @@ def exp_coefficients(c: np.ndarray, n_max: int):
             mant[s:e] = 2.0 * m
             expo[s:e] = np.where(m != 0, ex - 1 + expo[a] + fl.astype(np.int64), 0)
         else:
+            # c_{e-1-lo} .. c_1, split once for the block: row n reads the
+            # last n - lo, c[n - lo:0:-1]
+            rev_m, rev_e = _split(c[e - 1 - lo:0:-1])
             for n in range(s, e):
-                total, top = _scaled_dot(c[n - lo:0:-1], mant[lo:n], expo[lo:n])
+                total, top = _scaled_dot(rev_m[lo - n:], rev_e[lo - n:],
+                                         mant[lo:n], expo[lo:n])
                 m, ex = math.frexp(total / n)
                 mant[n], expo[n] = 2.0 * m, (ex - 1 + top if m else 0)
         s = e
@@ -537,7 +567,7 @@ def tail_count_mean(h: HTable, n: int, x: float) -> float:
     if lo > n:
         return 0.0
     a = theta_array(h.weight, n)[lo:] / np.arange(lo, n + 1)
-    total, top = _scaled_dot(a, h.mant[n - lo::-1], h.expo[n - lo::-1])
+    total, top = _scaled_dot(*_split(a), h.mant[n - lo::-1], h.expo[n - lo::-1])
     return _ratio(total, top, h.mant[n], h.expo[n])
 
 
@@ -584,6 +614,6 @@ def corollary_bound_check(w: WeightSequence, n: int, u: float, v: float):
     h = build_h_table(w, n)
     Fr = float(np.sum(fcoef[1:] * sd.r_n ** k[1:]))
     f_at_r = (Fr * (1.0 + Fr)) ** 2
-    lhs = _ratio(*_scaled_dot(f, h.mant[::-1], h.expo[::-1]), 1.0, 0)
+    lhs = _ratio(*_scaled_dot(*_split(f), h.mant[::-1], h.expo[::-1]), 1.0, 0)
     rhs = _ratio(h.mant[n] * (2.0 * f_at_r), h.expo[n], 1.0, 0)
     return lhs, rhs, lhs <= rhs

@@ -82,7 +82,7 @@ from typing import Callable, Iterable, Iterator, TextIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .oracle import Columns, CycleType, HTable, check_row, tail_count_mean
+from .oracle import CapacityError, Columns, CycleType, HTable, check_row, tail_count_mean
 from .weights import EWENS, POLYNOMIAL, WeightSequence, theta_log_array
 
 _MASK64 = (1 << 64) - 1
@@ -105,6 +105,8 @@ _LOOKAHEAD = 32
 # cells of a Philox tile (keys x uniforms), of a scan group's (rows, block)
 # arrays where _SCAN_ROWS allows it, and of a small-n chunk's read-ahead
 _BUFFER = 2**16
+# largest n whose keys sample * (n + 1) + length fit int32 in a chunk of one
+_MAX_N = 2**31 - 2
 
 
 def _chunk_size(n: int) -> int:
@@ -113,14 +115,22 @@ def _chunk_size(n: int) -> int:
     (n < 8), and at most (2^31 - 1) // (n + 1), so that the keys
     sample * (n + 1) + length fit int32: chunks shrink past n = 262 142."""
     return min(max(_CHUNK, _BUFFER // min(n, _LOOKAHEAD)),
-               (2**31 - 1) // (n + 1))
+               (_MAX_N + 1) // (n + 1))
 
 
 @dataclass
 class SamplerConfig:
+    """A batch's size n, sample count and seed.  An n past _MAX_N, whose
+    keys do not fit int32, is refused when the config is made, before any
+    table is built for it."""
+
     n: int
     num_samples: int
     seed: int
+
+    def __post_init__(self):
+        if self.n > _MAX_N:  # keys sample * (n + 1) + length overflow int32
+            raise CapacityError(f"n={self.n} exceeds the sampler's limit {_MAX_N}")
 
     def validate(self, h: HTable) -> None:
         check_row(self.n, h.weight, h.mant)

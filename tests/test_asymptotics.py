@@ -166,6 +166,9 @@ def test_polylog_series_rejects_outside_radius():
             asymptotics.polylog_series(0.5, mu)
     with pytest.raises(ValueError, match="negative integer"):
         asymptotics.polylog_series(-2.0, -0.5)
+    for delta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"delta={delta} is not finite"):
+            asymptotics.polylog_series(delta, -0.5)
 
 
 def _raise(*args):
@@ -219,6 +222,34 @@ def test_saddle_computes_each_zeta_once(alpha, n, monkeypatch):
     assert sd.a_n == float(asymptotics.polylog_series(alpha, -sd.v_n)[0])
     assert sd.b_n == float(asymptotics.polylog_series(alpha + 1.0,
                                                       -sd.v_n)[0])
+
+
+# log of saddle_h_estimate(polynomial(alpha), 2e4) with a fresh zeta series
+# per sum
+H_ESTIMATE_BEFORE_SHARING = {0.5: "0x1.0107bf6087dc0p+6",
+                             3.0: "0x1.b5be753bcd9f5p+11"}
+
+
+@pytest.mark.parametrize("alpha", H_ESTIMATE_BEFORE_SHARING)
+def test_h_estimate_computes_each_zeta_once(alpha, monkeypatch):
+    args = []
+    plain = asymptotics.zeta
+
+    def counted(s):
+        args.append(s)
+        return plain(s)
+
+    monkeypatch.setattr(asymptotics, "zeta", counted)
+    w = cw.polynomial(alpha)
+    cw.solve_saddle(w, 20000)
+    solve = len(args)
+    est, _ = cw.saddle_h_estimate(w, 20000)
+    assert est.log().hex() == H_ESTIMATE_BEFORE_SHARING[alpha]
+    estimate = args[solve:]
+    assert len(set(estimate)) == len(estimate)
+    # g(r)'s series adds zeta(1 - alpha) to the solve's values, and no other
+    assert len(estimate) == solve + 1
+    assert 1 - alpha in estimate
 
 
 def test_mpmath_is_imported_on_first_zeta():

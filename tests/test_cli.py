@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -270,6 +271,46 @@ def test_expansions_csv(tmp_path):
     # 17-significant-digit round trip
     row = lines[1].split(",")
     assert float(row[0]) == 0.0 and float(row[1]) == 0.2
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_expansions_non_finite_delta_is_validation_error(delta, capsys):
+    assert run_command(["expansions", "--deltas", delta, "--vs", "0.5"]) == 2
+    assert f"delta={delta} is not finite" in capsys.readouterr().err
+
+
+def test_htable_makes_cache_dir_only_to_save(tmp_path, capsys):
+    # a refused build leaves no directory; a cold call makes it, and a warm
+    # call loads what the cold one saved
+    cache = tmp_path / "cache"
+    assert run_command(["htable", "--alpha", "100", "--n", "2000",
+                        "--cache-dir", str(cache)]) == 2
+    assert not cache.exists()
+    argv = ["htable", "--alpha", "1", "--n", "300", "--cache-dir", str(cache)]
+    assert run_command(argv) == 0
+    cold = capsys.readouterr().out
+    assert len(list(cache.iterdir())) == 1
+    assert run_command(argv) == 0
+    assert capsys.readouterr().out == cold
+
+
+@pytest.mark.parametrize("command", [["sample"], ["verify", "poisson"]])
+def test_n_past_sampler_keys_is_refused_before_any_build(command, capsys,
+                                                         monkeypatch):
+    # keys sample * (n + 1) + length fit int32 only up to n = 2^31 - 2; a
+    # larger n must be refused before a saddle solve or a table build
+    # allocates for it (patched here so that nothing large is allocated)
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved, built or sampled for an n past the keys")
+    for owner, name in [(asymptotics, "solve_saddle"),
+                        (oracle, "build_h_table"), (sampler, "sample_batch")]:
+        monkeypatch.setattr(owner, name, refuse)
+    start = time.perf_counter()
+    assert run_command(command + ["--alpha", "1", "--n", str(2**31 - 1),
+                                  "--samples", "1"]) == 2
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert f"n={2**31 - 1}" in err and str(2**31 - 2) in err
 
 
 @pytest.mark.parametrize("experiment", ["poisson", "gumbel", "profile", "bn"])

@@ -88,8 +88,53 @@ def test_recurrence_matches_enumeration(w):
 
 
 def test_recurrence_residual_invariant(htable_2000):
-    for n in (1, 17, 500, 2000):
-        assert htable_2000.recurrence_residual(n) < 1e-10
+    for res in htable_2000.recurrence_residuals([1, 17, 500, 2000]):
+        assert res < 1e-10
+
+
+def residual_reference(tab, n):
+    """Reference for HTable.recurrence_residuals: one row's residual, with
+    theta split on the call, the table's rows read through reversed views
+    and the zero terms always masked out of the top exponent."""
+    theta = weights.theta_array(tab.weight, tab.n_max)
+    cm, ce = np.frexp(theta[:n + 1])
+    m = cm * tab.mant[n::-1]
+    ex = ce + tab.expo[n::-1]
+    nz = m != 0.0
+    total, top = 0.0, 0
+    if np.any(nz):
+        top = int(np.max(ex[nz]))
+        total = float(np.sum(m * np.take(oracle._POW2_DOWN, top - ex,
+                                         mode="clip")))
+    if tab.mant[n] == 0.0:
+        return 0.0 if total == 0.0 else math.inf
+    return abs(oracle._ratio(total, top, n * tab.mant[n], tab.expo[n]) - 1.0)
+
+
+@pytest.mark.parametrize("w", [
+    cw.polynomial(0.5), cw.polynomial(1.0), cw.polynomial(3.0), cw.ewens(2.0),
+    cw.table([1, 0, 0, 1]), cw.table([0, 0, 1, 0, 3])],
+    ids=["poly0.5", "poly1", "poly3", "ewens2", "table1001", "table00103"])
+def test_recurrence_residuals_match_one_row_reference(w):
+    # the rows HTable.load checks, every small row (table00103 has the zero
+    # rows h_1, h_2 and h_4) and the last; then the same table with h_17
+    # scaled and h_1 set to 8, so that the check must fail
+    n_max = 3000
+    tab = cw.build_h_table(w, n_max)
+    zero_h4 = tab.mant[4] == 0.0
+    rows = np.concatenate([
+        np.random.default_rng(0).choice(np.arange(1, n_max + 1),
+                                        size=n_max // 100, replace=False),
+        np.arange(1, 41), [n_max]])
+    for case in ("built", "tampered"):
+        got = tab.recurrence_residuals(rows)
+        want = np.array([residual_reference(tab, int(n)) for n in rows])
+        assert got.tobytes() == want.tobytes()
+        assert (np.max(got) <= 1e-12) == (case == "built")
+        tab.mant[17] *= 1.5
+        tab.mant[1], tab.expo[1] = 1.0, 3
+    if zero_h4:  # table00103: h_4 = 0, but its term theta_3 h_1 is not
+        assert np.all(got[rows == 4] == math.inf)
 
 
 KERNEL_WEIGHTS = {
@@ -157,9 +202,8 @@ def test_kernel_matches_mpmath_recurrence(name):
 
 def test_kernel_full_sum_residual_alpha3():
     tab = cw.build_h_table(cw.polynomial(3.0), 20000)
-    theta = weights.theta_array(tab.weight, tab.n_max)
     rows = np.random.default_rng(5).choice(np.arange(1, 20001), 200, replace=False)
-    assert max(tab.recurrence_residual(int(n), theta) for n in rows) <= 1e-12
+    assert max(tab.recurrence_residuals(rows)) <= 1e-12
 
 
 def row_by_row_solve(cross, u, s):
@@ -252,6 +296,10 @@ def ldexp_scaled_dot(coef, mant, expo):
     return float(np.sum(np.ldexp(m, np.maximum(ex - top, -1100)))), top
 
 
+def scaled_dot(coef, mant, expo):
+    return oracle._scaled_dot(*oracle._split(coef), mant, expo)
+
+
 def test_scaled_dot_matches_ldexp():
     rng = np.random.default_rng(11)
     for size in (1, 2, 7, 100, 3000):
@@ -261,23 +309,23 @@ def test_scaled_dot_matches_ldexp():
             mant = 1.0 + rng.random(size)
             mant[rng.random(size) < 0.2] = 0.0
             expo = rng.integers(-spread, spread + 1, size)
-            assert oracle._scaled_dot(coef, mant, expo) == \
+            assert scaled_dot(coef, mant, expo) == \
                 ldexp_scaled_dot(coef, mant, expo)
     # zero terms above the top term, and a top term over a subnormal tail
     coef = np.array([1.0, 0.0, 3.0, 1.5, 0.0])
     mant = np.array([1.5, 1.25, 0.0, 1.0, 1.75])
     for expo in ([0, 5000, 9000, -1030, 10], [0, -1022, 0, -1070, 2000]):
         expo = np.array(expo)
-        assert oracle._scaled_dot(coef, mant, expo) == \
+        assert scaled_dot(coef, mant, expo) == \
             ldexp_scaled_dot(coef, mant, expo)
-    assert oracle._scaled_dot(coef[1:3], mant[1:3], np.array([7, 9])) == (0.0, 0)
+    assert scaled_dot(coef[1:3], mant[1:3], np.array([7, 9])) == (0.0, 0)
     # recurrence sums of a table reaching 2^5052: every row to 5000 (spreads
     # past 1100 binary orders from row 2645 on), then every 50th
     tab = cw.build_h_table(cw.polynomial(3.0), 20000)
     theta = weights.theta_array(tab.weight, tab.n_max)
     for n in [*range(5001), *range(5001, tab.n_max + 1, 50)]:
         args = theta[:n + 1], tab.mant[n::-1], tab.expo[n::-1]
-        assert oracle._scaled_dot(*args) == ldexp_scaled_dot(*args)
+        assert scaled_dot(*args) == ldexp_scaled_dot(*args)
 
 
 def test_log_array_zero_rows():

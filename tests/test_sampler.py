@@ -702,6 +702,16 @@ def test_key_type_limit():
     assert smp._chunk_size(262_143) == smp._CHUNK - 1
 
 
+def test_config_refuses_n_past_the_keys():
+    # the largest n has chunks of one sample; the next has none, and its
+    # config is refused when made, with no table to check it against
+    assert smp._chunk_size(smp._MAX_N) == 1
+    assert smp._chunk_size(smp._MAX_N + 1) == 0
+    cw.SamplerConfig(n=smp._MAX_N, num_samples=1, seed=0)
+    with pytest.raises(CapacityError, match=f"n={smp._MAX_N + 1} exceeds"):
+        cw.SamplerConfig(n=smp._MAX_N + 1, num_samples=1, seed=0)
+
+
 def test_refill_past_read_ahead():
     # table([1, 0]) allows fixed points only: 1500 draws per sample, more
     # than one read-ahead block of uniforms
