@@ -249,12 +249,13 @@ class HTable:
     @classmethod
     def load(cls, path: str, weight: WeightSequence) -> "HTable":
         """The table saved at path for weight, checked: its header (magic,
-        version, weight digest and row count) must match, and its sampled
-        recurrence residuals (recurrence_residuals) must be at most 1e-9 on
-        max(1, n_max // 100) rows drawn by default_rng(0), else ValueError
-        names the first failing row.  Each row's sum is O(n), so the check
-        is O(n_max^2), by one theta split and one reversed copy of the table
-        for all its rows."""
+        version, weight digest and row count) must match, every mantissa
+        must be 0 or in [1, 2), and its sampled recurrence residuals
+        (recurrence_residuals) must be at most 1e-9 on max(1, n_max // 100)
+        rows drawn by default_rng(0), else ValueError names the first
+        failing row.  A NaN fails both tests.  Each row's sum is O(n), so
+        the check is O(n_max^2), by one theta split and one reversed copy
+        of the table for all its rows."""
         with open(path, "rb") as f:
             if f.read(4) != _MAGIC:
                 raise ValueError(f"{path}: bad magic, not an HTable cache")
@@ -274,12 +275,16 @@ class HTable:
         pairs = np.frombuffer(payload, dtype=_ROW)
         tab = cls(weight=weight, n_max=int(n_max),
                   mant=pairs["m"].copy(), expo=pairs["e"].copy())
-        k = min(max(1, tab.n_max // 100), tab.n_max)
-        rows = np.random.default_rng(0).choice(tab.n_max, k, replace=False) + 1
-        bad = np.flatnonzero(tab.recurrence_residuals(rows) > 1e-9)
+        bad = np.flatnonzero(~((tab.mant == 0.0)
+                               | ((tab.mant >= 1.0) & (tab.mant < 2.0))))
+        if not bad.size:
+            k = min(max(1, tab.n_max // 100), tab.n_max)
+            rows = np.random.default_rng(0).choice(tab.n_max, k,
+                                                   replace=False) + 1
+            bad = rows[~(tab.recurrence_residuals(rows) <= 1e-9)]
         if bad.size:
-            raise ValueError(f"{path}: recurrence residual check "
-                             f"failed at n={rows[bad[0]]}")
+            raise ValueError(f"{path}: mantissa or recurrence residual "
+                             f"check failed at n={bad[0]}")
         return tab
 
 

@@ -43,25 +43,27 @@ group of rows of size <= 16 takes up to 4096 of them, or more where all
 are smaller.  A chunk writes each first cycle as the int32 key
 sample * (n + 1) + length, which the cap above keeps below 2^31, into one
 buffer sized by the expected number of cycles, and counts C_m from the
-runs of its sorted keys into one Columns of read-only int32 arrays; each
-of its samples is handed out as a CycleType row handle on it, with no
-per-sample array.  Sample i reads its uniforms, in order, from its own
-counter-based random stream keyed by (seed, i), the same number at every
-step: one where no row of the draw has an envelope (n <= 16, or tables),
-else one for the scan or the k = m test followed by one proposal's (a
-uniform per geometric variable and one for the acceptance test); a row
-uses those its draw needs.  Its value therefore
-depends only on the seed and its index, not on the batch size, the
-chunking, the read-ahead or any other sample.
+runs of its sorted keys, in int32 arrays only, into one Columns of
+read-only int32 arrays; each of its samples is handed out as a CycleType
+row handle on it, with no per-sample array.  Sample i reads its
+uniforms, in order, from its own counter-based random stream keyed by
+(seed, i), the same number at every step: one where no row of the draw
+has an envelope (n <= 16, or tables), else one for the scan or the k = m
+test followed by one proposal's (a uniform per geometric variable and one
+for the acceptance test); a row uses those its draw needs.  Its value
+therefore depends only on the seed and its index, not on the batch size,
+the chunking, the read-ahead or any other sample.
 
 A step where some row has an envelope makes one pass over its arrays:
 every row takes the k = m test and a proposal, whose geometric variables
 are the rows of one array so that each operation runs along the step's
 rows, and the rows without an envelope, which fail both, then take the
 scan's draw.
-A chunk's read-ahead holds sample i's uniforms for its j-th step after a
-refill in row i * steps + j, so a step gathers each sample's uniforms as
-one contiguous row.
+A chunk's read-ahead holds the uniforms of the i-th running sample of a
+refill for its j-th step after it in row i * steps + j, so a step gathers
+each sample's uniforms as one contiguous row, and a refill's Philox tiles
+write straight into the read-ahead's first rows, with no array of their
+own.
 
 The streams are numpy's Philox4x64-10, bit for bit.  Philox maps (key,
 counter) to random words, so a batch computes each refill's uniforms in
@@ -187,11 +189,15 @@ def _philox_mul(m: np.ndarray, c: np.ndarray, lo: np.ndarray = None,
     return c, lo
 
 
-def philox_uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
+def philox_uniforms(keys: np.ndarray, start: int, count: int,
+                    out: np.ndarray = None) -> np.ndarray:
     """Uniforms start .. start + count - 1 of each key's stream, one row per
     key: the values np.random.Generator(np.random.Philox(key=k)).random()
     returns, computed for all keys at once, in tiles of at most
     _BUFFER // count keys, so that each tile's work arrays stay small.
+    Each tile writes its rows of out, a (keys, count) float64 array, if
+    given; else one tile's uniforms are returned in the memory of its work
+    arrays, and several tiles' in one new array.
 
     Philox4x64-10 (Salmon et al., SC'11) turns a counter (c0, c1, c2, c3)
     into four 64-bit words by ten rounds under key (k0, k1), bumped by
@@ -213,25 +219,28 @@ def philox_uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
         _M[0, 0, 0], np.arange(first + 1, first + blocks + 1, dtype=np.uint64))
     b_hi, b_lo = _philox_mul(_M[1, 0, 0], c_hi)
     c_lo ^= _W[1, 0, 0]
-    # uniform 4 j + i is word i of block j.  A single tile's uniforms take
-    # the memory of its work arrays: a separate output array doubles the
-    # page faults of a 10^4-sample round at n = 6
     tile = max(1, _BUFFER // count)
-    if len(keys) <= tile:
-        out = _philox_tile(keys, b_hi, b_lo, c_lo)
-    else:
-        out = np.empty((len(keys), blocks, 4))
-        for i in range(0, len(keys), tile):
-            _philox_tile(keys[i:i + tile], b_hi, b_lo, c_lo, out[i:i + tile])
-    return out.reshape(len(keys), -1)[:, skip:skip + count]
+    if out is None and len(keys) <= tile:
+        # a single tile's uniforms take the memory of its work arrays: a
+        # separate output array doubles the page faults of a 10^4-sample
+        # round at n = 6
+        return _philox_tile(keys, b_hi, b_lo, c_lo)[:, skip:skip + count]
+    if out is None:
+        out = np.empty((len(keys), count))
+    for i in range(0, len(keys), tile):
+        _philox_tile(keys[i:i + tile], b_hi, b_lo, c_lo, out[i:i + tile], skip)
+    return out
 
 
 def _philox_tile(keys: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray,
-                 c_lo: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+                 c_lo: np.ndarray, out: np.ndarray = None,
+                 skip: int = 0) -> np.ndarray:
     """Rounds 2-10 of philox_uniforms for the uint64 keys, from the block
     words b_hi, b_lo (round 2's product of round 1's high word) and
-    c_lo ^ W1.  Returns the uniforms shaped (key, block, word), in out if
-    given, else in the memory of the work arrays."""
+    c_lo ^ W1.  Uniform 4 j + i is word i of block j; out, one row per
+    key, holds uniforms skip .. skip + out.shape[1] - 1.  Without out, every
+    block's uniforms are returned, shaped (key, 4 blocks), in the memory of
+    the work arrays."""
     rows = len(keys)
     # round 2 under key (k + W0, W1)
     k_hi, k_lo = _philox_mul(_M[0, 0, 0], keys.copy())
@@ -259,13 +268,17 @@ def _philox_tile(keys: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray,
         odd ^= hi[::-1]
         odd ^= key
         even, odd, free = odd, lo[::-1], hi
-    # each word written straight into its column of the output
+    # each word written straight into its columns of the output: word i
+    # of block j is column 4 j + i - skip
     even >>= np.uint64(11)
     odd >>= np.uint64(11)
     if out is None:
-        out = work[:2].view(np.float64).reshape(rows, len(b_hi), 4)
+        out = work[:2].view(np.float64).reshape(rows, 4 * len(b_hi))
     for i, word in enumerate((even[0], odd[0], even[1], odd[1])):
-        np.multiply(word.T, 2.0 ** -53, out=out[:, :, i])
+        col = (i - skip) % 4
+        j = (col + skip - i) // 4
+        dst = out[:, col::4]
+        np.multiply(word[j:j + dst.shape[1]].T, 2.0 ** -53, out=dst)
     return out
 
 
@@ -509,45 +522,63 @@ class CycleTypeSampler:
         """
         check_row(n, self.w, self.h.mant)
         return next(self._sample_lockstep(
-            n, 1, lambda rows, start, width: rng.random((1, width))))
+            n, 1, lambda rows, start, width, out=None:
+            rng.random((1, width), out=out)))
 
     def _sample_lockstep(self, n: int, count: int,
-                         fill: Callable[[np.ndarray, int, int], np.ndarray]
+                         fill: Callable[..., np.ndarray]
                          ) -> Iterator[CycleType]:
         """`count` draws, the rows of one Columns, all advanced together:
         at step s every unfinished sample takes uniforms s * d ..
         s * d + d - 1 of its stream, d = 1 if no row of size <= n has an
         envelope and 1 + r + 1 otherwise; a row uses those its draw needs.
-        fill(rows, start, width) returns uniforms start .. start + width - 1
-        of the samples `rows`; it is called every max(1, L // d) steps for
-        the samples still running, L = min(n, 32, 4 ceil(d E / 4)) for E
-        the expected number of cycles, so that a refill computes whole
-        Philox blocks and little past the steps a sample is expected to
-        take.  Which uniforms a sample reads does not depend on L."""
+        fill(rows, start, width, out=None) gives uniforms start .. start +
+        width - 1 of the samples `rows`, one row each, written into out if
+        given; it is called every max(1, L // d) steps for the samples
+        still running, L = min(n, 32, 4 ceil(d E / 4)) for E the expected
+        number of cycles, so that a refill computes whole Philox blocks
+        and little past the steps a sample is expected to take.  The first
+        fill returns the read-ahead, and each refill writes the running
+        samples' uniforms into its first rows, in place.  Which uniforms a
+        sample reads does not depend on L.
+
+        The chunk's first-cycle keys are sorted, and C_m of each (sample,
+        length) is the length of a run of equal keys.  The run starts'
+        positions are found a block of keys at a time; the keys there,
+        which give m, are read before the keys are freed, and the run
+        lengths are the positions' differences, taken in place.  Every
+        array as long as the chunk's pairs is int32."""
         d = 1 + (self._width if self._envelope[:n + 1].any() else 0)
         cycles = tail_count_mean(self.h, n, 1)
         # steps per refill: a read-ahead of whole Philox blocks that covers
         # the expected steps, where that is below min(n, _LOOKAHEAD)
         look = min(n, _LOOKAHEAD, 4 * math.ceil(d * cycles / 4))
         steps = max(1, look // d)
-        live = np.arange(count, dtype=np.int32)
-        # read-ahead: row i * steps + j holds sample i's uniforms for the
-        # j-th step after a refill, so that a step gathers whole rows
-        buf = np.ascontiguousarray(fill(live, 0, steps * d)).reshape(-1, d)
-        m = np.full(count, n)
-        pending = np.zeros(count, dtype=bool)
         # sample * (n + 1) + first-cycle length, in step order: room for
         # the expected number of cycles, 5% and 64 more, and twice the
-        # keys drawn so far if the chunk draws more
+        # keys drawn so far if the chunk draws more.  Made before the
+        # read-ahead: in that order the heap's high-water mark, and with
+        # it a desk run's peak RSS, is ~2 MiB lower for the same arrays
         keys = np.empty(int(count * cycles * 1.05) + 64,
                         dtype=np.int32)
+        live = np.arange(count, dtype=np.int32)
+        # read-ahead, in rows of d: a running sample's uniforms for the
+        # j-th step after the last refill are in row slot * steps + j, for
+        # its slot the sample's place among those the refill filled, so
+        # that a step gathers whole rows and a refill writes the first ones
+        buf = np.ascontiguousarray(fill(live, 0, steps * d))
+        slot = live
+        m = np.full(count, n)
+        pending = np.zeros(count, dtype=bool)
         drawn = 0
         step = 0
         while live.size:
             col = step % steps
             if step and not col:
-                buf.reshape(count, -1)[live] = fill(live, step * d, steps * d)
-            k = self._step(m, pending, np.take(buf, live * steps + col, axis=0))
+                slot = np.arange(live.size)
+                fill(live, step * d, steps * d, buf[:live.size])
+            k = self._step(m, pending, np.take(
+                buf.reshape(-1, d), slot * steps + col, axis=0))
             done = k > 0
             pending = ~done
             new = live * (n + 1)
@@ -559,9 +590,11 @@ class CycleTypeSampler:
             keys[drawn:drawn + new.size] = new
             drawn += new.size
             m = m - k
-            alive = m > 0
-            if not alive.all():
-                live, m, pending = live[alive], m[alive], pending[alive]
+            if not m.all():
+                # a gather by index: a boolean mask reads slower
+                keep = np.flatnonzero(m)
+                live, m = live[keep], m[keep]
+                pending, slot = pending[keep], slot[keep]
             step += 1
         # the chunk's working arrays are freed before its output is built:
         # together they set the batch's peak memory
@@ -574,18 +607,33 @@ class CycleTypeSampler:
         first = np.empty(drawn, dtype=bool)
         first[0] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        del first
-        runs = keys[starts]
+        pairs = np.count_nonzero(first)
+
+        def at_run_starts(put: Callable[[np.ndarray, np.ndarray], None]
+                          ) -> np.ndarray:
+            # put(at, dst) for the run starts' positions at, _BUFFER // 4
+            # keys at a time (int64 positions of 2^17 bytes), into
+            # consecutive slices dst of one int32 array
+            out = np.empty(pairs, dtype=np.int32)
+            done = 0
+            for i in range(0, drawn, _BUFFER // 4):
+                at = np.flatnonzero(first[i:i + _BUFFER // 4])
+                at += i
+                put(at, out[done:done + at.size])
+                done += at.size
+            return out
+
+        runs = at_run_starts(lambda at, dst: np.take(keys, at, out=dst))
         del keys
-        counts = np.empty(len(starts), dtype=np.int32)
-        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-        counts[-1] = drawn - starts[-1]
-        del starts
+        counts = at_run_starts(lambda at, dst: np.copyto(dst, at))
+        del first
+        # the run lengths: the differences of the run starts' positions
+        np.subtract(counts[1:], counts[:-1], out=counts[:-1])
+        counts[-1] = drawn - counts[-1]
         bounds = np.searchsorted(
             runs, np.arange(count + 1, dtype=np.int32) * (n + 1))
-        cols = Columns(bounds[:-1].astype(np.int32),
-                       runs % (n + 1), counts, n)
+        runs %= n + 1
+        cols = Columns(bounds[:-1].astype(np.int32), runs, counts, n)
         for a in (cols.starts, cols.m, cols.c):
             a.flags.writeable = False
         bounds = bounds.tolist()
@@ -626,8 +674,8 @@ def sample_batch(w: WeightSequence, h: HTable,
         keys = substream_keys(cfg.seed,
                               np.arange(lo, min(lo + chunk, cfg.num_samples)))
         return sampler._sample_lockstep(
-            cfg.n, len(keys),
-            lambda rows, start, width: philox_uniforms(keys[rows], start, width))
+            cfg.n, len(keys), lambda rows, start, width, out=None:
+            philox_uniforms(keys[rows], start, width, out))
 
     return chain.from_iterable(map(draw, range(0, cfg.num_samples, chunk)))
 

@@ -2,8 +2,9 @@
 
 A cycle type is a row of an int32 CSR Columns (row starts, m ascending,
 C_m), and a sampled batch is the rows of its chunks' Columns, in order.
-Every report copies its batch into one Columns, each run of consecutive
-rows of one Columns as one slice.
+Every report reads its batch as one Columns: a batch that is one run of
+consecutive rows of one Columns in place, any other batch copied, each
+run as one slice.
 Tail counts #{cycles of length >= x} and the K longest cycles are numpy
 reductions over those arrays.  The reports check a sampled batch:
 Poisson increments over a y-grid, the law of each rescaled j-th longest
@@ -106,8 +107,10 @@ def point_cdf(j: int, x) -> np.ndarray:
 # observables
 
 def columns(batch: Iterable[CycleType]) -> Columns:
-    """The batch's rows as one Columns.  Each run of rows that follow one
-    another in one Columns is copied as one slice.  Rows of different
+    """The batch's rows as one Columns.  A batch that is one run of rows
+    that follow one another in one Columns, such as a one-chunk sampled
+    batch, reads that Columns' m and c in place, as views; a batch of
+    several runs is copied, each run as one slice.  Rows of different
     sizes n, or with no cycles, are a ValueError."""
     cts = list(batch)
     if not cts:
@@ -126,16 +129,35 @@ def columns(batch: Iterable[CycleType]) -> Columns:
         raise ValueError(f"batch mixes cycle types of sizes {sizes_n}")
     starts = np.zeros(len(cts), np.int32)
     np.cumsum(sizes[:-1], out=starts[1:])
+    if len(runs) == 1:
+        src, a, b = runs[0]
+        return Columns(starts, src.m[a:b], src.c[a:b], src.n)
     return Columns(starts, np.concatenate([r.m[a:b] for r, a, b in runs]),
                    np.concatenate([r.c[a:b] for r, a, b in runs]), sizes_n[0])
 
 
+# pairs per group of rows in tail_counts
+_TAIL_PAIRS = 2**16
+
+
 def tail_counts(cols: Columns, x: float) -> np.ndarray:
-    """Per row, the number of cycles of length >= x."""
-    # a row sums to at most n; the default int64 accumulator would copy
-    # the whole column
-    return np.add.reduceat(np.where(cols.m >= x, cols.c, 0), cols.starts,
-                           dtype=np.int32)
+    """Per row, the number of cycles of length >= x.  Rows are counted in
+    groups whose rows start within one span of _TAIL_PAIRS pairs, so that
+    the masked counts take at most that many pairs and one row, not a
+    whole column."""
+    rows = len(cols.starts)
+    out = np.empty(rows, np.int32)
+    cuts = np.searchsorted(cols.starts, np.arange(0, len(cols.m), _TAIL_PAIRS))
+    cuts = np.unique(np.append(cuts, rows)).tolist()
+    for r0, r1 in zip(cuts, cuts[1:]):
+        lo = int(cols.starts[r0])
+        hi = int(cols.starts[r1]) if r1 < rows else len(cols.m)
+        # a row sums to at most n; the default int64 accumulator would copy
+        # the group's column
+        np.add.reduceat(np.where(cols.m[lo:hi] >= x, cols.c[lo:hi], 0),
+                        cols.starts[r0:r1] - lo, dtype=np.int32,
+                        out=out[r0:r1])
+    return out
 
 
 def longest(cols: Columns, K: int) -> np.ndarray:

@@ -149,6 +149,27 @@ def test_htable_cache_row_off_scale_is_validation_error(tmp_path, capsys):
     assert "residual" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows,named",
+                         [(slice(None), 0), (slice(-1, None), 2000)],
+                         ids=["every-row", "top-row"])
+def test_htable_cache_nan_mantissa_is_validation_error(rows, named, tmp_path,
+                                                       capsys):
+    # every mantissa NaN, or only the top row's, which no sampled residual
+    # reads: a NaN is neither 0 nor in [1, 2), and its residual is not
+    # <= 1e-9, so the load names the first NaN row
+    w = weights.polynomial(1.0)
+    tab = oracle.build_h_table(w, 2000)
+    tab.mant[rows] = np.nan
+    path = cli._cache_path(str(tmp_path), w, 2000)
+    tab.save(path)
+    with pytest.raises(ValueError,
+                       match=f"residual check failed at n={named}$"):
+        oracle.HTable.load(path, w)
+    assert run_command(["htable", "--alpha", "1", "--n", "2000",
+                        "--cache-dir", str(tmp_path)]) == 2
+    assert f"at n={named}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,value", [("--alpha", "inf"), ("--alpha", "nan"),
                                         ("--vartheta", "inf")])
 def test_non_finite_weight_is_validation_error(flag, value, capsys):

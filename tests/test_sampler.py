@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import statistics
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -83,8 +84,8 @@ def test_exactness_irregular_weights(values, n):
     num = 5000
     rngs = [smp.substream_rng(1234, i) for i in range(num)]
     drawn = scan._sample_lockstep(
-        n, num, lambda rows, start, width: np.stack(
-            [rngs[i].random(width) for i in rows.tolist()]))
+        n, num, lambda rows, start, width, out=None: np.stack(
+            [rngs[i].random(width) for i in rows.tolist()], out=out))
     batch = cw.sample_batch(w, tab, cw.SamplerConfig(n=n, num_samples=num,
                                                      seed=1234))
     assert [ct.counts for ct in drawn] == [ct.counts for ct in batch]
@@ -603,9 +604,9 @@ def test_small_n_batch_is_one_chunk(monkeypatch):
     calls = collections.Counter()
     philox, scan = smp.philox_uniforms, smp.CycleTypeSampler._first_cycles
 
-    def counted_philox(keys, start, count):
+    def counted_philox(keys, start, count, out=None):
         calls["uniforms"] += len(keys) * 4 * -(-(start % 4 + count) // 4)
-        return philox(keys, start, count)
+        return philox(keys, start, count, out)
 
     def counted_scan(*args):
         calls["scan"] += 1
@@ -632,13 +633,13 @@ def test_wide_lockstep_chunks(monkeypatch):
     philox, tile, step = (smp.philox_uniforms, smp._philox_tile,
                           smp.CycleTypeSampler._step)
 
-    def counted_philox(keys, start, count):
+    def counted_philox(keys, start, count, out=None):
         if start == 0:  # a chunk's first fill
             steps.append(0)
             fills.append(0)
         fills[-1] += 1
         tiles.append([count])
-        return philox(keys, start, count)
+        return philox(keys, start, count, out)
 
     def counted_tile(keys, *args):
         tiles[-1].append(len(keys))
@@ -767,6 +768,33 @@ def test_philox_uniforms_match_numpy(start, width):
         want = np.random.Generator(np.random.Philox(key=k)).random(
             start + width)[start:]
         assert np.array_equal(got[r], want)
+
+
+@pytest.mark.parametrize("start,width", [(0, 32), (3, 32), (128, 37),
+                                         (130, 6)])
+def test_philox_uniforms_into_out(start, width):
+    # tiles written into a given array equal the allocating call, for key
+    # counts on and across tile boundaries and for one key, from a start
+    # and at a width that are not multiples of 4; and with several tiles
+    # the call allocates no array of its output's size
+    tile = smp._BUFFER // width
+    keys = smp.substream_keys(5, np.arange(2 * tile + 5))
+    for num in (1, tile, tile + 1, 2 * tile + 5):
+        want = smp.philox_uniforms(keys[:num], start, width)
+        out = np.full((num, width), -1.0)
+        assert smp.philox_uniforms(keys[:num], start, width, out) is out
+        assert np.array_equal(out, want)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for given in (None, out):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            smp.philox_uniforms(keys, start, width, given)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0] - 0.9 * out.nbytes
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64 + 5])

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -361,6 +362,90 @@ def test_sampled_rows_share_their_chunk(poly1):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(cols, rows_concatenated(batch)):
         np.testing.assert_array_equal(a, b)
+
+
+def test_columns_reads_one_run_in_place(poly1, htable_2000, desk_batch):
+    # a one-chunk batch, and a run of consecutive rows of one chunk, are
+    # read as views of the chunk's read-only arrays; rows of several chunks
+    # are copied
+    for batch in (desk_batch, desk_batch[3:30]):
+        got = stats.columns(batch)
+        for a, b in ((got.m, batch[0].cols.m), (got.c, batch[0].cols.c)):
+            assert np.shares_memory(a, b) and not a.flags.writeable
+    # the desk batch's tail counts span several groups of rows
+    got = stats.columns(desk_batch)
+    assert len(got.m) > 4 * stats._TAIL_PAIRS
+    for x in (1, 140.5, 3000, 20000):
+        assert stats.tail_counts(got, x).tolist() == \
+            [cyc.tail_count(x) for cyc in desk_batch]
+    one = list(cw.sample_batch(poly1, htable_2000,
+                               cw.SamplerConfig(300, 40, 3)))
+    got = stats.columns(one[3:30])
+    assert np.shares_memory(got.m, one[0].cols.m)
+    assert_columns_match_rebuilds(one[3:30])
+    num = cw.sampler._chunk_size(300) + 100
+    two = list(cw.sample_batch(poly1, htable_2000,
+                               cw.SamplerConfig(300, num, 3)))
+    got = stats.columns(two)
+    for cyc in (two[0], two[-1]):
+        assert not np.shares_memory(got.m, cyc.cols.m)
+        assert not np.shares_memory(got.c, cyc.cols.c)
+
+
+# the four reports of a desk round, at their default grids
+DESK_REPORTS = [
+    lambda batch, sd, w: stats.verify_poisson_increments(batch, sd,
+                                                         [0.5, 1.0, 2.0]),
+    lambda batch, sd, w: stats.verify_gumbel(batch, sd, 3),
+    lambda batch, sd, w: stats.cumulative_profile(batch, 1.0, [0.5, 1.0, 2.0],
+                                                  w=w, sd=sd),
+    lambda batch, sd, w: stats.bn_event_frequency(batch, sd, w=w),
+]
+
+
+def test_reports_same_on_a_run_and_its_rebuilds(poly1, desk_batch,
+                                                desk_saddle):
+    # one run of a chunk, read in place, against the same rows rebuilt one
+    # Columns each, which the reports copy
+    run = desk_batch[100:1100]
+    rebuilt = [ct(dict(cyc.counts), cyc.n) for cyc in run]
+    for report in DESK_REPORTS:
+        assert (json.dumps(report(run, desk_saddle, poly1).to_dict())
+                == json.dumps(report(rebuilt, desk_saddle, poly1).to_dict()))
+
+
+MiB = 2**20
+# traced peaks of a desk round: measured 5.96 MiB for the batch (its chunk
+# holds 4.77), and 0.47, 0.71, 0.38 and 0.38 MiB for the four reports above
+# the batch they hold.  Each bound is its measured value plus 0.5 MiB
+BATCH_PEAK_MIB = 6.46
+REPORT_PEAK_MIB = [0.97, 1.21, 0.88, 0.88]
+
+
+def test_desk_round_memory(poly1, htable_desk, desk_saddle, desk_batch):
+    # a batch's working memory stays near its output, and a report reads
+    # its batch in place: it allocates no copy of the batch's columns
+    cfg = cw.SamplerConfig(n=htable_desk.n_max, num_samples=len(desk_batch),
+                           seed=11)
+    cw.sampler._shared_sampler(poly1, htable_desk)  # built untraced
+    for report in DESK_REPORTS:  # a first call's one-time allocations
+        report(desk_batch, desk_saddle, poly1)
+    peaks = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        batch = list(cw.sample_batch(poly1, htable_desk, cfg))
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        del batch
+        for report in DESK_REPORTS:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report(desk_batch, desk_saddle, poly1)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    for peak, bound in zip(peaks, [BATCH_PEAK_MIB] + REPORT_PEAK_MIB):
+        assert peak / MiB <= bound, [round(p / MiB, 2) for p in peaks]
 
 
 @pytest.mark.parametrize("report", ["poisson", "gumbel", "bn", "bn-weights"])
