@@ -22,37 +22,40 @@ length telescopes with the removed cycle lengths: O(n) per sample.
 One vectorised kernel scans the first cycles of many rows at once, side
 by side in doubling blocks.  The first block of every row m <= 16 is the
 same on every draw, so the sampler tabulates its CDF once, with the
-scan's own arithmetic, and a group of rows that are all <= 16 draws by
-one gather and one comparison.  Samples are drawn in chunks advanced in
-lockstep, one first cycle (or one rejected proposal) per sample per step;
-a single draw is a chunk of one.  A chunk at size n holds
-max(8192, 2^16 // min(n, 32)) samples, so every n >= 8 takes chunks of
-8192, n = 6 one of 10922, and past n = 262 142 chunks shrink to
-(2^31 - 1) // (n + 1) samples.  A refill reads each running sample's
+scan's own arithmetic, a column per k, and a group of rows that are all
+<= 16 counts the CDF values below each row's uniform a column at a time:
+per k up to the group's largest m, one gather from the column and one
+comparison.  Where no row of size <= n has an envelope, a step reads one
+uniform per row and goes straight to the scan.  Samples are drawn in
+chunks advanced in lockstep, one first cycle (or one rejected proposal)
+per sample per step; a single draw is a chunk of one.  A chunk at size n
+holds max(8192, 2^16 // min(n, 32)) samples, so every n >= 8 takes
+chunks of 8192, n = 6 one of 10922, and past n = 262 142 chunks shrink
+to (2^31 - 1) // (n + 1) samples.  A refill reads each running sample's
 uniforms for its next max(1, L // d) steps, where a step reads d
 uniforms and L = min(n, 32, 4 ceil(d E / 4)) for E the expected number
-of cycles at n: whole Philox blocks that cover the expected steps, so
-that a sample computes few uniforms it never reads.  At alpha = 1 that
-is 32 uniforms, 8 steps, at n = 2 * 10^4, and 4 at n = 6, where 99.2% of
-samples end within 4 steps and the rest take a second refill.  One
-budget of 2^16 cells bounds the work inside a chunk: a refill computes
-its uniforms in Philox tiles of at most 2^16 // width keys (2048 at a
-width of 32; at n = 6 all 10922 of a chunk), and a scan group holds
-max(256, 2^16 // max m) rows, and no block is wider than max m, so a
-group of rows of size <= 16 takes up to 4096 of them, or more where all
-are smaller.  A chunk writes each first cycle as the int32 key
-sample * (n + 1) + length, which the cap above keeps below 2^31, into one
-buffer sized by the expected number of cycles, and counts C_m from the
-runs of its sorted keys, in int32 arrays only, into one Columns of
-read-only int32 arrays; each of its samples is handed out as a CycleType
-row handle on it, with no per-sample array.  Sample i reads its
-uniforms, in order, from its own counter-based random stream keyed by
-(seed, i), the same number at every step: one where no row of the draw
-has an envelope (n <= 16, or tables), else one for the scan or the k = m
-test followed by one proposal's (a uniform per geometric variable and one
-for the acceptance test); a row uses those its draw needs.  Its value
-therefore depends only on the seed and its index, not on the batch size,
-the chunking, the read-ahead or any other sample.
+of cycles at n, computed once per batch: whole Philox blocks that cover
+the expected steps, so that a sample computes few uniforms it never
+reads.  At alpha = 1 that is 32 uniforms, 8 steps, at n = 2 * 10^4, and
+4 at n = 6, where 99.2% of samples end within 4 steps and the rest take
+a second refill.  One budget of 2^16 cells bounds the work inside a
+chunk: a refill computes its uniforms in Philox tiles of at most 2^16 //
+width keys (2048 at a width of 32; at n = 6 all 10922 of a chunk), and a
+scan group holds max(256, 2^16 // max m) rows, and no block is wider
+than max m, so a group of rows of size <= 16 takes up to 4096 of them,
+or more where all are smaller.  A chunk writes each first cycle as the
+int32 key sample * (n + 1) + length, which the cap above keeps below
+2^31, into one buffer sized by the expected number of cycles, and counts
+C_m from the runs of its sorted keys, in int32 arrays only, into one
+Columns of read-only int32 arrays; each of its samples is handed out as
+a CycleType row handle on it, with no per-sample array.  Sample i reads
+its uniforms, in order, from its own counter-based random stream keyed
+by (seed, i), the same number at every step: one where no row of the
+draw has an envelope (n <= 16, or tables), else one for the scan or the
+k = m test followed by one proposal's (a uniform per geometric variable
+and one for the acceptance test); a row uses those its draw needs.  Its
+value therefore depends only on the seed and its index, not on the batch
+size, the chunking, the read-ahead or any other sample.
 
 A step where some row has an envelope makes one pass over its arrays:
 every row takes the k = m test and a proposal, whose geometric variables
@@ -304,16 +307,16 @@ class CycleTypeSampler:
         h_rev = np.concatenate((self.log_h[::-1], np.full(n, -np.inf)))
         self._windows = sliding_window_view(h_rev, n + 1)
         # the first scan block of each row m <= _SCAN_BLOCK, cumulated with
-        # the scan's own arithmetic: row m, column j holds its CDF at
-        # k = j + 1, and its total from k = m on.  Row 0 and rows with
-        # h_m = 0 (NaN here) are never read
+        # the scan's own arithmetic and stored by column: row j, column m
+        # holds row m's CDF at k = j + 1, and its total from k = m on.
+        # Column 0 and columns with h_m = 0 (NaN here) are never read
         small = np.arange(min(n, _SCAN_BLOCK) + 1)
         with np.errstate(invalid="ignore"):
             cdf = self._windows[n - small, 1:_SCAN_BLOCK + 1]
             cdf += self.log_theta[1:_SCAN_BLOCK + 1]
             cdf += self._scan_base[small][:, None]
             np.exp(cdf, out=cdf)
-        self._small_cdf = np.cumsum(cdf, axis=1)
+        self._small_cdf = np.ascontiguousarray(np.cumsum(cdf, axis=1).T)
         self._init_envelope()
         # instrumentation: total scanned k across all draws, round-off scan
         # exhaustions (CDF ended below u), and rejection proposals
@@ -403,8 +406,11 @@ class CycleTypeSampler:
         top = int(m.max())
         if top <= _SCAN_BLOCK:
             # one block, tabulated: k is one more than the CDF values
-            # below u, or m where all of them are (round-off)
-            below = (self._small_cdf[m, :top] < u[:, None]).sum(axis=1)
+            # below u, counted a column at a time, or m where all of them
+            # are (round-off)
+            below = np.zeros(len(m), dtype=np.intp)
+            for col in self._small_cdf[:top]:
+                below += col[m] < u
             k[rows] = np.minimum(below + 1, m)
             self.scanned += int(m.sum())
             self.incidents += int(np.count_nonzero(below == top))
@@ -456,6 +462,8 @@ class CycleTypeSampler:
         block) arrays within _BUFFER cells; a group has at least _SCAN_ROWS
         rows."""
         rows = max(_SCAN_ROWS, _BUFFER // int(m.max()))
+        if len(m) <= rows:
+            return self._first_cycles(m, u)
         return np.concatenate([
             self._first_cycles(m[i:i + rows], u[i:i + rows])
             for i in range(0, len(m), rows)])
@@ -497,9 +505,9 @@ class CycleTypeSampler:
 
         Every row takes the k = m test and a proposal in one pass over the
         step's arrays; the rows without an envelope, whose k = m test always
-        fails, are then overwritten by the scan."""
-        env = self._envelope[m]
-        if not env.any():
+        fails, are then overwritten by the scan.  A step of one uniform
+        per row, where no row of size <= n has an envelope, is the scan's."""
+        if u.shape[1] == 1 or not (env := self._envelope[m]).any():
             return self._scan(m, u[:, 0])
         last = u[:, 0] < self._last[m]
         last &= ~pending
@@ -523,10 +531,10 @@ class CycleTypeSampler:
         check_row(n, self.w, self.h.mant)
         return next(self._sample_lockstep(
             n, 1, lambda rows, start, width, out=None:
-            rng.random((1, width), out=out)))
+            rng.random((1, width), out=out), tail_count_mean(self.h, n, 1)))
 
     def _sample_lockstep(self, n: int, count: int,
-                         fill: Callable[..., np.ndarray]
+                         fill: Callable[..., np.ndarray], cycles: float
                          ) -> Iterator[CycleType]:
         """`count` draws, the rows of one Columns, all advanced together:
         at step s every unfinished sample takes uniforms s * d ..
@@ -535,12 +543,12 @@ class CycleTypeSampler:
         fill(rows, start, width, out=None) gives uniforms start .. start +
         width - 1 of the samples `rows`, one row each, written into out if
         given; it is called every max(1, L // d) steps for the samples
-        still running, L = min(n, 32, 4 ceil(d E / 4)) for E the expected
-        number of cycles, so that a refill computes whole Philox blocks
-        and little past the steps a sample is expected to take.  The first
-        fill returns the read-ahead, and each refill writes the running
-        samples' uniforms into its first rows, in place.  Which uniforms a
-        sample reads does not depend on L.
+        still running, L = min(n, 32, 4 ceil(d E / 4)) for E = cycles, the
+        expected number of cycles at n, so that a refill computes whole
+        Philox blocks and little past the steps a sample is expected to
+        take.  The first fill returns the read-ahead, and each refill
+        writes the running samples' uniforms into its first rows, in
+        place.  Which uniforms a sample reads does not depend on L.
 
         The chunk's first-cycle keys are sorted, and C_m of each (sample,
         length) is the length of a run of equal keys.  The run starts'
@@ -549,7 +557,6 @@ class CycleTypeSampler:
         lengths are the positions' differences, taken in place.  Every
         array as long as the chunk's pairs is int32."""
         d = 1 + (self._width if self._envelope[:n + 1].any() else 0)
-        cycles = tail_count_mean(self.h, n, 1)
         # steps per refill: a read-ahead of whole Philox blocks that covers
         # the expected steps, where that is below min(n, _LOOKAHEAD)
         look = min(n, _LOOKAHEAD, 4 * math.ceil(d * cycles / 4))
@@ -662,20 +669,22 @@ def sample_batch(w: WeightSequence, h: HTable,
     shorter batch with the same seed is a prefix of a longer one.  Each
     chunk's uniforms are computed together by philox_uniforms.  The
     config is checked when the batch is made, before any sample is
-    drawn; the chunks are drawn one at a time as the samples are read,
-    and handed out through one chained iterator, with no generator
-    frame to resume per sample.
+    drawn, and the expected number of cycles, which sizes every chunk's
+    read-ahead and key buffer, once per batch; the chunks are drawn one
+    at a time as the samples are read, and handed out through one
+    chained iterator, with no generator frame to resume per sample.
     """
     cfg.validate(h)
     sampler = _shared_sampler(w, h)
     chunk = _chunk_size(cfg.n)
+    cycles = tail_count_mean(h, cfg.n, 1)
 
     def draw(lo: int) -> Iterator[CycleType]:
         keys = substream_keys(cfg.seed,
                               np.arange(lo, min(lo + chunk, cfg.num_samples)))
         return sampler._sample_lockstep(
             cfg.n, len(keys), lambda rows, start, width, out=None:
-            philox_uniforms(keys[rows], start, width, out))
+            philox_uniforms(keys[rows], start, width, out), cycles)
 
     return chain.from_iterable(map(draw, range(0, cfg.num_samples, chunk)))
 

@@ -1,8 +1,12 @@
 import collections
 import hashlib
 import io
+import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -85,7 +89,8 @@ def test_exactness_irregular_weights(values, n):
     rngs = [smp.substream_rng(1234, i) for i in range(num)]
     drawn = scan._sample_lockstep(
         n, num, lambda rows, start, width, out=None: np.stack(
-            [rngs[i].random(width) for i in rows.tolist()], out=out))
+            [rngs[i].random(width) for i in rows.tolist()], out=out),
+        cw.tail_count_mean(tab, n, 1))
     batch = cw.sample_batch(w, tab, cw.SamplerConfig(n=n, num_samples=num,
                                                      seed=1234))
     assert [ct.counts for ct in drawn] == [ct.counts for ct in batch]
@@ -129,6 +134,42 @@ def check_against_reference(s, groups):
     assert s.incidents == sum(m > 1 and e[2][-1] < u
                               for (ms, us), g in zip(groups, expected)
                               for m, u, e in zip(ms, us, g))
+
+
+@pytest.mark.parametrize("n", [6, 16])
+@pytest.mark.parametrize("w", [cw.polynomial(1.0), cw.ewens(0.5),
+                               cw.table([1, 0, 0, 1]), cw.table([0, 1])],
+                         ids=["poly1", "ewens0.5", "table1001", "table01"])
+def test_tabulated_draw_matches_row_gather(w, n):
+    # the column-by-column count of the tabulated draw against the row
+    # gather and boolean sum it replaced, bit for bit, with the scanned and
+    # incidents counts: uniforms on every CDF entry of every row m <= 16,
+    # on both of its neighbours, and at 0 and 1 - 2^-53, in groups of
+    # every largest row.  table([0, 1]) has h_1 = 0, a NaN row never read
+    s = smp.CycleTypeSampler(w, cw.build_h_table(w, n))
+    cdf = s._small_cdf.T  # row m, column j: row m's CDF at k = j + 1
+    assert cdf.shape == (n + 1, n)
+    sizes = np.flatnonzero(s.h.mant[1:]) + 1  # rows with h_m > 0
+    vals = cdf[sizes[sizes > 1]].ravel()
+    u = np.concatenate((vals, np.nextafter(vals, 0.0), np.nextafter(vals, 2.0),
+                        [0.0, 1.0 - 2.0**-53]))
+    u = np.unique(u[u < 1.0])  # uniforms lie in [0, 1)
+    for top in sizes:
+        m = np.repeat(sizes[sizes <= top], u.size)
+        uu = np.tile(u, m.size // u.size)
+        scanned, before = s.scanned, s.incidents
+        k = s._first_cycles(m, uu)
+        big = m > 1
+        below = (cdf[m[big], :top] < uu[big][:, None]).sum(axis=1)
+        want = m.copy()
+        want[big] = np.minimum(below + 1, m[big])
+        assert k.dtype == want.dtype and np.array_equal(k, want), top
+        assert s.scanned - scanned == int(m[big].sum())
+        assert s.incidents - before == np.count_nonzero(below == top)
+        # every length of positive probability is drawn
+        p = np.diff(cdf[top, :top], prepend=0.0) if top > 1 else [1.0]
+        drawn = set(k[m == top].tolist())
+        assert drawn >= set((np.flatnonzero(p) + 1).tolist())
 
 
 def test_kernel_matches_one_row_reference(htable_2000, poly1):
@@ -688,6 +729,31 @@ def test_wide_lockstep_chunks(monkeypatch):
         assert batch(60) == full[:60]
 
 
+def test_expected_cycles_once_per_batch(monkeypatch):
+    # the expected number of cycles sizes every chunk's read-ahead and key
+    # buffer: a batch of four chunks computes it once, and a single draw
+    # once
+    w = cw.polynomial(1.0)
+    tab = cw.build_h_table(w, 2000)
+    cfg = cw.SamplerConfig(n=2000, num_samples=500, seed=4)
+    full = [ct.counts for ct in cw.sample_batch(w, tab, cfg)]
+    calls = []
+    mean = smp.tail_count_mean
+
+    def counted_mean(*args):
+        calls.append(args[1:])
+        return mean(*args)
+
+    monkeypatch.setattr(smp, "tail_count_mean", counted_mean)
+    monkeypatch.setattr(smp, "_CHUNK", 100)
+    monkeypatch.setattr(smp, "_BUFFER", 2**12)
+    assert smp._chunk_size(2000) == 128
+    assert [ct.counts for ct in cw.sample_batch(w, tab, cfg)] == full
+    assert calls == [(2000, 1)]
+    cw.sample_cycle_type(w, tab, 2000, smp.substream_rng(4, 0))
+    assert calls == [(2000, 1)] * 2
+
+
 def test_key_type_limit():
     # keys reach count * (n + 1) - 1 < count * (n + 1), and the bound array
     # count * (n + 1) itself: both fit int32 at every n up to 2^30, and
@@ -836,3 +902,55 @@ def test_dump_samples(tmp_path, small_table):
     assert [d["i"] for d in lines] == list(range(5))
     for d in lines:
         assert sum(m * c for m, c in d["cycles"]) == 10
+
+
+# each configuration's dump_samples digest is compared across numpy's
+# CPU dispatch levels: (weights, n, samples, seed)
+DISPATCH_CONFIGS = [
+    (cw.polynomial(1.0), 6, 2000, 3),
+    (cw.polynomial(1.0), 2000, 300, 3),
+    (cw.polynomial(3.0), 2000, 200, 3),
+    (cw.table([1, 0, 0, 1]), 2000, 40, 3),
+]
+
+
+def dispatch_digests():
+    """SHA-256 of the dump_samples output of each of DISPATCH_CONFIGS, and
+    the SIMD extensions numpy dispatches to in this process."""
+    from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                               __cpu_features__)
+    digests = []
+    for w, n, num, seed in DISPATCH_CONFIGS:
+        out = io.StringIO()
+        smp.dump_samples(cw.sample_batch(w, cw.build_h_table(w, n),
+                                         cw.SamplerConfig(n, num, seed)), out)
+        digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest())
+    return digests, [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+
+
+def test_samples_same_across_cpu_dispatch():
+    # the same dumps at every dispatch level numpy reports: each child
+    # process turns off one more dispatched extension, from the newest
+    # down to the build's baseline, by numpy's own NPY_DISABLE_CPU_FEATURES
+    # switch, which acts on that process only
+    pytest.importorskip("numpy._core._multiarray_umath",
+                        reason="numpy < 2 names its dispatch elsewhere")
+    digests, found = dispatch_digests()
+    if not found:
+        pytest.skip("numpy dispatches to no extension past its baseline")
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(cw.__file__)),
+                            here])
+    probe = ("import json, test_sampler\n"
+             "print(json.dumps(test_sampler.dispatch_digests()))\n")
+    children = [subprocess.Popen(
+        [sys.executable, "-c", probe], stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": path,
+             "NPY_DISABLE_CPU_FEATURES": " ".join(found[i:])})
+        for i in range(len(found))]
+    outs = [child.communicate(timeout=120)[0] for child in children]
+    for i, (child, out) in enumerate(zip(children, outs)):
+        assert child.returncode == 0
+        got, enabled = json.loads(out)
+        assert enabled == found[:i], "the switch did not take"
+        assert got == digests, f"digests differ without {found[i:]}"
