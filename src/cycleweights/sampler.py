@@ -62,11 +62,11 @@ every row takes the k = m test and a proposal, whose geometric variables
 are the rows of one array so that each operation runs along the step's
 rows, and the rows without an envelope, which fail both, then take the
 scan's draw.
-A chunk's read-ahead holds the uniforms of the i-th running sample of a
-refill for its j-th step after it in row i * steps + j, so a step gathers
-each sample's uniforms as one contiguous row, and a refill's Philox tiles
-write straight into the read-ahead's first rows, with no array of their
-own.
+A chunk's read-ahead is uniform-major: uniform i of the j-th step after a
+refill is row j * d + i, with a column per running sample, so a step reads
+its d rows as a view until a sample finishes after the refill, and
+gathers their columns after that; a refill's Philox tiles write whole rows
+straight into the read-ahead's first columns, with no array of their own.
 
 The streams are numpy's Philox4x64-10, bit for bit.  Philox maps (key,
 counter) to random words, so a batch computes each refill's uniforms in
@@ -200,7 +200,8 @@ def philox_uniforms(keys: np.ndarray, start: int, count: int,
     _BUFFER // count keys, so that each tile's work arrays stay small.
     Each tile writes its rows of out, a (keys, count) float64 array, if
     given; else one tile's uniforms are returned in the memory of its work
-    arrays, and several tiles' in one new array.
+    arrays, and several tiles' in one new array, both uniform-major: the
+    transpose of a C-contiguous (count, keys) array.
 
     Philox4x64-10 (Salmon et al., SC'11) turns a counter (c0, c1, c2, c3)
     into four 64-bit words by ten rounds under key (k0, k1), bumped by
@@ -229,7 +230,7 @@ def philox_uniforms(keys: np.ndarray, start: int, count: int,
         # round at n = 6
         return _philox_tile(keys, b_hi, b_lo, c_lo)[:, skip:skip + count]
     if out is None:
-        out = np.empty((len(keys), count))
+        out = np.empty((count, len(keys))).T
     for i in range(0, len(keys), tile):
         _philox_tile(keys[i:i + tile], b_hi, b_lo, c_lo, out[i:i + tile], skip)
     return out
@@ -271,17 +272,17 @@ def _philox_tile(keys: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray,
         odd ^= hi[::-1]
         odd ^= key
         even, odd, free = odd, lo[::-1], hi
-    # each word written straight into its columns of the output: word i
-    # of block j is column 4 j + i - skip
+    # each word written straight into its uniforms' rows of out.T: word i
+    # of block j is uniform 4 j + i - skip
     even >>= np.uint64(11)
     odd >>= np.uint64(11)
     if out is None:
-        out = work[:2].view(np.float64).reshape(rows, 4 * len(b_hi))
+        out = work[:2].view(np.float64).reshape(4 * len(b_hi), rows).T
     for i, word in enumerate((even[0], odd[0], even[1], odd[1])):
         col = (i - skip) % 4
         j = (col + skip - i) // 4
-        dst = out[:, col::4]
-        np.multiply(word[j:j + dst.shape[1]].T, 2.0 ** -53, out=dst)
+        dst = out.T[col::4]
+        np.multiply(word[j:j + len(dst)], 2.0 ** -53, out=dst)
     return out
 
 
@@ -546,9 +547,10 @@ class CycleTypeSampler:
         still running, L = min(n, 32, 4 ceil(d E / 4)) for E = cycles, the
         expected number of cycles at n, so that a refill computes whole
         Philox blocks and little past the steps a sample is expected to
-        take.  The first fill returns the read-ahead, and each refill
-        writes the running samples' uniforms into its first rows, in
-        place.  Which uniforms a sample reads does not depend on L.
+        take.  The read-ahead is the first fill's uniforms, transposed to
+        (steps * d, count); each refill writes the running samples' into
+        its first columns, in place.  Which uniforms a sample reads does
+        not depend on L.
 
         The chunk's first-cycle keys are sorted, and C_m of each (sample,
         length) is the length of a run of equal keys.  The run starts'
@@ -569,12 +571,12 @@ class CycleTypeSampler:
         keys = np.empty(int(count * cycles * 1.05) + 64,
                         dtype=np.int32)
         live = np.arange(count, dtype=np.int32)
-        # read-ahead, in rows of d: a running sample's uniforms for the
-        # j-th step after the last refill are in row slot * steps + j, for
-        # its slot the sample's place among those the refill filled, so
-        # that a step gathers whole rows and a refill writes the first ones
-        buf = np.ascontiguousarray(fill(live, 0, steps * d))
-        slot = live
+        # read-ahead, uniform-major: rows j * d .. j * d + d - 1 hold the
+        # uniforms for the j-th step after the last refill, a column per
+        # sample the refill filled; slot maps the running samples to their
+        # columns, or is None while they are the first live.size
+        buf = fill(live, 0, steps * d).T
+        slot = None
         m = np.full(count, n)
         pending = np.zeros(count, dtype=bool)
         drawn = 0
@@ -582,10 +584,12 @@ class CycleTypeSampler:
         while live.size:
             col = step % steps
             if step and not col:
-                slot = np.arange(live.size)
-                fill(live, step * d, steps * d, buf[:live.size])
-            k = self._step(m, pending, np.take(
-                buf.reshape(-1, d), slot * steps + col, axis=0))
+                slot = None
+                fill(live, step * d, steps * d, buf[:, :live.size].T)
+            # a gather is a temporary, freed before the next refill
+            rows = buf[col * d:col * d + d]
+            k = self._step(m, pending, (rows[:, :live.size] if slot is None
+                                        else np.take(rows, slot, axis=1)).T)
             done = k > 0
             pending = ~done
             new = live * (n + 1)
@@ -600,12 +604,12 @@ class CycleTypeSampler:
             if not m.all():
                 # a gather by index: a boolean mask reads slower
                 keep = np.flatnonzero(m)
-                live, m = live[keep], m[keep]
-                pending, slot = pending[keep], slot[keep]
+                live, m, pending = live[keep], m[keep], pending[keep]
+                slot = keep if slot is None else slot[keep]
             step += 1
         # the chunk's working arrays are freed before its output is built:
         # together they set the batch's peak memory
-        del buf
+        del buf, rows
         # C_m of each (sample, length), in sample then length order: the
         # lengths of the runs of equal keys.  Each array is freed as soon
         # as it is used

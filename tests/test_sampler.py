@@ -729,6 +729,35 @@ def test_wide_lockstep_chunks(monkeypatch):
         assert batch(60) == full[:60]
 
 
+def test_lockstep_reads_uniforms_in_place(poly1, htable_desk, desk_batch,
+                                          monkeypatch):
+    # a desk chunk's read-ahead is the first fill's memory: every refill
+    # writes into it, and the step after each fill, before any sample has
+    # finished since, reads its uniforms there, with no gather
+    n, count = htable_desk.n_max, len(desk_batch)
+    keys = smp.substream_keys(7, np.arange(count))
+    fills, in_place = [], []
+    step = smp.CycleTypeSampler._step
+
+    def fill(rows, start, width, out=None):
+        fills.append(smp.philox_uniforms(keys[rows], start, width, out))
+        in_place.append([])
+        return fills[-1]
+
+    def watched_step(self, m, pending, u):
+        in_place[-1].append(np.shares_memory(u, fills[0]))
+        return step(self, m, pending, u)
+
+    monkeypatch.setattr(smp.CycleTypeSampler, "_step", watched_step)
+    sampler = smp.CycleTypeSampler(poly1, htable_desk)
+    drawn = sampler._sample_lockstep(n, count, fill,
+                                     cw.tail_count_mean(htable_desk, n, 1))
+    assert [ct.counts for ct in drawn] == [ct.counts for ct in desk_batch]
+    assert len(fills) > 1
+    assert all(np.shares_memory(out, fills[0]) for out in fills[1:])
+    assert all(steps[0] for steps in in_place)
+
+
 def test_expected_cycles_once_per_batch(monkeypatch):
     # the expected number of cycles sizes every chunk's read-ahead and key
     # buffer: a batch of four chunks computes it once, and a single draw
@@ -839,17 +868,20 @@ def test_philox_uniforms_match_numpy(start, width):
 @pytest.mark.parametrize("start,width", [(0, 32), (3, 32), (128, 37),
                                          (130, 6)])
 def test_philox_uniforms_into_out(start, width):
-    # tiles written into a given array equal the allocating call, for key
-    # counts on and across tile boundaries and for one key, from a start
-    # and at a width that are not multiples of 4; and with several tiles
-    # the call allocates no array of its output's size
+    # tiles written into a given array, key-major or uniform-major, equal
+    # the allocating call, for key counts on and across tile boundaries
+    # and for one key, from a start and at a width that are not multiples
+    # of 4; the allocating call's output is uniform-major; and with several
+    # tiles the call allocates no array of its output's size
     tile = smp._BUFFER // width
     keys = smp.substream_keys(5, np.arange(2 * tile + 5))
     for num in (1, tile, tile + 1, 2 * tile + 5):
         want = smp.philox_uniforms(keys[:num], start, width)
-        out = np.full((num, width), -1.0)
-        assert smp.philox_uniforms(keys[:num], start, width, out) is out
-        assert np.array_equal(out, want)
+        assert want.strides[0] == want.itemsize
+        for out in (np.full((num, width), -1.0),
+                    np.full((width, num), -1.0).T):
+            assert smp.philox_uniforms(keys[:num], start, width, out) is out
+            assert np.array_equal(out, want)
     peaks = []
     tracemalloc.start()
     try:
@@ -914,6 +946,18 @@ DISPATCH_CONFIGS = [
 ]
 
 
+# each table's rows are compared across the same levels, to a relative
+# bound: (weights, n)
+DISPATCH_TABLES = [(cw.polynomial(alpha), 20000) for alpha in (0.5, 1.0, 3.0)]
+
+
+def dispatch_rows():
+    """The (mantissas, exponents) of each of DISPATCH_TABLES, each array as
+    the hex string of its bytes."""
+    return [[tab.mant.tobytes().hex(), tab.expo.tobytes().hex()]
+            for tab in (cw.build_h_table(w, n) for w, n in DISPATCH_TABLES)]
+
+
 def dispatch_digests():
     """SHA-256 of the dump_samples output of each of DISPATCH_CONFIGS, and
     the SIMD extensions numpy dispatches to in this process."""
@@ -929,10 +973,11 @@ def dispatch_digests():
 
 
 def test_samples_same_across_cpu_dispatch():
-    # the same dumps at every dispatch level numpy reports: each child
-    # process turns off one more dispatched extension, from the newest
-    # down to the build's baseline, by numpy's own NPY_DISABLE_CPU_FEATURES
-    # switch, which acts on that process only
+    # the same dumps at every dispatch level numpy reports, and h-table
+    # rows within 1e-12 relative, zero rows exact: each child process
+    # turns off one more dispatched extension, from the newest down to the
+    # build's baseline, by numpy's own NPY_DISABLE_CPU_FEATURES switch,
+    # which acts on that process only
     pytest.importorskip("numpy._core._multiarray_umath",
                         reason="numpy < 2 names its dispatch elsewhere")
     digests, found = dispatch_digests()
@@ -942,15 +987,29 @@ def test_samples_same_across_cpu_dispatch():
     path = os.pathsep.join([os.path.dirname(os.path.dirname(cw.__file__)),
                             here])
     probe = ("import json, test_sampler\n"
-             "print(json.dumps(test_sampler.dispatch_digests()))\n")
+             "print(json.dumps([*test_sampler.dispatch_digests(),\n"
+             "                  test_sampler.dispatch_rows()]))\n")
+    # a child keeps the extensions this process runs without turned off
+    off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
     children = [subprocess.Popen(
         [sys.executable, "-c", probe], stdout=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": path,
-             "NPY_DISABLE_CPU_FEATURES": " ".join(found[i:])})
+             "NPY_DISABLE_CPU_FEATURES": " ".join(off + found[i:])})
         for i in range(len(found))]
+    tables = [cw.build_h_table(w, n) for w, n in DISPATCH_TABLES]
     outs = [child.communicate(timeout=120)[0] for child in children]
     for i, (child, out) in enumerate(zip(children, outs)):
         assert child.returncode == 0
-        got, enabled = json.loads(out)
+        got, enabled, rows = json.loads(out)
         assert enabled == found[:i], "the switch did not take"
         assert got == digests, f"digests differ without {found[i:]}"
+        for tab, (mant, expo) in zip(tables, rows):
+            mant = np.frombuffer(bytes.fromhex(mant), tab.mant.dtype)
+            expo = np.frombuffer(bytes.fromhex(expo), tab.expo.dtype)
+            zero = tab.mant == 0
+            assert np.array_equal(mant == 0, zero)
+            rel = np.ldexp(mant[~zero], expo[~zero] - tab.expo[~zero])
+            rel /= tab.mant[~zero]
+            rel -= 1.0
+            assert np.abs(rel).max() <= 1e-12, \
+                f"{tab.weight} rows differ without {found[i:]}"
