@@ -108,7 +108,7 @@ def solve_saddle(w: WeightSequence, n: int, zetas: Optional[Zetas] = None) -> Sa
     starts from an empty one.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
     alpha = w.growth_alpha
     if w.family == EWENS:
         # theta_k = const: closed form v = log(1 + vartheta/n), which the
@@ -254,7 +254,7 @@ def polylog_asymp(delta: float, v: float) -> Tuple[float, float, float]:
     a certified tail below 2^-53 of its value.
     """
     if not 0.0 < v < 1.0:
-        raise ValueError("v must be in (0, 1)")
+        raise ValueError(f"v must be in (0, 1), got {v}")
     # the series first: its terms reject an excluded delta
     head = itertools.islice(_series_terms(delta, np.float64(-v)), 2)
     approx = float(sum(head))
@@ -284,7 +284,7 @@ def partial_sum_asymp(delta: float, v: float, x: float,
     in_regime is False when x*v < 5, where the expansion degrades.
     """
     if v <= 0 or x <= 0:
-        raise ValueError("v and x must be positive")
+        raise ValueError(f"v and x must be positive, got v={v}, x={x}")
     in_regime = x * v >= 5.0
     xc = float(math.ceil(x))
     f_x = xc ** delta * math.exp(-xc * v)
@@ -307,7 +307,7 @@ def saddle_h_estimate(w: WeightSequence, n: int) -> Tuple[ScaledReal, SaddleData
     zeta(1-alpha) and any term past the solve's.
     """
     if n < 10:
-        raise ValueError("saddle estimate needs n >= 10")
+        raise ValueError(f"saddle estimate needs n >= 10, got {n}")
     zetas: Zetas = {}
     sd = solve_saddle(w, n, zetas)
     (g_r,) = _weight_sums(w, sd.v_n, (-1,), zetas)
@@ -343,7 +343,7 @@ def threshold_x(sd: SaddleData, y: float) -> float:
 def expected_tail_count(w: WeightSequence, sd: SaddleData, x: float) -> float:
     """sum_{k >= max(x,1)} (theta_k/k) e^{-k v_n}, by exp_sums."""
     if x < 0:
-        raise ValueError("x must be >= 0")
+        raise ValueError(f"x must be >= 0, got {x}")
     lo = max(1, int(math.ceil(x)))
     return exp_sums(w, sd.v_n, lo, (-1,))[0][0]
 
@@ -390,7 +390,7 @@ def admissibility_diagnostics(w: WeightSequence, n: int, s: float,
     if n < 100:
         raise ValueError("diagnostics need n >= 100")
     if y <= 0:
-        raise ValueError("y must be > 0")
+        raise ValueError(f"y must be > 0, got {y}")
     alpha = w.growth_alpha
     sd = solve_saddle(w, n)
     x_n = threshold_x(sd, y)

@@ -151,30 +151,26 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     w = _weight_from_args(args)
-    # check the experiment's inputs before any sample is drawn
     cfg = sampler.SamplerConfig(args.n, args.samples, args.seed)
-    tols = stats.merge_tolerances(_parse_tols(args.tol))
-    if args.experiment == "poisson":
-        report = functools.partial(
-            stats.verify_poisson_increments, y_grid=stats.check_grid(
-                _parse_grid(args.y_grid), "y_grid", nondecreasing=True))
-    elif args.experiment == "gumbel":
-        report = functools.partial(stats.verify_gumbel,
-                                   K=stats.check_k(args.k_longest))
-    elif args.experiment == "profile":
-        report = functools.partial(
-            stats.cumulative_profile, alpha=w.growth_alpha, w=w,
-            x_grid=stats.check_grid(_parse_grid(args.x_grid), "x_grid"))
-    else:
-        report = functools.partial(stats.bn_event_frequency, w=w)
+    tols = _parse_tols(args.tol)
     sd = asymptotics.solve_saddle(w, args.n)
-    # every report needs polynomial growth, and every y-grid point at most
-    # e^ell_n: reject both before the table is built
-    for y in [0.0, *report.keywords.get("y_grid", [])]:
-        asymptotics.threshold_x(sd, y)
-    tab = oracle.build_h_table(w, args.n)
-    batch = list(sampler.sample_batch(w, tab, cfg))
-    return _emit_report(report(batch, sd=sd, tolerances=tols), args.out)
+
+    def batch():
+        # a report checks its inputs before it first reads its batch, so
+        # the table is built only for inputs that every check accepts
+        yield from sampler.sample_batch(w, oracle.build_h_table(w, args.n), cfg)
+
+    if args.experiment == "poisson":
+        rep = stats.verify_poisson_increments(
+            batch(), sd, _parse_grid(args.y_grid), tols)
+    elif args.experiment == "gumbel":
+        rep = stats.verify_gumbel(batch(), sd, args.k_longest, tols)
+    elif args.experiment == "profile":
+        rep = stats.cumulative_profile(batch(), w.growth_alpha,
+                                       _parse_grid(args.x_grid), w, tols, sd)
+    else:
+        rep = stats.bn_event_frequency(batch(), sd, w, tols)
+    return _emit_report(rep, args.out)
 
 
 def cmd_expansions(args) -> int:

@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .weights import WeightSequence, theta_array, theta_log
+from .weights import WeightSequence, theta_array, theta_log_array
 
 ENUMERATION_CAP = 60
 SERIES_CAP = 220
@@ -146,26 +146,25 @@ def partitions(n: int) -> Iterator[Tuple[int, ...]]:
     yield from rec(n, n)
 
 
-def _log_type_weight(w: WeightSequence, counts: Dict[int, int]) -> float:
-    """ln of prod theta_m^{C_m} / prod (m^{C_m} C_m!)."""
-    total = 0.0
-    for m, c in counts.items():
-        lt = theta_log(w, m)
-        if lt == -math.inf:
-            return -math.inf
-        total += c * lt - c * math.log(m) - math.lgamma(c + 1)
-    return total
-
-
 def _type_logs(w: WeightSequence, n: int) -> Iterator[Tuple[Dict[int, int], float]]:
-    """(counts, ln of the type weight) of every cycle type of size n."""
+    """(counts, ln of the type weight) of every cycle type of size n: ln of
+    prod theta_m^{C_m} / prod (m^{C_m} C_m!), with ln theta_m read from one
+    theta_log_array.  counts follow the partition, largest part first."""
     if n > ENUMERATION_CAP:
         raise CapacityError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
+    log_theta = theta_log_array(w, max(n, 1)).tolist()
     for part in partitions(n):
         counts: Dict[int, int] = {}
         for p in part:
             counts[p] = counts.get(p, 0) + 1
-        yield counts, _log_type_weight(w, counts)
+        total = 0.0
+        for m, c in counts.items():
+            lt = log_theta[m]
+            if lt == -math.inf:
+                total = -math.inf
+                break
+            total += c * lt - c * math.log(m) - math.lgamma(c + 1)
+        yield counts, total
 
 
 def _log_sum(logs: List[float]) -> float:
@@ -181,20 +180,28 @@ def h_exact(w: WeightSequence, n: int) -> ScaledReal:
     return ScaledReal.from_log(_log_sum([lw for _, lw in _type_logs(w, n)]))
 
 
+def _type_probs(w: WeightSequence, n: int, key: Callable[[Dict[int, int]], Any]
+                ) -> Iterator[Tuple[Any, float]]:
+    """(key(counts), exact probability) of every cycle type of size n, in
+    the order of _type_logs; only the keys are kept.  n < 1 and h_n = 0
+    are ValueErrors, raised on the call."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    types = [(key(counts), lw) for counts, lw in _type_logs(w, n)]
+    log_h = _log_sum([lw for _, lw in types])
+    if log_h == -math.inf:
+        raise zero_row_error(w, n)
+    return ((k, math.exp(lw - log_h)) for k, lw in types)
+
+
 def enumerate_cycle_types(w: WeightSequence, n: int
                           ) -> List[Tuple[CycleType, float]]:
     """All cycle types of size n with their exact probabilities.
 
     Ordered lexicographically by partition with largest part descending.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    types = list(_type_logs(w, n))
-    log_h = _log_sum([lw for _, lw in types])
-    if log_h == -math.inf:
-        raise zero_row_error(w, n)
-    return [(CycleType.from_dict(counts, n), math.exp(lw - log_h))
-            for counts, lw in types]
+    return list(_type_probs(w, n,
+                            lambda counts: CycleType.from_dict(counts, n)))
 
 
 def _weight_digest(w: WeightSequence) -> bytes:
@@ -508,7 +515,7 @@ def exp_coefficients(c: np.ndarray, n_max: int):
 def build_h_table(w: WeightSequence, n_max: int) -> HTable:
     """HTable from the recurrence, by the blockwise kernel exp_coefficients."""
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     hm, he = exp_coefficients(theta_array(w, max(n_max, 1)), n_max)
     return HTable(weight=w, n_max=n_max, mant=hm, expo=he)
 
@@ -522,16 +529,14 @@ def exact_statistic_pmf(w: WeightSequence, n: int, statistic: str,
     """
     if statistic == "tail_count" and x is None:
         raise ValueError("tail_count needs the threshold x")
+    key = {"L1": lambda counts: next(iter(counts)),  # the largest part
+           "tail_count": lambda counts: sum(c for m, c in counts.items()
+                                            if m >= x),
+           "total_cycles": lambda counts: sum(counts.values())}.get(statistic)
+    if key is None:
+        raise ValueError(f"unknown statistic {statistic!r}")
     pmf: Dict[int, float] = {}
-    for ct, p in enumerate_cycle_types(w, n):
-        if statistic == "L1":
-            v = int(ct.m[-1])
-        elif statistic == "tail_count":
-            v = ct.tail_count(x)
-        elif statistic == "total_cycles":
-            v = ct.num_cycles()
-        else:
-            raise ValueError(f"unknown statistic {statistic!r}")
+    for v, p in _type_probs(w, n, key):
         pmf[v] = pmf.get(v, 0.0) + p
     return pmf
 
@@ -559,7 +564,7 @@ def mgf_series(w: WeightSequence, n: int, x: float, s: float) -> float:
     """E[exp(s * #cycles of length >= x)] via truncated series extraction:
     [t^n] exp((e^s - 1) * sum_{x<=k<=n} (theta_k/k) t^k + g(t)) / h_n."""
     if x < 0:
-        raise ValueError("x must be >= 0")
+        raise ValueError(f"x must be >= 0, got {x}")
     return _tilted_ratio(w, n, max(1, math.ceil(x)), math.exp(s))
 
 
@@ -602,7 +607,7 @@ def corollary_bound_check(w: WeightSequence, n: int, u: float, v: float):
     from .asymptotics import solve_saddle, threshold_x
 
     if not 0 <= u < v:
-        raise ValueError("need 0 <= u < v")
+        raise ValueError(f"need 0 <= u < v, got u={u}, v={v}")
     if n > SERIES_CAP:
         raise CapacityError(f"n={n} exceeds series cap {SERIES_CAP}")
     sd = solve_saddle(w, n)

@@ -126,8 +126,8 @@ def _chunk_size(n: int) -> int:
 @dataclass
 class SamplerConfig:
     """A batch's size n, sample count and seed.  An n past _MAX_N, whose
-    keys do not fit int32, is refused when the config is made, before any
-    table is built for it."""
+    keys do not fit int32, and a sample count below 1 are refused when the
+    config is made, before any table is built for it."""
 
     n: int
     num_samples: int
@@ -136,11 +136,11 @@ class SamplerConfig:
     def __post_init__(self):
         if self.n > _MAX_N:  # keys sample * (n + 1) + length overflow int32
             raise CapacityError(f"n={self.n} exceeds the sampler's limit {_MAX_N}")
+        if self.num_samples < 1:
+            raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
 
     def validate(self, h: HTable) -> None:
         check_row(self.n, h.weight, h.mant)
-        if self.num_samples < 1:
-            raise ValueError("num_samples must be >= 1")
 
 
 def substream_keys(seed: int, indices) -> np.ndarray:
@@ -527,9 +527,9 @@ class CycleTypeSampler:
         unused.  A fresh stream gives the draw sample_batch makes from it.
         A reused rng gives draws from the same distribution, but they are
         not pinned: they are not those of one stream read without gaps,
-        and they change whenever the read-ahead rule does.
+        and they change whenever the read-ahead rule does.  tail_count_mean
+        refuses an n outside the table or with h_n = 0.
         """
-        check_row(n, self.w, self.h.mant)
         return next(self._sample_lockstep(
             n, 1, lambda rows, start, width, out=None:
             rng.random((1, width), out=out), tail_count_mean(self.h, n, 1)))

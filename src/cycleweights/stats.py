@@ -15,6 +15,14 @@ A report is its experiment, its config and its checks; each number in
 its JSON appears once.  Every reference law is a closed form evaluated
 on numpy arrays, so a report draws no random numbers: its output depends
 on its batch alone.
+
+The report contract: a report checks its inputs, grid, tolerances and K,
+and computes its thresholds x_n(y), which refuses weights without
+polynomial growth and a y above e^ell_n, before it first reads its
+batch.  So a caller may hand it a lazy batch, such as a generator that
+builds the table and samples on first read, and a refused input costs no
+table and no sample.  Only what needs the batch's n, the saddle's match
+and a saddle that cumulative_profile solves itself, is checked after.
 """
 
 from __future__ import annotations
@@ -169,10 +177,15 @@ def longest(cols: Columns, K: int) -> np.ndarray:
     valid = idx >= cols.starts[:, None]
     idx = np.where(valid, idx, 0)
     m = np.where(valid, cols.m[idx], 0)
+    # a row's cycles j = cum_{i-1} + 1 .. cum_i lie in its pair i, for the
+    # running counts cum capped at K: each pair's length, repeated that
+    # many times, fills the row up to its K-th cycle
     cum = np.cumsum(np.where(valid, cols.c[idx], 0), axis=1)
-    # cycle j sits in the first pair whose running count reaches j
-    pos = (cum[:, None, :] < np.arange(1, K + 1)[:, None]).sum(axis=2)
-    return np.take_along_axis(np.pad(m, ((0, 0), (0, 1))), pos, axis=1)
+    np.minimum(cum, K, out=cum)
+    out = np.zeros_like(m)
+    out[np.arange(K) < cum[:, -1:]] = np.repeat(
+        m.ravel(), np.diff(cum, axis=1, prepend=0).ravel())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +214,7 @@ def _check_saddle(sd: SaddleData, n: int,
                          + ("" if w is None else f" for {w}"))
 
 
-def merge_tolerances(overrides: Optional[dict]) -> dict:
+def _merge_tolerances(overrides: Optional[dict]) -> dict:
     """DEFAULT_TOLERANCES with the overrides merged in.  A key that is not
     in DEFAULT_TOLERANCES, or a value that is not finite and >= 0, is a
     ValueError."""
@@ -216,8 +229,8 @@ def merge_tolerances(overrides: Optional[dict]) -> dict:
     return tols
 
 
-def check_grid(points: Iterable[float], name: str,
-               nondecreasing: bool = False) -> List[float]:
+def _check_grid(points: Iterable[float], name: str,
+                nondecreasing: bool = False) -> List[float]:
     """The grid as a list.  An empty grid, a point that is not >= 0, or
     (if nondecreasing) a point below the one before it is a ValueError."""
     pts = list(points)
@@ -231,24 +244,17 @@ def check_grid(points: Iterable[float], name: str,
     return pts
 
 
-def check_k(K: int) -> int:
-    """K, the number of longest cycles; K < 1 is a ValueError."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    return K
-
-
 def verify_poisson_increments(batch: Iterable, sd: SaddleData,
                               y_grid: Sequence[float],
                               tolerances: Optional[dict] = None
                               ) -> VerificationReport:
     """Increments of P_y over the grid vs independent Poisson targets."""
-    tols = merge_tolerances(tolerances)
-    ys = check_grid(y_grid, "y_grid", nondecreasing=True)
+    tols = _merge_tolerances(tolerances)
+    ys = _check_grid(y_grid, "y_grid", nondecreasing=True)
+    xs = [threshold_x(sd, y) for y in ys]
     cols = columns(batch)
     _check_saddle(sd, cols.n)
-    counts = np.stack([tail_counts(cols, threshold_x(sd, y)) for y in ys],
-                      axis=1)
+    counts = np.stack([tail_counts(cols, x) for x in xs], axis=1)
     incs = np.diff(counts, axis=1, prepend=0)
     targets = np.diff([0.0] + ys)
     rep = VerificationReport(
@@ -285,15 +291,17 @@ def verify_gumbel(batch: Iterable, sd: SaddleData, K: int,
                   tolerances: Optional[dict] = None) -> VerificationReport:
     """Rescaled j-th longest cycles, j = 1..K, vs the law of the j-th point
     of the limit Poisson process (point_cdf)."""
-    check_k(K)
-    tols = merge_tolerances(tolerances)
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    tols = _merge_tolerances(tolerances)
+    x1 = threshold_x(sd, 1.0)
     cols = columns(batch)
     _check_saddle(sd, cols.n)
     rep = VerificationReport(
         "gumbel_longest_cycles",
         {"n": sd.n, "num_samples": len(cols.starts), "K": K})
     L = longest(cols, K)
-    rescaled = np.where(L > 0, (L - threshold_x(sd, 1.0)) / sd.n_star, -np.inf)
+    rescaled = np.where(L > 0, (L - x1) / sd.n_star, -np.inf)
     # jump times y_j = exp(ell - L_j/n*) must be nondecreasing in j, so the
     # rescaled lengths nonincreasing; a missing cycle has y_j = inf
     jumps = int(np.any(rescaled[:, 1:] > rescaled[:, :-1], axis=1).sum())
@@ -315,19 +323,21 @@ def cumulative_profile(batch: Iterable, alpha: float,
     """Mean cumulative counts above x * n^{1/(1+alpha)} vs the direct-sum
     prediction at the saddle radius.  sd is the saddle of w at the batch's
     n, solved here if not given."""
-    rel_tol = merge_tolerances(tolerances)["profile_rel"]
-    xs = check_grid(x_grid, "x_grid")
+    rel_tol = _merge_tolerances(tolerances)["profile_rel"]
+    xs = _check_grid(x_grid, "x_grid")
+    # zero-growth weights raise in threshold_x: their scale n^{1/(1+0)} = n
+    # puts every x >= 1 at or past n, where the observed count is 0 by
+    # construction.  A given sd is checked before the batch is read
+    if sd is not None:
+        threshold_x(sd, 0.0)
     cols = columns(batch)
     n = cols.n
     if w is None:
         w = polynomial(alpha)
     if sd is None:
         sd = solve_saddle(w, n)
-    else:
-        _check_saddle(sd, n, w)
-    # zero-growth weights raise here: their scale n^{1/(1+0)} = n puts every
-    # x >= 1 at or past n, where the observed count is 0 by construction
-    threshold_x(sd, 0.0)
+        threshold_x(sd, 0.0)
+    _check_saddle(sd, n, w)
     scale = n ** (1.0 / (1.0 + alpha))
     rep = VerificationReport(
         "cumulative_profile",
@@ -347,13 +357,13 @@ def bn_event_frequency(batch: Iterable, sd: SaddleData,
                        ) -> VerificationReport:
     """Frequency of any cycle exceeding the cap 2 n* ell_n vs its
     Markov-type bound 2 * sum_{k > cap} (theta_k/k) e^{-k v_n}."""
-    bn_tol = merge_tolerances(tolerances)["bn_freq"]
+    bn_tol = _merge_tolerances(tolerances)["bn_freq"]
+    cap = threshold_x(sd, 0.0)
     cols = columns(batch)
     num = len(cols.starts)
     if w is None:
         w = sd.weight
     _check_saddle(sd, cols.n, w)
-    cap = threshold_x(sd, 0.0)
     freq = float(np.mean(tail_counts(cols, math.floor(cap) + 1) >= 1))
     bound = 2.0 * expected_tail_count(w, sd, math.floor(cap) + 1)
     limit = max(3.0 * bound, 5.0 / math.sqrt(num))

@@ -84,24 +84,6 @@ def table(values: Sequence[float]) -> WeightSequence:
     return WeightSequence(TABLE, values=tuple(float(v) for v in values))
 
 
-def theta_log(w: WeightSequence, k: int) -> float:
-    """ln theta_k, -inf when theta_k = 0."""
-    if k < 1:
-        raise ValueError(f"cycle length must be >= 1, got {k}")
-    if w.family == POLYNOMIAL:
-        return w.alpha * math.log(k)
-    if w.family == EWENS:
-        return math.log(w.vartheta)
-    if k <= len(w.values):
-        v = w.values[k - 1]
-        return math.log(v) if v > 0 else -math.inf
-    k0 = len(w.values)
-    v0 = w.values[-1]
-    if v0 == 0:
-        return -math.inf
-    return math.log(v0) + w._fit_alpha * math.log(k / k0)
-
-
 def _theta_range(w: WeightSequence, lo: int, hi: int) -> np.ndarray:
     """theta_k for k in [lo, hi] (lo >= 1) as a dense array."""
     k = np.arange(lo, hi + 1, dtype=np.float64)

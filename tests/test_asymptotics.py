@@ -480,3 +480,20 @@ def test_diagnostics_json_fields():
     rep = cw.admissibility_diagnostics(cw.polynomial(1.0), 1000, s=0.0, y=0.5)
     assert list(dataclasses.asdict(rep)) == [
         "residual", "width", "monotonicity_violations", "bn_ratio"]
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda w: asymptotics.solve_saddle(w, 0), "got 0"),
+    (lambda w: asymptotics.saddle_h_estimate(w, 9), "got 9"),
+    (lambda w: asymptotics.polylog_asymp(0.5, 1.0), "got 1.0"),
+    (lambda w: asymptotics.polylog_asymp(0.5, 0.0), "got 0.0"),
+    (lambda w: asymptotics.partial_sum_asymp(0.5, -0.1, 10.0), "v=-0.1"),
+    (lambda w: asymptotics.expected_tail_count(
+        w, asymptotics.solve_saddle(w, 100), -2.0), "got -2.0"),
+    (lambda w: asymptotics.admissibility_diagnostics(w, 100, 0.0, 0.0),
+     "got 0.0"),
+], ids=["saddle-n", "estimate-n", "polylog-v-one", "polylog-v-zero",
+        "partial-sum-v", "tail-count-x", "diagnostics-y"])
+def test_bad_input_is_refused_by_name(call, named):
+    with pytest.raises(ValueError, match=named):
+        call(cw.polynomial(1.0))

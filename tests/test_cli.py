@@ -319,19 +319,23 @@ def test_htable_makes_cache_dir_only_to_save(tmp_path, capsys):
 def test_n_past_sampler_keys_is_refused_before_any_build(command, capsys,
                                                          monkeypatch):
     # keys sample * (n + 1) + length fit int32 only up to n = 2^31 - 2; a
-    # larger n must be refused before a saddle solve or a table build
-    # allocates for it (patched here so that nothing large is allocated)
+    # larger n, and a sample count below 1, must be refused before a saddle
+    # solve or a table build allocates for them (patched here so that
+    # nothing large is allocated)
     def refuse(*args, **kwargs):
-        raise AssertionError("solved, built or sampled for an n past the keys")
+        raise AssertionError("solved, built or sampled for a refused input")
     for owner, name in [(asymptotics, "solve_saddle"),
                         (oracle, "build_h_table"), (sampler, "sample_batch")]:
         monkeypatch.setattr(owner, name, refuse)
-    start = time.perf_counter()
-    assert run_command(command + ["--alpha", "1", "--n", str(2**31 - 1),
-                                  "--samples", "1"]) == 2
-    assert time.perf_counter() - start < 0.1
-    err = capsys.readouterr().err
-    assert f"n={2**31 - 1}" in err and str(2**31 - 2) in err
+    for n, samples, named in [
+            (2**31 - 1, 1, [f"n={2**31 - 1}", str(2**31 - 2)]),
+            (200000, 0, ["num_samples must be >= 1, got 0"])]:
+        start = time.perf_counter()
+        assert run_command(command + ["--alpha", "1", "--n", str(n),
+                                      "--samples", str(samples)]) == 2
+        assert time.perf_counter() - start < 0.1
+        err = capsys.readouterr().err
+        assert all(word in err for word in named), err
 
 
 @pytest.mark.parametrize("experiment", ["poisson", "gumbel", "profile", "bn"])
@@ -343,3 +347,23 @@ def test_verify_mismatched_saddle_is_validation_error(experiment, monkeypatch,
     assert run_command(["verify", experiment, "--alpha", "1", "--n", "300",
                         "--samples", "20"]) == 2
     assert "sd was solved at n=301" in capsys.readouterr().err
+
+
+def test_unmet_checks_and_bad_input_are_named(capsys, monkeypatch):
+    # a --tol item without "=" exits 2, and each of oracle's two checks
+    # exits 1 when it fails: forced here by a wrong h_m and a pmf that
+    # does not sum to 1
+    argv = ["oracle", "--alpha", "1", "--n", "4"]
+    for patch, command, code, named in [
+            ({}, ["verify", "bn", "--alpha", "1", "--n", "300", "--samples",
+                  "20", "--tol", "bn_freq"], 2, "got 'bn_freq'"),
+            ({"h_exact": lambda w, m: oracle.ScaledReal(0.25)}, argv, 1,
+             "[FAIL] h_1: recurrence vs enumeration rel err 3\n"),
+            ({"exact_statistic_pmf": lambda w, n, statistic: {4: 0.5}}, argv,
+             1, "[FAIL] pmf mass 0.5")]:
+        with monkeypatch.context() as m:
+            for name, value in patch.items():
+                m.setattr(oracle, name, value)
+            assert run_command(command) == code
+        out, err = capsys.readouterr()
+        assert named in out + err

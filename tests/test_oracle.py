@@ -624,3 +624,38 @@ def test_h_table_golden(w, n, fallback, digest, monkeypatch):
     assert len(rows) >= fallback
     assert hashlib.sha256(tab.mant.tobytes()
                           + tab.expo.tobytes()).hexdigest() == digest
+
+
+
+POLY1 = weights.polynomial(1.0)
+
+
+def _load_cache(path, head):
+    """HTable.load of a file holding the magic, then head."""
+    path.write_bytes(oracle._MAGIC + head)
+    return oracle.HTable.load(str(path), POLY1)
+
+
+@pytest.mark.parametrize("call, error, named", [
+    (lambda tmp: _load_cache(tmp / "short.cwht", b"\0" * 9),
+     ValueError, "short.cwht: truncated"),
+    (lambda tmp: _load_cache(tmp / "v7.cwht", oracle._HEADER.pack(
+        7, oracle._weight_digest(POLY1), 0)),
+     ValueError, "unsupported cache version 7"),
+    (lambda tmp: oracle.build_h_table(POLY1, -1), ValueError, "got -1"),
+    (lambda tmp: oracle.mgf_series(POLY1, 10, -0.5, 0.1),
+     ValueError, "got -0.5"),
+    (lambda tmp: oracle.corollary_bound_check(POLY1, 50, 0.5, 0.5),
+     ValueError, "u=0.5, v=0.5"),
+    (lambda tmp: oracle.corollary_bound_check(POLY1, oracle.SERIES_CAP + 1,
+                                              0.5, 1.0),
+     oracle.CapacityError, f"n={oracle.SERIES_CAP + 1}"),
+    (lambda tmp: oracle.exact_statistic_pmf(POLY1, 5, "L2"),
+     ValueError, "'L2'"),
+    (lambda tmp: oracle.exact_statistic_pmf(POLY1, 5, "tail_count"),
+     ValueError, "tail_count needs the threshold x"),
+], ids=["load-short-header", "load-version", "table-n", "mgf-x",
+        "corollary-u-v", "corollary-cap", "pmf-statistic", "pmf-no-x"])
+def test_bad_input_is_refused_by_name(call, error, named, tmp_path):
+    with pytest.raises(error, match=named):
+        call(tmp_path)

@@ -461,3 +461,92 @@ def test_reports_reject_a_mismatched_saddle(report, desk_saddle):
                [ct({1: 20000}, 20000)], desk_saddle, w=cw.polynomial(2.0))}
     with pytest.raises(ValueError, match="sd was solved at n=20000"):
         run[report]()
+
+
+def unread_batch():
+    """A batch whose first read fails the test."""
+    raise AssertionError("the report read its batch before checking its inputs")
+    yield
+
+
+# (report of (batch, desk saddle, Ewens saddle), the refusal's words)
+REFUSALS = {
+    "poisson-grid-nan": (lambda b, sd, ew: cw.verify_poisson_increments(
+        b, sd, [1.0, math.nan]), "got nan"),
+    "poisson-grid-empty": (lambda b, sd, ew: cw.verify_poisson_increments(
+        b, sd, []), "y_grid is empty"),
+    "poisson-grid-decreasing": (lambda b, sd, ew: cw.verify_poisson_increments(
+        b, sd, [2.0, 1.0]), r"\[2.0, 1.0\]"),
+    "profile-grid-negative": (lambda b, sd, ew: cw.cumulative_profile(
+        b, 1.0, [-3.0, 1.0], sd=sd), "got -3.0"),
+    "poisson-tol-unknown": (lambda b, sd, ew: cw.verify_poisson_increments(
+        b, sd, [1.0], {"corr": 0.1}), "'corr'"),
+    "gumbel-tol-negative": (lambda b, sd, ew: cw.verify_gumbel(
+        b, sd, 3, {"gumbel_ks_1": -0.1}), "gumbel_ks_1=-0.1"),
+    "profile-tol-nan": (lambda b, sd, ew: cw.cumulative_profile(
+        b, 1.0, [1.0], tolerances={"profile_rel": math.nan}, sd=sd),
+        "profile_rel=nan"),
+    "bn-tol-negative": (lambda b, sd, ew: cw.bn_event_frequency(
+        b, sd, tolerances={"bn_freq": -1.0}), "bn_freq=-1.0"),
+    "gumbel-k-zero": (lambda b, sd, ew: cw.verify_gumbel(b, sd, 0),
+                      "K must be >= 1, got 0"),
+    "poisson-y-past-e-ell": (lambda b, sd, ew: cw.verify_poisson_increments(
+        b, sd, [1.0, 2.0 * math.exp(sd.ell_n)]), "exceeds e\\^ell_n"),
+    "poisson-ewens": (lambda b, sd, ew: cw.verify_poisson_increments(
+        b, ew, [1.0]), "ell_n is undefined"),
+    "gumbel-ewens": (lambda b, sd, ew: cw.verify_gumbel(b, ew, 3),
+                     "ell_n is undefined"),
+    "profile-ewens": (lambda b, sd, ew: cw.cumulative_profile(
+        b, 0.0, [1.0], w=ew.weight, sd=ew), "ell_n is undefined"),
+    "bn-ewens": (lambda b, sd, ew: cw.bn_event_frequency(b, ew),
+                 "ell_n is undefined"),
+}
+
+
+@pytest.mark.parametrize("report, named", REFUSALS.values(),
+                         ids=REFUSALS.keys())
+def test_reports_check_their_inputs_before_reading(report, named,
+                                                   desk_saddle):
+    ewens = cw.solve_saddle(cw.ewens(2.0), 300)
+    with pytest.raises(ValueError, match=named):
+        report(unread_batch(), desk_saddle, ewens)
+
+
+def test_ks_distance_refuses_an_empty_sample():
+    with pytest.raises(ValueError, match="empty sample"):
+        stats.ks_distance([], lambda x: x)
+
+
+def longest_reference(cols, K):
+    """stats.longest by a (rows, K, K) comparison of every cycle index with
+    every running count."""
+    ends = np.append(cols.starts[1:], len(cols.m))
+    idx = ends[:, None] - 1 - np.arange(K)
+    valid = idx >= cols.starts[:, None]
+    idx = np.where(valid, idx, 0)
+    m = np.where(valid, cols.m[idx], 0)
+    cum = np.cumsum(np.where(valid, cols.c[idx], 0), axis=1)
+    pos = (cum[:, None, :] < np.arange(1, K + 1)[:, None]).sum(axis=2)
+    return np.take_along_axis(np.pad(m, ((0, 0), (0, 1))), pos, axis=1)
+
+
+@pytest.mark.parametrize("K", [1, 3, 7])
+def test_longest_matches_reference(K, desk_batch):
+    few = [ct({1: 2}, 2), ct({2: 1}, 2), ct({1: 1, 4: 1}, 5), ct({5: 1}, 5)]
+    for batch in (desk_batch, few[:2], few[2:]):
+        cols = stats.columns(batch)
+        np.testing.assert_array_equal(stats.longest(cols, K),
+                                      longest_reference(cols, K))
+
+
+def test_longest_memory_is_linear_in_k(desk_batch):
+    # the reference's (rows, K, K) comparison peaked at 218 MiB here
+    cols = stats.columns(desk_batch)
+    tracemalloc.start()
+    try:
+        L = stats.longest(cols, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak / 2**20
+    np.testing.assert_array_equal(L[:, :7], stats.longest(cols, 7))

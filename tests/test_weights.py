@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,40 +10,32 @@ from cycleweights import weights
 def test_theta_polynomial():
     w = weights.polynomial(1.0)
     assert weights.theta_array(w, 7)[7] == 7.0
-    assert weights.theta_log(w, 7) == pytest.approx(math.log(7))
+    assert weights.theta_log_range(w, 7, 7)[0] == pytest.approx(math.log(7))
 
 
 def test_theta_ewens_constant():
     w = weights.ewens(2.0)
     assert weights.theta_array(w, 100)[100] == 2.0
     assert weights.theta_array(w, 1)[1] == 2.0
-    assert weights.theta_log(w, 100) == math.log(2.0)
+    assert weights.theta_log_range(w, 100, 100)[0] == math.log(2.0)
 
 
 def test_theta_fractional_alpha():
     w = weights.polynomial(2.5)
     value = weights.theta_array(w, 4)[4]
-    log_value = weights.theta_log(w, 4)
+    log_value = weights.theta_log_range(w, 4, 4)[0]
     assert value == pytest.approx(32.0, rel=1e-14)
     assert log_value == pytest.approx(2.5 * math.log(4), rel=1e-14)
     assert math.exp(log_value) == pytest.approx(value, rel=1e-14)
 
 
-def test_theta_rejects_bad_k():
-    w = weights.polynomial(1.0)
-    with pytest.raises(ValueError):
-        weights.theta_log(w, 0)
-    with pytest.raises(ValueError):
-        weights.theta_log(w, -3)
-
-
 def test_theta_large_k_log_space():
     w = weights.polynomial(5.0)
-    assert weights.theta_log(w, 10**7) == pytest.approx(5.0 * math.log(10**7))
-    assert math.exp(weights.theta_log(w, 10**7)) == pytest.approx(1e35)
+    log_value = weights.theta_log_range(w, 10**7, 10**7)[0]
+    assert log_value == pytest.approx(5.0 * math.log(10**7))
+    assert math.exp(log_value) == pytest.approx(1e35)
     # past float range the log stays finite and usable
     w = weights.polynomial(50.0)
-    assert weights.theta_log(w, 10**7) == pytest.approx(50.0 * math.log(10**7))
     assert weights.theta_log_range(w, 10**7, 10**7)[0] == pytest.approx(
         50.0 * math.log(10**7))
 
@@ -54,7 +47,8 @@ def test_table_family_extension():
     assert theta[1] == 2.0
     assert theta[2] == 4.0
     assert theta[4] == pytest.approx(8.0, rel=1e-12)
-    assert math.exp(weights.theta_log(w, 4)) == pytest.approx(8.0, rel=1e-12)
+    assert math.exp(weights.theta_log_range(w, 4, 4)[0]) == pytest.approx(
+        8.0, rel=1e-12)
 
 
 def test_g_partial_ewens_closed_form():
@@ -124,6 +118,17 @@ FAMILIES = {"poly0.05": weights.polynomial(0.05),
             "table1001": weights.table([1, 0, 0, 1])}
 
 
+# ln theta_k in closed form: alpha ln k, ln vartheta, ln 2k for table([2, 4])
+# (fitted alpha 1), and 0 past k = 4 for table([1, 0, 0, 1]) (fitted alpha 0)
+CLOSED_FORMS = {
+    **{w: (lambda k, a=w.alpha: a * math.log(k))
+       for w in FAMILIES.values() if w.family == weights.POLYNOMIAL},
+    FAMILIES["ewens2"]: lambda k: math.log(2.0),
+    FAMILIES["table24"]: lambda k: math.log(2.0 * k),
+    FAMILIES["table1001"]: lambda k: 0.0 if k in (1, 4) or k > 4 else -math.inf,
+}
+
+
 @pytest.mark.parametrize("w", FAMILIES.values(), ids=FAMILIES.keys())
 def test_theta_log_range_matches_array(w):
     hi = 300
@@ -136,7 +141,7 @@ def test_theta_log_range_matches_array(w):
             assert np.array_equal(full[1:],
                                   np.log(weights.theta_array(w, hi)[1:]))
     for k in (1, 2, 4, 5, 300):
-        assert full[k] == pytest.approx(weights.theta_log(w, k), rel=1e-14)
+        assert full[k] == pytest.approx(CLOSED_FORMS[w](k), rel=1e-14)
 
 
 def _fsum_reference(w, v, lo, hi, e):
@@ -206,3 +211,14 @@ def test_ewens_rejects_non_finite_vartheta(bad):
 def test_table_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="values"):
         weights.table([1.0, bad, 2.0])
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: weights.WeightSequence("foo"), "'foo'"),
+    (lambda: weights.exp_sums(None, 0.0, 1, (0,)), "got 0.0"),
+    (lambda: weights.exp_sums(weights.polynomial(1.0), -0.5, 1, (-1, 0)),
+     "got -0.5"),
+], ids=["unknown-family", "exp-sums-v-zero", "exp-sums-v-negative"])
+def test_bad_input_is_refused_by_name(call, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()
