@@ -118,32 +118,28 @@ class CycleType:
     def num_cycles(self) -> int:
         return sum(self.cols.c[self.start:self.end].tolist())
 
-    def tail_count(self, x: float) -> int:
-        """Number of cycles of length >= x."""
-        cols, a, b = self.cols, self.start, self.end
-        # m ascending: the cycles from the first m >= x on (none for NaN,
-        # which searchsorted places last)
-        a += int(np.searchsorted(cols.m[a:b], x))
-        return sum(cols.c[a:b].tolist())
-
 
 def partitions(n: int) -> Iterator[Tuple[int, ...]]:
-    """All partitions of n as descending tuples, largest part first."""
-    if n == 0:
-        yield ()
-        return
-    parts: List[int] = []
-
-    def rec(remaining: int, max_part: int):
-        if remaining == 0:
-            yield tuple(parts)
+    """All partitions of n as descending tuples, largest part first, in
+    reverse lexicographic order: Zoghbi and Stojmenovic's ZS1, in O(1)
+    amortized steps per partition besides the tuple it yields."""
+    # a is the partition, a[h] its last part > 1 (h = -1: none is)
+    a, h = ([n] if n else []), (0 if n > 1 else -1)
+    while True:
+        yield tuple(a)
+        if h < 0:
             return
-        for p in range(min(remaining, max_part), 0, -1):
-            parts.append(p)
-            yield from rec(remaining - p, p)
-            parts.pop()
-
-    yield from rec(n, n)
+        if a[h] == 2:
+            a[h] = 1
+            a.append(1)
+            h -= 1
+        else:
+            # a[h] gives up one, and that one with the 1s after it is
+            # refilled with parts r = a[h] - 1, then a remainder t
+            r = a[h] - 1
+            q, t = divmod(len(a) - h, r)
+            a[h:] = [r] * (q + 1) + [t] * (t > 0)
+            h += q + (t > 1)
 
 
 def _type_logs(w: WeightSequence, n: int) -> Iterator[Tuple[Dict[int, int], float]]:

@@ -2,11 +2,13 @@
 
 A cycle type is a row of an int32 CSR Columns (row starts, m ascending,
 C_m), and a sampled batch is the rows of its chunks' Columns, in order.
-Every report reads its batch as one Columns: a batch that is one run of
-consecutive rows of one Columns in place, any other batch copied, each
-run as one slice.
-Tail counts #{cycles of length >= x} and the K longest cycles are numpy
-reductions over those arrays.  The reports check a sampled batch:
+Every report walks its batch once, run by run (runs): a run is rows that
+follow one another in one Columns, read in place as views, and nothing
+of the batch is copied.  It reduces each run to integer features, the
+tail counts #{cycles of length >= x} at its thresholds or the K longest
+cycles, by numpy reductions, and computes its statistics on those
+features, one row per sample.  So a report holds one chunk of a lazy
+batch at a time, and its features.  The reports check a sampled batch:
 Poisson increments over a y-grid, the law of each rescaled j-th longest
 cycle (the j-th point of the limit Poisson process, Gumbel at j = 1),
 the cumulative-count profile against its direct-sum prediction, and the
@@ -22,14 +24,15 @@ polynomial growth and a y above e^ell_n, before it first reads its
 batch.  So a caller may hand it a lazy batch, such as a generator that
 builds the table and samples on first read, and a refused input costs no
 table and no sample.  Only what needs the batch's n, the saddle's match
-and a saddle that cumulative_profile solves itself, is checked after.
+and a saddle that cumulative_profile solves itself, is checked after, on
+the first run, before the batch is read past it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -114,58 +117,69 @@ def point_cdf(j: int, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # observables
 
-def columns(batch: Iterable[CycleType]) -> Columns:
-    """The batch's rows as one Columns.  A batch that is one run of rows
-    that follow one another in one Columns, such as a one-chunk sampled
-    batch, reads that Columns' m and c in place, as views; a batch of
-    several runs is copied, each run as one slice.  Rows of different
-    sizes n, or with no cycles, are a ValueError."""
-    cts = list(batch)
-    if not cts:
+# pairs per run, past its last row: the bound on each reduction's working
+# memory, such as tail_counts' masked column
+_RUN_PAIRS = 2**16
+
+
+def runs(batch: Iterable[CycleType],
+         first: Optional[Callable[[int], None]] = None) -> Iterator[Columns]:
+    """The batch walked once, as its runs: rows that follow one another in
+    one Columns, up to _RUN_PAIRS pairs and one row, each a Columns whose
+    m and c are views of that Columns' arrays, with the run's own row
+    starts.  first(n), if given, is called with the first row's n before
+    anything else is read.  A run that reaches its Columns' end, such as
+    the last of a sampled chunk, is handed out before the batch is read
+    further.  An empty batch, a row with no cycles, or rows of different
+    sizes n are a ValueError."""
+    n, cols = None, None
+    for ct in batch:
+        if ct.start == ct.end:
+            raise ValueError("batch holds a cycle type with no cycles")
+        if cols is not None and (ct.cols is not cols or ct.start != end):
+            yield _run(cols, a, end)
+            cols = None
+        if cols is None:
+            cols, a = ct.cols, ct.start
+            if n is None:
+                n = cols.n
+                if first is not None:
+                    first(n)
+            elif cols.n != n:
+                raise ValueError(f"batch mixes sizes n={n} and n={cols.n}")
+        end = ct.end
+        if end == len(cols.m) or end - a > _RUN_PAIRS:
+            yield _run(cols, a, end)
+            # the next row starts a run, and no reference is left here to
+            # a chunk while the next one is drawn
+            ct = cols = None
+    if n is None:
         raise ValueError("empty batch")
-    sizes = np.fromiter((ct.end - ct.start for ct in cts), np.int32, len(cts))
-    if not sizes.all():
-        raise ValueError("batch holds a cycle type with no cycles")
-    runs = []  # [Columns, start, end] of rows that follow one another
-    for ct in cts:
-        if runs and runs[-1][0] is ct.cols and runs[-1][2] == ct.start:
-            runs[-1][2] = ct.end
-        else:
-            runs.append([ct.cols, ct.start, ct.end])
-    sizes_n = sorted({src.n for src, _, _ in runs})
-    if len(sizes_n) > 1:
-        raise ValueError(f"batch mixes cycle types of sizes {sizes_n}")
-    starts = np.zeros(len(cts), np.int32)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    if len(runs) == 1:
-        src, a, b = runs[0]
-        return Columns(starts, src.m[a:b], src.c[a:b], src.n)
-    return Columns(starts, np.concatenate([r.m[a:b] for r, a, b in runs]),
-                   np.concatenate([r.c[a:b] for r, a, b in runs]), sizes_n[0])
+    if cols is not None:
+        yield _run(cols, a, end)
 
 
-# pairs per group of rows in tail_counts
-_TAIL_PAIRS = 2**16
+def _run(cols: Columns, a: int, end: int) -> Columns:
+    """The rows of cols whose pairs are a .. end - 1."""
+    i, j = np.searchsorted(cols.starts, (a, end))
+    return Columns(cols.starts[i:j] - a, cols.m[a:end], cols.c[a:end], cols.n)
+
+
+def _features(batch: Iterable[CycleType], first: Callable[[int], None],
+              reduce: Callable[[Columns], np.ndarray]) -> np.ndarray:
+    """reduce(run), a (rows, ...) int32 array, of every run of the batch,
+    concatenated; first as in runs.  No run outlives its reduction."""
+    return np.concatenate(list(map(reduce, runs(batch, first))))
 
 
 def tail_counts(cols: Columns, x: float) -> np.ndarray:
-    """Per row, the number of cycles of length >= x.  Rows are counted in
-    groups whose rows start within one span of _TAIL_PAIRS pairs, so that
-    the masked counts take at most that many pairs and one row, not a
-    whole column."""
-    rows = len(cols.starts)
-    out = np.empty(rows, np.int32)
-    cuts = np.searchsorted(cols.starts, np.arange(0, len(cols.m), _TAIL_PAIRS))
-    cuts = np.unique(np.append(cuts, rows)).tolist()
-    for r0, r1 in zip(cuts, cuts[1:]):
-        lo = int(cols.starts[r0])
-        hi = int(cols.starts[r1]) if r1 < rows else len(cols.m)
-        # a row sums to at most n; the default int64 accumulator would copy
-        # the group's column
-        np.add.reduceat(np.where(cols.m[lo:hi] >= x, cols.c[lo:hi], 0),
-                        cols.starts[r0:r1] - lo, dtype=np.int32,
-                        out=out[r0:r1])
-    return out
+    """Per row, the number of cycles of length >= x.  The masked counts
+    are a copy of the column c: at most _RUN_PAIRS pairs and a row, for a
+    run."""
+    # a row sums to at most n; the default int64 accumulator would copy the
+    # column again
+    return np.add.reduceat(np.where(cols.m >= x, cols.c, 0), cols.starts,
+                           dtype=np.int32)
 
 
 def longest(cols: Columns, K: int) -> np.ndarray:
@@ -237,8 +251,8 @@ def _check_grid(points: Iterable[float], name: str,
     if not pts:
         raise ValueError(f"{name} is empty")
     for p in pts:
-        if not p >= 0:
-            raise ValueError(f"{name} points must be >= 0, got {p}")
+        if not 0 <= p < math.inf:
+            raise ValueError(f"{name} points must be finite and >= 0, got {p}")
     if nondecreasing and any(b < a for a, b in zip(pts, pts[1:])):
         raise ValueError(f"{name} must be nondecreasing, got {pts}")
     return pts
@@ -252,14 +266,15 @@ def verify_poisson_increments(batch: Iterable, sd: SaddleData,
     tols = _merge_tolerances(tolerances)
     ys = _check_grid(y_grid, "y_grid", nondecreasing=True)
     xs = [threshold_x(sd, y) for y in ys]
-    cols = columns(batch)
-    _check_saddle(sd, cols.n)
-    counts = np.stack([tail_counts(cols, x) for x in xs], axis=1)
-    incs = np.diff(counts, axis=1, prepend=0)
+    counts = _features(batch, lambda n: _check_saddle(sd, n),
+                       lambda run: np.stack([tail_counts(run, x) for x in xs],
+                                            axis=1))
+    # an int32 zero keeps the increments int32, where 0 would make them int64
+    incs = np.diff(counts, axis=1, prepend=np.int32(0))
     targets = np.diff([0.0] + ys)
     rep = VerificationReport(
         "poisson_increments",
-        {"n": sd.n, "alpha": sd.alpha, "num_samples": len(cols.starts),
+        {"n": sd.n, "alpha": sd.alpha, "num_samples": len(counts),
          "y_grid": ys})
     mean_tol = tols["increment_mean_rel"]
     vm_lo, vm_hi = tols["var_mean_lo"], tols["var_mean_hi"]
@@ -295,12 +310,11 @@ def verify_gumbel(batch: Iterable, sd: SaddleData, K: int,
         raise ValueError(f"K must be >= 1, got {K}")
     tols = _merge_tolerances(tolerances)
     x1 = threshold_x(sd, 1.0)
-    cols = columns(batch)
-    _check_saddle(sd, cols.n)
+    L = _features(batch, lambda n: _check_saddle(sd, n),
+                  lambda run: longest(run, K))
     rep = VerificationReport(
         "gumbel_longest_cycles",
-        {"n": sd.n, "num_samples": len(cols.starts), "K": K})
-    L = longest(cols, K)
+        {"n": sd.n, "num_samples": len(L), "K": K})
     rescaled = np.where(L > 0, (L - x1) / sd.n_star, -np.inf)
     # jump times y_j = exp(ell - L_j/n*) must be nondecreasing in j, so the
     # rescaled lengths nonincreasing; a missing cycle has y_j = inf
@@ -330,22 +344,26 @@ def cumulative_profile(batch: Iterable, alpha: float,
     # construction.  A given sd is checked before the batch is read
     if sd is not None:
         threshold_x(sd, 0.0)
-    cols = columns(batch)
-    n = cols.n
     if w is None:
         w = polynomial(alpha)
-    if sd is None:
-        sd = solve_saddle(w, n)
-        threshold_x(sd, 0.0)
-    _check_saddle(sd, n, w)
-    scale = n ** (1.0 / (1.0 + alpha))
+    thrs: List[float] = []
+
+    def saddle(n: int) -> None:
+        nonlocal sd
+        if sd is None:
+            sd = solve_saddle(w, n)
+            threshold_x(sd, 0.0)
+        _check_saddle(sd, n, w)
+        thrs.extend(max(1.0, x * n ** (1.0 / (1.0 + alpha))) for x in xs)
+
+    counts = _features(batch, saddle, lambda run: np.stack(
+        [tail_counts(run, thr) for thr in thrs], axis=1))
     rep = VerificationReport(
         "cumulative_profile",
-        {"n": n, "alpha": alpha, "num_samples": len(cols.starts),
+        {"n": sd.n, "alpha": alpha, "num_samples": len(counts),
          "x_grid": xs})
-    for x in xs:
-        thr = max(1.0, x * scale)
-        emp = float(np.mean(tail_counts(cols, thr)))
+    for j, (x, thr) in enumerate(zip(xs, thrs)):
+        emp = float(np.mean(counts[:, j]))
         pred = expected_tail_count(w, sd, thr)
         rep.add(f"w_n({x})", emp, pred, rel_tol * max(pred, 1e-12))
     return rep
@@ -359,12 +377,12 @@ def bn_event_frequency(batch: Iterable, sd: SaddleData,
     Markov-type bound 2 * sum_{k > cap} (theta_k/k) e^{-k v_n}."""
     bn_tol = _merge_tolerances(tolerances)["bn_freq"]
     cap = threshold_x(sd, 0.0)
-    cols = columns(batch)
-    num = len(cols.starts)
     if w is None:
         w = sd.weight
-    _check_saddle(sd, cols.n, w)
-    freq = float(np.mean(tail_counts(cols, math.floor(cap) + 1) >= 1))
+    above = _features(batch, lambda n: _check_saddle(sd, n, w),
+                      lambda run: tail_counts(run, math.floor(cap) + 1))
+    num = len(above)
+    freq = float(np.mean(above >= 1))
     bound = 2.0 * expected_tail_count(w, sd, math.floor(cap) + 1)
     limit = max(3.0 * bound, 5.0 / math.sqrt(num))
     rep = VerificationReport(

@@ -12,6 +12,8 @@ import pytest
 import cycleweights as cw
 from cycleweights import oracle, stats
 
+from conftest import tail_count
+
 
 def report(name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
@@ -122,7 +124,7 @@ def test_criterion_10_mgf_identity():
         for x in (1, 2, 3):
             for s in (-1.0, 0.5, 1.0):
                 series = cw.mgf_series(w, n, x, s)
-                direct = sum(math.exp(s * ct.tail_count(x)) * p
+                direct = sum(math.exp(s * tail_count(ct, x)) * p
                              for ct, p in enum)
                 worst = max(worst, abs(series - direct))
     report("criterion 10 (MGF identity)", worst < 1e-10,

@@ -107,6 +107,19 @@ def test_verify_y_grid_past_e_ell_is_validation_error(capsys, monkeypatch):
     assert "y=4.0 exceeds e^ell_n = 2.87" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, flag", [("profile", "--x-grid"),
+                                              ("poisson", "--y-grid")])
+def test_verify_infinite_grid_point_is_refused_before_any_build(
+        experiment, flag, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or sampled before the grid was checked")
+    monkeypatch.setattr(oracle, "build_h_table", refuse)
+    monkeypatch.setattr(sampler, "sample_batch", refuse)
+    assert run_command(["verify", experiment, "--alpha", "1", "--n", "2000",
+                        "--samples", "200", flag, "0.5,inf"]) == 2
+    assert "must be finite and >= 0, got inf" in capsys.readouterr().err
+
+
 def test_htable_cache_and_sample(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     assert run_command(["htable", "--alpha", "1", "--n", "200",

@@ -17,6 +17,8 @@ import cycleweights as cw
 from cycleweights import sampler as smp
 from cycleweights.oracle import CapacityError
 
+from conftest import joined, tail_count
+
 # false-alarm rate of each statistical bound below
 DELTA = 1e-6
 
@@ -481,7 +483,7 @@ def test_desk_batch_matches_exact_finite_n_laws(desk_batch, htable_desk):
     n, num = desk_batch[0].n, len(desk_batch)
     z = statistics.NormalDist().inv_cdf(1 - DELTA / 2)
     for x in (1, 10, 100, 300, 1000):
-        counts = [ct.tail_count(x) for ct in desk_batch]
+        counts = [tail_count(ct, x) for ct in desk_batch]
         exact = cw.tail_count_mean(htable_desk, n, x)
         se = statistics.stdev(counts) / math.sqrt(num)
         assert abs(statistics.fmean(counts) - exact) <= z * se, x
@@ -516,7 +518,7 @@ def test_batch_matches_exact_finite_n_laws(w, num):
     # variance; and P(L1 <= x), by DKW.  DELTA is split over the checks
     n = 2000
     tab = cw.build_h_table(w, n)
-    cols = cw.stats.columns(cw.sample_batch(
+    cols = joined(cw.sample_batch(
         w, tab, cw.SamplerConfig(n=n, num_samples=num, seed=13)))
     log_h = tab.log_array()
     log_a = cw.weights.theta_log_array(w, n)
@@ -972,9 +974,24 @@ def dispatch_digests():
     return digests, [f for f in __cpu_dispatch__ if __cpu_features__[f]]
 
 
+def dispatch_reports():
+    """The four reports' to_dict() on one small fixed batch: alpha = 1,
+    n = 2000, 300 samples, at the desk's grids."""
+    w, n = cw.polynomial(1.0), 2000
+    batch = list(cw.sample_batch(w, cw.build_h_table(w, n),
+                                 cw.SamplerConfig(n, 300, 3)))
+    sd = cw.solve_saddle(w, n)
+    return [rep.to_dict() for rep in (
+        cw.verify_poisson_increments(batch, sd, [0.5, 1.0, 2.0]),
+        cw.verify_gumbel(batch, sd, 3),
+        cw.cumulative_profile(batch, 1.0, [0.5, 1.0, 2.0], w=w, sd=sd),
+        cw.bn_event_frequency(batch, sd, w=w))]
+
+
 def test_samples_same_across_cpu_dispatch():
-    # the same dumps at every dispatch level numpy reports, and h-table
-    # rows within 1e-12 relative, zero rows exact: each child process
+    # the same dumps at every dispatch level numpy reports, h-table rows
+    # within 1e-12 relative, zero rows exact, and report numbers within
+    # 1e-12 relative, pass flags exact: each child process
     # turns off one more dispatched extension, from the newest down to the
     # build's baseline, by numpy's own NPY_DISABLE_CPU_FEATURES switch,
     # which acts on that process only
@@ -988,7 +1005,8 @@ def test_samples_same_across_cpu_dispatch():
                             here])
     probe = ("import json, test_sampler\n"
              "print(json.dumps([*test_sampler.dispatch_digests(),\n"
-             "                  test_sampler.dispatch_rows()]))\n")
+             "                  test_sampler.dispatch_rows(),\n"
+             "                  test_sampler.dispatch_reports()]))\n")
     # a child keeps the extensions this process runs without turned off
     off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
     children = [subprocess.Popen(
@@ -997,10 +1015,11 @@ def test_samples_same_across_cpu_dispatch():
              "NPY_DISABLE_CPU_FEATURES": " ".join(off + found[i:])})
         for i in range(len(found))]
     tables = [cw.build_h_table(w, n) for w, n in DISPATCH_TABLES]
+    reports = dispatch_reports()
     outs = [child.communicate(timeout=120)[0] for child in children]
     for i, (child, out) in enumerate(zip(children, outs)):
         assert child.returncode == 0
-        got, enabled, rows = json.loads(out)
+        got, enabled, rows, got_reports = json.loads(out)
         assert enabled == found[:i], "the switch did not take"
         assert got == digests, f"digests differ without {found[i:]}"
         for tab, (mant, expo) in zip(tables, rows):
@@ -1013,3 +1032,9 @@ def test_samples_same_across_cpu_dispatch():
             rel -= 1.0
             assert np.abs(rel).max() <= 1e-12, \
                 f"{tab.weight} rows differ without {found[i:]}"
+        for rep, got_rep in zip(reports, got_reports, strict=True):
+            for c, g in zip(rep["checks"], got_rep["checks"], strict=True):
+                assert (g["name"], g["pass"]) == (c["name"], c["pass"])
+                for key in ("observed", "target", "tol"):
+                    assert math.isclose(g[key], c[key], rel_tol=1e-12), \
+                        (c["name"], key, found[i:])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -8,7 +9,9 @@ import pytest
 
 import cycleweights as cw
 from cycleweights import stats
-from cycleweights.oracle import CycleType
+from cycleweights.oracle import Columns, CycleType
+
+from conftest import joined, tail_count
 
 
 def ct(counts, n):
@@ -17,31 +20,31 @@ def ct(counts, n):
 
 def path_value(sample, sd, y):
     """P_y = number of cycles of length >= x_n(y), via the columnar form."""
-    cols = stats.columns([sample])
-    return int(stats.tail_counts(cols, cw.threshold_x(sd, y))[0])
+    run, = stats.runs([sample])
+    return int(stats.tail_counts(run, cw.threshold_x(sd, y))[0])
 
 
 def test_longest_cycles_basic():
-    cols = stats.columns([ct({2: 1, 3: 2}, 8)])
-    assert stats.longest(cols, 3).tolist() == [[3, 3, 2]]
+    run, = stats.runs([ct({2: 1, 3: 2}, 8)])
+    assert stats.longest(run, 3).tolist() == [[3, 3, 2]]
 
 
 def test_longest_cycles_padding():
-    cols = stats.columns([ct({1: 5}, 5)])
-    assert stats.longest(cols, 7).tolist() == [[1, 1, 1, 1, 1, 0, 0]]
+    run, = stats.runs([ct({1: 5}, 5)])
+    assert stats.longest(run, 7).tolist() == [[1, 1, 1, 1, 1, 0, 0]]
 
 
 def test_longest_identity_exhaustive():
-    # columnar tail counts and longest-K against CycleType.tail_count and
-    # the sorted cycle lengths, over every cycle type up to n = 10, with
-    # all types of one n as the rows of one batch
+    # columnar tail counts and longest-K against the reference tail_count
+    # and the sorted cycle lengths, over every cycle type up to n = 10,
+    # with all types of one n as the rows of one batch
     w = cw.polynomial(1.0)
     for n in range(1, 11):
         types = [cyc for cyc, _ in cw.enumerate_cycle_types(w, n)]
-        cols = stats.columns(types)
+        cols = joined(types)
         for x in [0.5] + list(range(1, n + 2)):
             assert stats.tail_counts(cols, x).tolist() == \
-                [cyc.tail_count(x) for cyc in types]
+                [tail_count(cyc, x) for cyc in types]
         expect = []
         for cyc in types:
             lengths = sorted((m for m, c in cyc.counts for _ in range(c)),
@@ -283,12 +286,29 @@ def rows_concatenated(cts):
             np.concatenate([r.c for r in rebuilt]))
 
 
-def assert_columns_match_rebuilds(cts):
-    got = stats.columns(cts)
-    for a, b in zip(got, rows_concatenated(cts)):
+def assert_columns_match_rebuilds(cts, num_runs=None):
+    """The batch's runs hold its rows in order, each read in place (views
+    of its rows' Columns) and cut only where it must be: at its Columns'
+    end, before a row that does not follow it, or past _RUN_PAIRS pairs;
+    num_runs of them, if given."""
+    for a, b in zip(joined(cts), rows_concatenated(cts)):
         np.testing.assert_array_equal(a, b)
-    assert got.m.dtype == got.c.dtype == got.starts.dtype == np.int32
-    assert got.n == cts[0].n
+    got = list(stats.runs(cts))
+    row = 0
+    for run in got:
+        src = cts[row].cols
+        assert np.shares_memory(run.m, src.m)
+        assert np.shares_memory(run.c, src.c)
+        assert run.m.dtype == run.c.dtype == run.starts.dtype == np.int32
+        assert run.n == cts[0].n
+        row += len(run.starts)
+        last = cts[row - 1]
+        assert len(run.m) - (last.end - last.start) <= stats._RUN_PAIRS
+        assert (last.end == len(src.m) or len(run.m) > stats._RUN_PAIRS
+                or row == len(cts) or cts[row].cols is not src
+                or cts[row].start != last.end)
+    assert row == len(cts)
+    assert num_runs is None or len(got) == num_runs
 
 
 def test_columns_across_chunk_boundaries(poly1, htable_2000):
@@ -324,24 +344,26 @@ def test_columns_of_rows_out_of_batch_order(poly1, htable_2000):
     i, j = next((i, j) for i in range(len(one) - 1) for j in range(len(two))
                 if two[j].start == one[i].end
                 and two[j].counts != one[i + 1].counts)
-    for cts in ([one[i], two[j]],
-                one[::-1],  # reversed
-                [cyc for pair in zip(one, two) for cyc in pair],  # interleaved
-                [one[7]] * 10,  # one object repeated
-                one[:5] + [ct({1: 300}, 300)] + one[5:9],  # a from_dict type
-                one[3:30],  # one run, not the whole chunk
-                one + two):  # two whole chunks
-        assert_columns_match_rebuilds(cts)
+    for cts, num_runs in (
+            ([one[i], two[j]], 2),
+            (one[::-1], 40),  # reversed
+            # interleaved
+            ([cyc for pair in zip(one, two) for cyc in pair], 80),
+            ([one[7]] * 10, 10),  # one object repeated
+            (one[:5] + [ct({1: 300}, 300)] + one[5:9], 3),  # a from_dict type
+            (one[3:30], 1),  # one run, not the whole chunk
+            (one + two, 2)):  # two whole chunks
+        assert_columns_match_rebuilds(cts, num_runs)
 
 
 def test_columns_rejects_mixed_sizes():
     with pytest.raises(ValueError, match="sizes"):
-        stats.columns([ct({1: 5}, 5), ct({2: 3}, 6)])
+        list(stats.runs([ct({1: 5}, 5), ct({2: 3}, 6)]))
 
 
 def test_sampled_rows_share_their_chunk(poly1):
     # 10^4 samples at n = 6 are one chunk: every sample is a row of its
-    # Columns, and the batch's columns equal that Columns' arrays
+    # Columns, and the batch is one run, that Columns' arrays
     num = 10**4
     assert cw.sampler._chunk_size(6) >= num
     batch = list(cw.sample_batch(poly1, cw.build_h_table(poly1, 6),
@@ -355,7 +377,7 @@ def test_sampled_rows_share_their_chunk(poly1):
         for got, ref in ((cyc.m, want.m), (cyc.c, want.c)):
             assert got.dtype == np.int32 and not got.flags.writeable
             np.testing.assert_array_equal(got, ref)
-    cols = stats.columns(batch)
+    cols, = stats.runs(batch)
     assert cols.n == chunk.n
     for a, b in ((cols.m, chunk.m), (cols.c, chunk.c),
                  (cols.starts, chunk.starts)):
@@ -365,31 +387,33 @@ def test_sampled_rows_share_their_chunk(poly1):
 
 
 def test_columns_reads_one_run_in_place(poly1, htable_2000, desk_batch):
-    # a one-chunk batch, and a run of consecutive rows of one chunk, are
-    # read as views of the chunk's read-only arrays; rows of several chunks
-    # are copied
-    for batch in (desk_batch, desk_batch[3:30]):
-        got = stats.columns(batch)
-        for a, b in ((got.m, batch[0].cols.m), (got.c, batch[0].cols.c)):
-            assert np.shares_memory(a, b) and not a.flags.writeable
-    # the desk batch's tail counts span several groups of rows
-    got = stats.columns(desk_batch)
-    assert len(got.m) > 4 * stats._TAIL_PAIRS
+    # every run is read in place, as views of its chunk's read-only arrays:
+    # a run of consecutive rows of one chunk, the runs of a one-chunk batch,
+    # which is cut into runs of at most _RUN_PAIRS pairs and a row, and
+    # those of a batch of several chunks
+    run, = stats.runs(desk_batch[3:30])
+    for a, b in ((run.m, desk_batch[0].cols.m), (run.c, desk_batch[0].cols.c)):
+        assert np.shares_memory(a, b) and not a.flags.writeable
+    got = list(stats.runs(desk_batch))
+    assert len(got) > 4
+    assert all(np.shares_memory(run.m, desk_batch[0].cols.m) for run in got)
+    assert_columns_match_rebuilds(desk_batch, len(got))
     for x in (1, 140.5, 3000, 20000):
-        assert stats.tail_counts(got, x).tolist() == \
-            [cyc.tail_count(x) for cyc in desk_batch]
+        assert np.concatenate([stats.tail_counts(run, x) for run in got]
+                              ).tolist() == \
+            [tail_count(cyc, x) for cyc in desk_batch]
     one = list(cw.sample_batch(poly1, htable_2000,
                                cw.SamplerConfig(300, 40, 3)))
-    got = stats.columns(one[3:30])
-    assert np.shares_memory(got.m, one[0].cols.m)
-    assert_columns_match_rebuilds(one[3:30])
+    run, = stats.runs(one[3:30])
+    assert np.shares_memory(run.m, one[0].cols.m)
+    assert_columns_match_rebuilds(one[3:30], 1)
     num = cw.sampler._chunk_size(300) + 100
     two = list(cw.sample_batch(poly1, htable_2000,
                                cw.SamplerConfig(300, num, 3)))
-    got = stats.columns(two)
+    got = list(stats.runs(two))
     for cyc in (two[0], two[-1]):
-        assert not np.shares_memory(got.m, cyc.cols.m)
-        assert not np.shares_memory(got.c, cyc.cols.c)
+        assert any(np.shares_memory(run.m, cyc.cols.m)
+                   and np.shares_memory(run.c, cyc.cols.c) for run in got)
 
 
 # the four reports of a desk round, at their default grids
@@ -405,8 +429,8 @@ DESK_REPORTS = [
 
 def test_reports_same_on_a_run_and_its_rebuilds(poly1, desk_batch,
                                                 desk_saddle):
-    # one run of a chunk, read in place, against the same rows rebuilt one
-    # Columns each, which the reports copy
+    # one run of a chunk against the same rows rebuilt one Columns each,
+    # which the reports read as one run each
     run = desk_batch[100:1100]
     rebuilt = [ct(dict(cyc.counts), cyc.n) for cyc in run]
     for report in DESK_REPORTS:
@@ -448,6 +472,75 @@ def test_desk_round_memory(poly1, htable_desk, desk_saddle, desk_batch):
         assert peak / MiB <= bound, [round(p / MiB, 2) for p in peaks]
 
 
+# above one chunk and the features: the chunk's row bounds as Python ints,
+# made with it, and one run's reductions, measured at 0.50 MiB
+# (poisson, gumbel, profile) and 0.63 MiB (bn), plus 0.5 MiB
+RUN_WORK_MIB = 1.13
+
+
+def test_reports_hold_one_chunk_at_a_time(poly1, htable_2000):
+    # a lazy batch of three chunks at n = 2000, each chunk made as its rows
+    # are first read: each report's traced peak is one chunk and its
+    # features, which it holds twice (per run, then joined), and the work
+    # of one run.  A report that listed its batch would hold all three
+    chunk = cw.sampler._chunk_size(2000)
+    batch = list(cw.sample_batch(poly1, htable_2000, cw.SamplerConfig(
+        2000, 2 * chunk + 100, 5)))
+    chunks = [batch[0].cols, batch[chunk].cols, batch[-1].cols]
+    del batch
+    sd = cw.solve_saddle(poly1, 2000)
+
+    def rows(cols):
+        copy = Columns(*(a.copy() for a in cols[:3]), cols.n)
+        bounds = [*copy.starts.tolist(), len(copy.m)]
+        return map(CycleType, itertools.repeat(copy), bounds, bounds[1:])
+
+    def lazy():
+        return itertools.chain.from_iterable(map(rows, chunks))
+
+    largest = max(sum(a.nbytes for a in cols[:3]) for cols in chunks)
+    num = sum(len(cols.starts) for cols in chunks)
+    for report, width in zip(DESK_REPORTS, (3, 3, 3, 1)):
+        report(lazy(), sd, poly1)  # a first call's one-time allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report(lazy(), sd, poly1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        bound = largest + 2 * 4 * num * width + RUN_WORK_MIB * MiB
+        assert peak <= bound, (peak / MiB, bound / MiB)
+
+
+def test_reports_check_the_first_run_before_reading_on(poly1, htable_2000,
+                                                       desk_saddle,
+                                                       monkeypatch):
+    # a one-chunk run at n = 2000 is checked against a saddle at the
+    # desk's n before the batch is read past it, and cumulative_profile
+    # without a saddle solves it at that n
+    chunk = list(cw.sample_batch(poly1, htable_2000,
+                                 cw.SamplerConfig(2000, 100, 5)))
+
+    def batch():
+        yield from chunk
+        raise AssertionError("the report read past its first run")
+
+    for report in DESK_REPORTS:
+        with pytest.raises(ValueError, match="sd was solved at n=20000"):
+            report(batch(), desk_saddle, poly1)
+    solved = []
+
+    def solve(w, n):
+        solved.append(n)
+        raise ValueError("solved")
+
+    monkeypatch.setattr(stats, "solve_saddle", solve)
+    with pytest.raises(ValueError, match="solved"):
+        cw.cumulative_profile(batch(), 1.0, [1.0], w=poly1)
+    assert solved == [2000]
+
+
 @pytest.mark.parametrize("report", ["poisson", "gumbel", "bn", "bn-weights"])
 def test_reports_reject_a_mismatched_saddle(report, desk_saddle):
     # the batch is at n = 2000, the saddle at the desk's n = 20000; the
@@ -479,6 +572,8 @@ REFUSALS = {
         b, sd, [2.0, 1.0]), r"\[2.0, 1.0\]"),
     "profile-grid-negative": (lambda b, sd, ew: cw.cumulative_profile(
         b, 1.0, [-3.0, 1.0], sd=sd), "got -3.0"),
+    "profile-grid-inf": (lambda b, sd, ew: cw.cumulative_profile(
+        b, 1.0, [0.5, math.inf], sd=sd), "finite and >= 0, got inf"),
     "poisson-tol-unknown": (lambda b, sd, ew: cw.verify_poisson_increments(
         b, sd, [1.0], {"corr": 0.1}), "'corr'"),
     "gumbel-tol-negative": (lambda b, sd, ew: cw.verify_gumbel(
@@ -534,14 +629,14 @@ def longest_reference(cols, K):
 def test_longest_matches_reference(K, desk_batch):
     few = [ct({1: 2}, 2), ct({2: 1}, 2), ct({1: 1, 4: 1}, 5), ct({5: 1}, 5)]
     for batch in (desk_batch, few[:2], few[2:]):
-        cols = stats.columns(batch)
-        np.testing.assert_array_equal(stats.longest(cols, K),
-                                      longest_reference(cols, K))
+        for run in stats.runs(batch):
+            np.testing.assert_array_equal(stats.longest(run, K),
+                                          longest_reference(run, K))
 
 
 def test_longest_memory_is_linear_in_k(desk_batch):
     # the reference's (rows, K, K) comparison peaked at 218 MiB here
-    cols = stats.columns(desk_batch)
+    cols = joined(desk_batch)
     tracemalloc.start()
     try:
         L = stats.longest(cols, 200)
