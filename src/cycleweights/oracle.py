@@ -145,21 +145,23 @@ def partitions(n: int) -> Iterator[Tuple[int, ...]]:
 def _type_logs(w: WeightSequence, n: int) -> Iterator[Tuple[Dict[int, int], float]]:
     """(counts, ln of the type weight) of every cycle type of size n: ln of
     prod theta_m^{C_m} / prod (m^{C_m} C_m!), with ln theta_m read from one
-    theta_log_array.  counts follow the partition, largest part first."""
+    theta_log_array, summed over the parts from a table of each (m, C_m)
+    term made once per call.  counts follow the partition, largest part
+    first."""
     if n > ENUMERATION_CAP:
         raise CapacityError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
-    log_theta = theta_log_array(w, max(n, 1)).tolist()
+    # terms[m][c] = c ln theta_m - c ln m - ln c!: -inf where theta_m = 0,
+    # which a sum keeps
+    terms = [[c * lt - c * math.log(m) - math.lgamma(c + 1)
+              for c in range(n // m + 1)] if m else []
+             for m, lt in enumerate(theta_log_array(w, max(n, 1)).tolist())]
     for part in partitions(n):
         counts: Dict[int, int] = {}
         for p in part:
             counts[p] = counts.get(p, 0) + 1
         total = 0.0
         for m, c in counts.items():
-            lt = log_theta[m]
-            if lt == -math.inf:
-                total = -math.inf
-                break
-            total += c * lt - c * math.log(m) - math.lgamma(c + 1)
+            total += terms[m][c]
         yield counts, total
 
 

@@ -23,10 +23,12 @@ One vectorised kernel scans the first cycles of many rows at once, side
 by side in doubling blocks.  The first block of every row m <= 16 is the
 same on every draw, so the sampler tabulates its CDF once, with the
 scan's own arithmetic, a column per k, and a group of rows that are all
-<= 16 counts the CDF values below each row's uniform a column at a time:
-per k up to the group's largest m, one gather from the column and one
-comparison.  Where no row of size <= n has an envelope, a step reads one
-uniform per row and goes straight to the scan.  Samples are drawn in
+<= 16 counts the CDF values below each row's uniform a column at a time,
+over every row of the group, m = 1 included (its column is 1, so it takes
+k = 1): per k up to the group's largest m, one gather from the column and
+one comparison.  Where no row of size <= n has an envelope, every row
+draws a cycle at every step: a step reads one uniform per row and goes
+straight to the scan, with no rejected rows to track.  Samples are drawn in
 chunks advanced in lockstep, one first cycle (or one rejected proposal)
 per sample per step; a single draw is a chunk of one.  A chunk at size n
 holds max(8192, 2^16 // min(n, 32)) samples, so every n >= 8 takes
@@ -47,7 +49,12 @@ or more where all are smaller.  A chunk writes each first cycle as the
 int32 key sample * (n + 1) + length, which the cap above keeps below
 2^31, into one buffer sized by the expected number of cycles, and counts
 C_m from the runs of its sorted keys, in int32 arrays only, into one
-Columns of read-only int32 arrays; each of its samples is handed out as
+Columns of read-only int32 arrays.  Where samples average fewer than
+_FEW_RUNS (8) runs, as at n = 6 (1.9), its row starts cumulate each
+sample's run count, in O(runs), and m is the key less sample * (n + 1);
+where they average more, as at n = 2 * 10^4 (113), the row starts are
+binary-searched, in O(samples log runs), and m is the key's remainder,
+taken in place.  Each of its samples is handed out as
 a CycleType row handle on it, with no per-sample array.  Sample i reads
 its uniforms, in order, from its own counter-based random stream keyed
 by (seed, i), the same number at every step: one where no row of the
@@ -112,6 +119,8 @@ _LOOKAHEAD = 32
 _BUFFER = 2**16
 # largest n whose keys sample * (n + 1) + length fit int32 in a chunk of one
 _MAX_N = 2**31 - 2
+# runs per sample below which a chunk's row starts are counted, not searched
+_FEW_RUNS = 8
 
 
 def _chunk_size(n: int) -> int:
@@ -286,6 +295,25 @@ def _philox_tile(keys: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray,
     return out
 
 
+def _split_keys(runs: np.ndarray, count: int, n: int) -> np.ndarray:
+    """Where each of `count` samples' runs start in the sorted keys `runs`,
+    sample * (n + 1) + length, and their end; the keys become the lengths,
+    in place.  Where runs per sample are few, the starts cumulate each
+    sample's run count, at a cost that follows the runs, and the lengths
+    are the keys less sample * (n + 1), as numpy divides int32 by a
+    scalar far faster than it takes a remainder.  Else the starts are
+    searched for, at a cost that does not follow the runs, and the
+    remainders are taken in place, with no array as long as the keys."""
+    if runs.size < _FEW_RUNS * count:
+        sample = runs // (n + 1)
+        runs -= sample * (n + 1)
+        return np.cumsum(np.bincount(sample + 1, minlength=count + 1))
+    bounds = np.searchsorted(
+        runs, np.arange(count + 1, dtype=np.int32) * (n + 1))
+    runs %= n + 1
+    return bounds
+
+
 class CycleTypeSampler:
     """Reusable sampler bound to one weight sequence and HTable."""
 
@@ -318,6 +346,8 @@ class CycleTypeSampler:
             cdf += self._scan_base[small][:, None]
             np.exp(cdf, out=cdf)
         self._small_cdf = np.ascontiguousarray(np.cumsum(cdf, axis=1).T)
+        # row 1 takes k = 1: it counts no CDF value below u, and no incident
+        self._small_cdf[:, 1:2] = 1.0
         self._init_envelope()
         # instrumentation: total scanned k across all draws, round-off scan
         # exhaustions (CDF ended below u), and rejection proposals
@@ -389,33 +419,35 @@ class CycleTypeSampler:
         self._accept_m[off] = np.inf
         self._last[off] = 0.0
 
-    def _first_cycles(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """First-cycle lengths for remaining sizes m >= 1 and uniforms u.
+    def _first_cycles(self, m: np.ndarray, u: np.ndarray,
+                      top: int = None) -> np.ndarray:
+        """First-cycle lengths for remaining sizes m >= 1, at most top
+        (m.max() if not given), and uniforms u.
 
-        Rows with m > 1 are scanned side by side in doubling blocks, each
-        with the arithmetic of a scan of its own: (log theta + log h) + base,
-        a running sum plus the mass of earlier blocks, Kahan-summed.  A block
-        reaching past k = m reads -inf there, adding exact zeros.
+        Where top <= _SCAN_BLOCK every row reads the tabulated CDFs.
+        Otherwise rows with m > 1 are scanned side by side in doubling
+        blocks, each with the arithmetic of a scan of its own: (log theta
+        + log h) + base, a running sum plus the mass of earlier blocks,
+        Kahan-summed.  A block reaching past k = m reads -inf there, adding
+        exact zeros.
         """
+        top = int(m.max()) if top is None else top
+        if top <= _SCAN_BLOCK:
+            # every row in one block, tabulated: k is one more than the CDF
+            # values below u, counted a column at a time, or m where all of
+            # them are (round-off).  Rows m = 1 take k = 1 and scan nothing.
+            # int8 holds the counts (at most _SCAN_BLOCK) and adds fastest
+            below = np.zeros(len(m), dtype=np.int8)
+            for col in self._small_cdf[:top]:
+                below += col[m] < u
+            self.scanned += int(m.sum()) - int(np.count_nonzero(m == 1))
+            self.incidents += int(np.count_nonzero(below == top))
+            return np.minimum(below + 1, m)
         # m = 1 takes k = 1 unscanned; a row whose CDF ends below u
         # (round-off) takes k = m
         k = m.copy()
         rows = np.flatnonzero(m > 1)
-        if not rows.size:
-            return k
         m, u = m[rows], u[rows]
-        top = int(m.max())
-        if top <= _SCAN_BLOCK:
-            # one block, tabulated: k is one more than the CDF values
-            # below u, counted a column at a time, or m where all of them
-            # are (round-off)
-            below = np.zeros(len(m), dtype=np.intp)
-            for col in self._small_cdf[:top]:
-                below += col[m] < u
-            k[rows] = np.minimum(below + 1, m)
-            self.scanned += int(m.sum())
-            self.incidents += int(np.count_nonzero(below == top))
-            return k
         base = self._scan_base[m][:, None]
         start = self.h.n_max - m  # window row
         unresolved = len(m)
@@ -462,9 +494,10 @@ class CycleTypeSampler:
         largest m, so groups of _BUFFER // max(m) rows keep the (rows,
         block) arrays within _BUFFER cells; a group has at least _SCAN_ROWS
         rows."""
-        rows = max(_SCAN_ROWS, _BUFFER // int(m.max()))
+        top = int(m.max())
+        rows = max(_SCAN_ROWS, _BUFFER // top)
         if len(m) <= rows:
-            return self._first_cycles(m, u)
+            return self._first_cycles(m, u, top)
         return np.concatenate([
             self._first_cycles(m[i:i + rows], u[i:i + rows])
             for i in range(0, len(m), rows)])
@@ -556,8 +589,9 @@ class CycleTypeSampler:
         length) is the length of a run of equal keys.  The run starts'
         positions are found a block of keys at a time; the keys there,
         which give m, are read before the keys are freed, and the run
-        lengths are the positions' differences, taken in place.  Every
-        array as long as the chunk's pairs is int32."""
+        lengths are the positions' differences, taken in place; the row
+        starts and m come from _split_keys.  Every array as long as the
+        chunk's pairs is int32."""
         d = 1 + (self._width if self._envelope[:n + 1].any() else 0)
         # steps per refill: a read-ahead of whole Philox blocks that covers
         # the expected steps, where that is below min(n, _LOOKAHEAD)
@@ -590,21 +624,23 @@ class CycleTypeSampler:
             rows = buf[col * d:col * d + d]
             k = self._step(m, pending, (rows[:, :live.size] if slot is None
                                         else np.take(rows, slot, axis=1)).T)
-            done = k > 0
-            pending = ~done
             new = live * (n + 1)
             new += k
-            new = new[done]
+            if d > 1:  # at d = 1 every row draws a cycle: none is pending
+                pending = k == 0
+                new = new[~pending]
             if drawn + new.size > keys.size:
                 keys = np.concatenate(
                     (keys[:drawn], np.empty(drawn + new.size, np.int32)))
             keys[drawn:drawn + new.size] = new
             drawn += new.size
-            m = m - k
+            m -= k
             if not m.all():
-                # a gather by index: a boolean mask reads slower
-                keep = np.flatnonzero(m)
-                live, m, pending = live[keep], m[keep], pending[keep]
+                # a gather by index: a boolean mask reads slower, and
+                # numpy finds a boolean array's nonzeros fastest
+                keep = np.flatnonzero(m != 0)
+                live, m = live[keep], m[keep]
+                pending = pending[keep] if d > 1 else pending
                 slot = keep if slot is None else slot[keep]
             step += 1
         # the chunk's working arrays are freed before its output is built:
@@ -641,9 +677,7 @@ class CycleTypeSampler:
         # the run lengths: the differences of the run starts' positions
         np.subtract(counts[1:], counts[:-1], out=counts[:-1])
         counts[-1] = drawn - counts[-1]
-        bounds = np.searchsorted(
-            runs, np.arange(count + 1, dtype=np.int32) * (n + 1))
-        runs %= n + 1
+        bounds = _split_keys(runs, count, n)
         cols = Columns(bounds[:-1].astype(np.int32), runs, counts, n)
         for a in (cols.starts, cols.m, cols.c):
             a.flags.writeable = False

@@ -579,6 +579,38 @@ def test_golden_output(w, n, num, seed, digest):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
+def test_row_starts_match_binary_search(monkeypatch):
+    # each chunk's row starts against one binary search per sample, and
+    # its lengths against the keys' remainders, on two-chunk batches with
+    # few runs per sample, whose starts are counted (about 1.9 at n = 6,
+    # and at most 2 for table([1, 0, 0, 1])), and with many, whose starts
+    # are searched (alpha = 1 at n = 2000)
+    calls = []
+    split = smp._split_keys
+
+    def recorded(runs, count, n):
+        keys = runs.copy()
+        calls.append((keys, count, split(runs, count, n), runs))
+        return calls[-1][2]
+
+    monkeypatch.setattr(smp, "_split_keys", recorded)
+    for w, n, few in [(cw.polynomial(1.0), 6, True),
+                      (cw.polynomial(1.0), 17, True),
+                      (cw.table([1, 0, 0, 1]), 2000, True),
+                      (cw.polynomial(1.0), 2000, False)]:
+        cfg = cw.SamplerConfig(n=n, num_samples=smp._chunk_size(n) + 300,
+                               seed=2)
+        batch = list(cw.sample_batch(w, cw.build_h_table(w, n), cfg))
+        assert all(sum(m * c for m, c in ct.counts) == n for ct in batch)
+        assert [count for _, count, _, _ in calls] == [smp._chunk_size(n), 300]
+        for keys, count, got, lengths in calls:
+            assert (keys.size < smp._FEW_RUNS * count) == few, n
+            want = np.searchsorted(keys, np.arange(count + 1) * (n + 1))
+            assert got.dtype == want.dtype and np.array_equal(got, want), n
+            assert np.array_equal(lengths, keys % (n + 1)), n
+        calls.clear()
+
+
 def test_batch_counters_match_single_draws(poly1):
     tab = cw.build_h_table(poly1, 2000)
     single = smp.CycleTypeSampler(poly1, tab)

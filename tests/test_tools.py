@@ -26,11 +26,11 @@ class Box:  # code
 '''
 
 
-def load_loc():
-    spec = importlib.util.spec_from_file_location("loc", TOOLS / "loc.py")
-    loc = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(loc)
-    return loc
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def test_code_lines_counts_only_code(tmp_path):
@@ -39,4 +39,31 @@ def test_code_lines_counts_only_code(tmp_path):
     # and each line of a multi-line expression, are
     path = tmp_path / "module.py"
     path.write_text(MODULE)
-    assert load_loc().code_lines(path) == 7
+    assert load_tool("loc").code_lines(path) == 7
+
+
+def test_pairs_claim_rule():
+    # fixed numbers, no benchmark run: the parent's quartiles by linear
+    # interpolation are 12.25 and 16.75 (IQR 4.5), its median 14.5
+    compare = load_tool("pairs").compare
+    parent = [10.0, 11, 12, 13, 14, 15, 16, 17, 18, 19]
+    c = compare(parent, [p + 5 for p in parent], "higher")
+    assert c["parent"] == (12.25, 14.5, 16.75)
+    assert c["change"] == (17.25, 19.5, 21.75)
+    assert (c["wins"], c["pairs"], c["claim"]) == (10, 10, True)
+    # every pair won, but a median gap of 4 is inside the IQR
+    c = compare(parent, [p + 4 for p in parent], "higher")
+    assert (c["wins"], c["claim"]) == (10, False)
+    # a gap of 10, but one pair lost and one tied: 8 of 10 wins
+    change = [p + 10 for p in parent]
+    change[0], change[1] = 9.0, 11.0
+    c = compare(parent, change, "higher")
+    assert (c["wins"], c["claim"]) == (8, False)
+    # one pair lost is still 9 of 10
+    change[1] = 21.0
+    assert compare(parent, change, "higher")["claim"]
+    # for a metric where lower is better the same numbers lose every pair
+    c = compare(parent, [p + 5 for p in parent], "lower")
+    assert (c["wins"], c["claim"]) == (0, False)
+    c = compare(parent, [p - 5 for p in parent], "lower")
+    assert (c["wins"], c["claim"]) == (10, True)

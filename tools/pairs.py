@@ -1,0 +1,88 @@
+"""Alternated benchmark pairs of a parent and a changed checkout.
+
+    python3 tools/pairs.py PARENT CHANGE --workload small-n \
+        [--pairs 10] [--seconds 10] [--seed 9201]
+
+PARENT and CHANGE are the roots of two source checkouts.  Pair i (from 1)
+runs `python3 perfbench/run.py --workload W --seed SEED+i-1 --seconds T
+--trace 0` in each, the parent first on odd pairs and the change first on
+even ones, and prints each run's result line to standard error.  Then, for
+each end-to-end metric of the change's BENCHMARK.json, it prints each
+side's median and quartiles, the pairs the change won, and whether a gain
+may be claimed (see compare).  Runs that are not correct or have failed
+operations are counted and printed too.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def compare(parent, change, better):
+    """The pairs (parent[i], change[i]) of one metric, better "higher" or
+    "lower": each side's (first quartile, median, third quartile), by
+    linear interpolation, the pairs the change won, ties counting for
+    neither, and whether a gain may be claimed: the change won at least
+    nine tenths of the pairs, and its median is better than the parent's
+    by more than the parent's interquartile range."""
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    sides = [statistics.quantiles(v, n=4, method="inclusive")
+             for v in (parent, change)]
+    (p_q1, p_med, p_q3), (_, c_med, _) = sides
+    claim = 10 * wins >= 9 * len(parent) and sign * (c_med - p_med) > p_q3 - p_q1
+    return {"parent": tuple(sides[0]), "change": tuple(sides[1]),
+            "wins": wins, "pairs": len(parent), "claim": claim}
+
+
+def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one benchmark run in the checkout at root."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=10.0)
+    p.add_argument("--seed", type=int, default=9201)
+    args = p.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    results = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            res = run(getattr(args, side), args.workload, args.seed + i,
+                      args.seconds)
+            results[side].append(res)
+            print(f"pair {i + 1} {side}: {json.dumps(res)}", file=sys.stderr,
+                  flush=True)
+    for side, res in results.items():
+        bad = sum(not r["correct"] or r["failed"] > 0 for r in res)
+        print(f"{side}: {len(res)} runs, {bad} not correct or with failed "
+              f"operations")
+    print(f"{'metric':<12} {'parent q1 / median / q3':>32} "
+          f"{'change q1 / median / q3':>32} {'wins':>6}  claim")
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in res]
+                  for side, res in results.items()}
+        c = compare(values["parent"], values["change"], metric["better"])
+        cells = [" / ".join(f"{v:.6g}" for v in c[side])
+                 for side in ("parent", "change")]
+        print(f"{name:<12} {cells[0]:>32} {cells[1]:>32} "
+              f"{c['wins']:>3}/{c['pairs']:<2}  {'yes' if c['claim'] else 'no'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
