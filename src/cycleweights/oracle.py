@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
@@ -75,15 +76,17 @@ class Columns(NamedTuple):
     n: int
 
 
-class CycleType:
-    """Read-only handle on one cycle type: row [start, end) of the pairs
-    of a Columns.  m (cycle lengths, ascending) and c (their counts
-    C_m >= 1), with sum m * C_m = n, are int32 views made on access."""
+class CycleType(tuple):
+    """Read-only handle on one cycle type: the tuple (cols, start, end),
+    row [start, end) of the pairs of a Columns, built as
+    CycleType((cols, start, end)) by tuple's own constructor.  m (cycle
+    lengths, ascending) and c (their counts C_m >= 1), with
+    sum m * C_m = n, are int32 views made on access.  Handles compare and
+    hash by identity, as objects do, not by their arrays."""
 
-    __slots__ = ("cols", "start", "end")
-
-    def __init__(self, cols: Columns, start: int, end: int):
-        self.cols, self.start, self.end = cols, start, end
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+    cols, start, end = (property(itemgetter(i)) for i in range(3))
 
     @classmethod
     def from_dict(cls, counts: Dict[int, int], n: int) -> "CycleType":
@@ -95,28 +98,31 @@ class CycleType:
         starts = np.zeros(1, dtype=np.int32)
         for a in (starts, m, c):
             a.flags.writeable = False
-        return cls(Columns(starts, m, c, n), 0, len(items))
+        return cls((Columns(starts, m, c, n), 0, len(items)))
 
     @property
     def m(self) -> np.ndarray:
-        return self.cols.m[self.start:self.end]
+        cols, a, b = self
+        return cols.m[a:b]
 
     @property
     def c(self) -> np.ndarray:
-        return self.cols.c[self.start:self.end]
+        cols, a, b = self
+        return cols.c[a:b]
 
     @property
     def n(self) -> int:
-        return self.cols.n
+        return self[0].n
 
     @property
     def counts(self) -> Tuple[Tuple[int, int], ...]:
         """((m, C_m), ...) as Python ints, m ascending."""
-        cols, a, b = self.cols, self.start, self.end
+        cols, a, b = self
         return tuple(zip(cols.m[a:b].tolist(), cols.c[a:b].tolist()))
 
     def num_cycles(self) -> int:
-        return sum(self.cols.c[self.start:self.end].tolist())
+        cols, a, b = self
+        return sum(cols.c[a:b].tolist())
 
 
 def partitions(n: int) -> Iterator[Tuple[int, ...]]:
@@ -486,8 +492,10 @@ def exp_coefficients(c: np.ndarray, n_max: int):
                                             H, H + B) < 0.5
             cross = np.where(zero, 0.0, np.maximum(cross, 0.0))
             rows = _leaf_solve(cross, u, s)
-            # each FFT entry carries round-off of about eps*|hist|*|u|
-            noise = np.linalg.norm(hist) * np.linalg.norm(u) * 2.0 ** -_NOISE_BITS
+            # each FFT entry carries round-off of about eps*|hist|*|u|; the
+            # norms are summed by einsum, as BLAS runs long dots in threads
+            noise = (math.sqrt(np.einsum("i,i", hist, hist))
+                     * math.sqrt(np.einsum("i,i", u, u)) * 2.0 ** -_NOISE_BITS)
             fast = (math.isfinite(noise) and np.max(rows) < 2.0 ** 1000
                     and np.all(zero | (rows * np.arange(s, e) >= noise)))
         if fast:

@@ -54,8 +54,10 @@ _FEW_RUNS (8) runs, as at n = 6 (1.9), its row starts cumulate each
 sample's run count, in O(runs), and m is the key less sample * (n + 1);
 where they average more, as at n = 2 * 10^4 (113), the row starts are
 binary-searched, in O(samples log runs), and m is the key's remainder,
-taken in place.  Each of its samples is handed out as
-a CycleType row handle on it, with no per-sample array.  Sample i reads
+taken in place a block of keys at a time.  Each of its samples is
+handed out as a CycleType row handle on it, with no per-sample array:
+the tuple (cols, start, end), built by tuple's own constructor from one
+zip of the row bounds, with no Python frame per sample.  Sample i reads
 its uniforms, in order, from its own counter-based random stream keyed
 by (seed, i), the same number at every step: one where no row of the
 draw has an envelope (n <= 16, or tables), else one for the scan or the
@@ -303,14 +305,17 @@ def _split_keys(runs: np.ndarray, count: int, n: int) -> np.ndarray:
     are the keys less sample * (n + 1), as numpy divides int32 by a
     scalar far faster than it takes a remainder.  Else the starts are
     searched for, at a cost that does not follow the runs, and the
-    remainders are taken in place, with no array as long as the keys."""
+    lengths are taken in place, _BUFFER // 4 keys at a time, with no
+    array as long as the keys."""
     if runs.size < _FEW_RUNS * count:
         sample = runs // (n + 1)
         runs -= sample * (n + 1)
         return np.cumsum(np.bincount(sample + 1, minlength=count + 1))
     bounds = np.searchsorted(
         runs, np.arange(count + 1, dtype=np.int32) * (n + 1))
-    runs %= n + 1
+    for i in range(0, runs.size, _BUFFER // 4):
+        block = runs[i:i + _BUFFER // 4]
+        block -= (block // (n + 1)) * (n + 1)
     return bounds
 
 
@@ -682,7 +687,8 @@ class CycleTypeSampler:
         for a in (cols.starts, cols.m, cols.c):
             a.flags.writeable = False
         bounds = bounds.tolist()
-        return map(CycleType, repeat(cols), bounds, islice(bounds, 1, None))
+        return map(CycleType,
+                   zip(repeat(cols), bounds, islice(bounds, 1, None)))
 
 
 def sample_cycle_type(w: WeightSequence, h: HTable, n: int,

@@ -134,25 +134,26 @@ def runs(batch: Iterable[CycleType],
     sizes n are a ValueError."""
     n, cols = None, None
     for ct in batch:
-        if ct.start == ct.end:
+        src, start, stop = ct
+        if start == stop:
             raise ValueError("batch holds a cycle type with no cycles")
-        if cols is not None and (ct.cols is not cols or ct.start != end):
+        if cols is not None and (src is not cols or start != end):
             yield _run(cols, a, end)
             cols = None
         if cols is None:
-            cols, a = ct.cols, ct.start
+            cols, a = src, start
             if n is None:
                 n = cols.n
                 if first is not None:
                     first(n)
             elif cols.n != n:
                 raise ValueError(f"batch mixes sizes n={n} and n={cols.n}")
-        end = ct.end
+        end = stop
         if end == len(cols.m) or end - a > _RUN_PAIRS:
             yield _run(cols, a, end)
             # the next row starts a run, and no reference is left here to
             # a chunk while the next one is drawn
-            ct = cols = None
+            ct = src = cols = None
     if n is None:
         raise ValueError("empty batch")
     if cols is not None:

@@ -510,6 +510,18 @@ def test_cycle_type_invariant():
     assert tail_count(ct, 3) == 2
 
 
+def test_cycle_type_from_dict_round_trips():
+    for counts, n in (({1: 1}, 1), ({1: 4, 5: 1, 7: 2}, 23), ({6: 1}, 6),
+                      ({2: 0, 3: 2}, 6)):
+        ct = oracle.CycleType.from_dict(counts, n)
+        cols, start, end = ct
+        assert (start, end) == (0, len(cols.m)) and cols.n == ct.n == n
+        assert ct.counts == tuple(sorted((m, c) for m, c in counts.items()
+                                         if c))
+        assert oracle.CycleType.from_dict(dict(ct.counts), n).counts == \
+            ct.counts
+
+
 # table([0, 1, 0]) allows 2-cycles only: h_5 = 0, so size 5 has no law
 ZERO_ROW = r"h_5 = 0 for .*'table'"
 

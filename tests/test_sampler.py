@@ -951,6 +951,32 @@ def test_batch_builds_no_generator(small_table, monkeypatch):
                                     cfg))) == 300
 
 
+def test_handles_are_read_only_tuples(small_table):
+    # each sample is a CycleType tuple (cols, start, end) on its chunk's one
+    # Columns; assigning to it raises, and two handles compare and hash by
+    # identity, so equal rows of two batches are not equal and do not
+    # compare their arrays
+    w = cw.polynomial(1.0)
+    one, two = (list(cw.sample_batch(w, small_table,
+                                     cw.SamplerConfig(6, 50, 3)))
+                for _ in range(2))
+    for cyc in one:
+        assert type(cyc) is cw.CycleType and isinstance(cyc, tuple)
+        assert tuple(cyc) == (cyc.cols, cyc.start, cyc.end)
+        assert cyc.cols is one[0].cols
+        assert isinstance(cyc.cols, cw.oracle.Columns)
+    assert [cyc.end for cyc in one[:-1]] == [cyc.start for cyc in one[1:]]
+    with pytest.raises(AttributeError):
+        one[0].start = 5
+    with pytest.raises(TypeError):
+        one[0][0] = two[0].cols
+    assert one[0].counts == two[0].counts
+    assert one[0] != two[0] and not one[0] == two[0]
+    assert one[0] == one[0] and two[1:] != one[1:]
+    assert hash(one[0]) != hash(two[0])
+    assert len({*one, *two, one[0]}) == 100
+
+
 def test_substream_keys_distinct():
     keys = set(smp.substream_keys(42, range(10000)).tolist())
     assert len(keys) == 10000

@@ -356,6 +356,26 @@ def test_columns_of_rows_out_of_batch_order(poly1, htable_2000):
         assert_columns_match_rebuilds(cts, num_runs)
 
 
+def test_runs_of_handles_built_by_hand(poly1, htable_2000):
+    # handles made as CycleType((cols, start, end)) on a sampled batch's
+    # Columns give the same runs as the sampled handles, in place
+    num = cw.sampler._chunk_size(300) + 100
+    batch = list(cw.sample_batch(poly1, htable_2000,
+                                 cw.SamplerConfig(300, num, 3)))
+    made = [CycleType((cols, a, b)) for cols, a, b in batch]
+    assert all(type(cyc) is CycleType and cyc is not old
+               for cyc, old in zip(made, batch))
+    for part in (slice(None), slice(5, 40), slice(None, None, -1)):
+        got, want = (list(stats.runs(cts[part])) for cts in (made, batch))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.n == b.n
+            assert np.shares_memory(a.m, b.m) and np.shares_memory(a.c, b.c)
+            for x, y in zip(a[:3], b[:3]):
+                np.testing.assert_array_equal(x, y)
+    assert_columns_match_rebuilds(made)
+
+
 def test_columns_rejects_mixed_sizes():
     with pytest.raises(ValueError, match="sizes"):
         list(stats.runs([ct({1: 5}, 5), ct({2: 3}, 6)]))
@@ -493,7 +513,7 @@ def test_reports_hold_one_chunk_at_a_time(poly1, htable_2000):
     def rows(cols):
         copy = Columns(*(a.copy() for a in cols[:3]), cols.n)
         bounds = [*copy.starts.tolist(), len(copy.m)]
-        return map(CycleType, itertools.repeat(copy), bounds, bounds[1:])
+        return map(CycleType, zip(itertools.repeat(copy), bounds, bounds[1:]))
 
     def lazy():
         return itertools.chain.from_iterable(map(rows, chunks))

@@ -50,10 +50,11 @@ def test_pairs_claim_rule():
     c = compare(parent, [p + 5 for p in parent], "higher")
     assert c["parent"] == (12.25, 14.5, 16.75)
     assert c["change"] == (17.25, 19.5, 21.75)
-    assert (c["wins"], c["pairs"], c["claim"]) == (10, 10, True)
+    assert (c["wins"], c["pairs"], c["claim"], c["worse"]) == (10, 10, True,
+                                                               False)
     # every pair won, but a median gap of 4 is inside the IQR
     c = compare(parent, [p + 4 for p in parent], "higher")
-    assert (c["wins"], c["claim"]) == (10, False)
+    assert (c["wins"], c["claim"], c["worse"]) == (10, False, False)
     # a gap of 10, but one pair lost and one tied: 8 of 10 wins
     change = [p + 10 for p in parent]
     change[0], change[1] = 9.0, 11.0
@@ -64,6 +65,29 @@ def test_pairs_claim_rule():
     assert compare(parent, change, "higher")["claim"]
     # for a metric where lower is better the same numbers lose every pair
     c = compare(parent, [p + 5 for p in parent], "lower")
-    assert (c["wins"], c["claim"]) == (0, False)
+    assert (c["wins"], c["claim"], c["worse"]) == (0, False, True)
     c = compare(parent, [p - 5 for p in parent], "lower")
-    assert (c["wins"], c["claim"]) == (10, True)
+    assert (c["wins"], c["claim"], c["worse"]) == (10, True, False)
+
+
+def test_pairs_worse_rule():
+    # the mirror of the claim rule, on the numbers above: the parent won
+    # at least nine tenths of the pairs, and its median is better by more
+    # than its own IQR of 4.5
+    compare = load_tool("pairs").compare
+    parent = [10.0, 11, 12, 13, 14, 15, 16, 17, 18, 19]
+    c = compare(parent, [p - 5 for p in parent], "higher")
+    assert (c["wins"], c["claim"], c["worse"]) == (0, False, True)
+    # every pair lost, but a median gap of 4 is inside the IQR
+    assert not compare(parent, [p - 4 for p in parent], "higher")["worse"]
+    # a gap of 10, but one pair won and one tied: 8 of 10 lost
+    change = [p - 10 for p in parent]
+    change[0], change[1] = 11.0, 11.0
+    c = compare(parent, change, "higher")
+    assert (c["wins"], c["worse"]) == (1, False)
+    # one pair won is still 9 of 10 lost
+    change[1] = 1.0
+    assert compare(parent, change, "higher")["worse"]
+    # a tie on every pair is neither a gain nor a loss
+    c = compare(parent, parent, "lower")
+    assert (c["wins"], c["claim"], c["worse"]) == (0, False, False)

@@ -8,9 +8,10 @@ runs `python3 perfbench/run.py --workload W --seed SEED+i-1 --seconds T
 --trace 0` in each, the parent first on odd pairs and the change first on
 even ones, and prints each run's result line to standard error.  Then, for
 each end-to-end metric of the change's BENCHMARK.json, it prints each
-side's median and quartiles, the pairs the change won, and whether a gain
-may be claimed (see compare).  Runs that are not correct or have failed
-operations are counted and printed too.
+side's median and quartiles, the pairs the change won, whether a gain
+may be claimed, and whether the change is likely worse (see compare).
+Runs that are not correct or have failed operations are counted and
+printed too.
 """
 
 import argparse
@@ -25,17 +26,22 @@ def compare(parent, change, better):
     """The pairs (parent[i], change[i]) of one metric, better "higher" or
     "lower": each side's (first quartile, median, third quartile), by
     linear interpolation, the pairs the change won, ties counting for
-    neither, and whether a gain may be claimed: the change won at least
-    nine tenths of the pairs, and its median is better than the parent's
-    by more than the parent's interquartile range."""
+    neither, whether a gain may be claimed: the change won at least nine
+    tenths of the pairs, and its median is better than the parent's by
+    more than the parent's interquartile range, and whether the change is
+    likely worse, by the mirror rule: the parent won at least nine tenths
+    of the pairs, and its median is better by more than that range."""
     sign = 1.0 if better == "higher" else -1.0
-    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    gaps = [sign * (c - p) for p, c in zip(parent, change)]
+    wins, losses = sum(g > 0 for g in gaps), sum(g < 0 for g in gaps)
     sides = [statistics.quantiles(v, n=4, method="inclusive")
              for v in (parent, change)]
     (p_q1, p_med, p_q3), (_, c_med, _) = sides
-    claim = 10 * wins >= 9 * len(parent) and sign * (c_med - p_med) > p_q3 - p_q1
+    gap, iqr = sign * (c_med - p_med), p_q3 - p_q1
     return {"parent": tuple(sides[0]), "change": tuple(sides[1]),
-            "wins": wins, "pairs": len(parent), "claim": claim}
+            "wins": wins, "pairs": len(parent),
+            "claim": 10 * wins >= 9 * len(parent) and gap > iqr,
+            "worse": 10 * losses >= 9 * len(parent) and -gap > iqr}
 
 
 def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -71,7 +77,7 @@ def main(argv=None) -> int:
         print(f"{side}: {len(res)} runs, {bad} not correct or with failed "
               f"operations")
     print(f"{'metric':<12} {'parent q1 / median / q3':>32} "
-          f"{'change q1 / median / q3':>32} {'wins':>6}  claim")
+          f"{'change q1 / median / q3':>32} {'wins':>6}  claim  worse")
     for metric in spec["end_to_end"]:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in res]
@@ -80,7 +86,9 @@ def main(argv=None) -> int:
         cells = [" / ".join(f"{v:.6g}" for v in c[side])
                  for side in ("parent", "change")]
         print(f"{name:<12} {cells[0]:>32} {cells[1]:>32} "
-              f"{c['wins']:>3}/{c['pairs']:<2}  {'yes' if c['claim'] else 'no'}")
+              f"{c['wins']:>3}/{c['pairs']:<2}  "
+              f"{'yes' if c['claim'] else 'no':<5}  "
+              f"{'yes' if c['worse'] else 'no'}")
     return 0
 
 
