@@ -315,7 +315,7 @@ def saddle_h_estimate(w: WeightSequence, n: int) -> Tuple[ScaledReal, SaddleData
                + n * sd.v_n
                - 0.5 * math.log(sd.b_n)
                + g_r)
-    return ScaledReal.from_log(log_est), sd
+    return ScaledReal(log_est), sd
 
 
 def threshold_x(sd: SaddleData, y: float) -> float:

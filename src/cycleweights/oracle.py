@@ -10,8 +10,10 @@ the positive-coefficient series bound used as a cross-check of the
 saddle-point machinery.  Series coefficients span thousands of binary
 orders of magnitude, so they are kept as mantissa/exponent array pairs and
 computed by one blockwise, exponentially tilted FFT kernel
-(`exp_coefficients`).  A `ScaledReal` is only the return of `h_exact` and
-of `asymptotics.saddle_h_estimate`.
+(`exp_coefficients`).  One enumeration of the partitions of n gives every
+ln h_m for m <= n (`log_h_exact`), as a partition of m is one of n less
+n - m parts 1.  A `ScaledReal`, a natural log, is only the return of
+`h_exact` and of `asymptotics.saddle_h_estimate`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ _CACHE_VERSION = 2
 _HEADER = struct.Struct("<I32sQ")  # version, weight digest, n_max
 _ROW = np.dtype([("m", "<f8"), ("e", "<i8")])
 
-_LN2 = math.log(2.0)
 _WINDOW_BITS = 64
 _TILT_BITS = 20
 _BLOCK_MAX = 4096
@@ -148,27 +149,33 @@ def partitions(n: int) -> Iterator[Tuple[int, ...]]:
             h += q + (t > 1)
 
 
-def _type_logs(w: WeightSequence, n: int) -> Iterator[Tuple[Dict[int, int], float]]:
-    """(counts, ln of the type weight) of every cycle type of size n: ln of
-    prod theta_m^{C_m} / prod (m^{C_m} C_m!), with ln theta_m read from one
-    theta_log_array, summed over the parts from a table of each (m, C_m)
-    term made once per call.  counts follow the partition, largest part
-    first."""
+def _log_terms(w: WeightSequence, n: int) -> List[List[float]]:
+    """terms[m][c] = c ln theta_m - c ln m - ln c! for 1 <= m <= max(n, 1)
+    and c <= n // m, with ln theta_m read from one theta_log_array: 0 at
+    c = 0, and -inf where theta_m = 0 and c > 0, which a sum keeps."""
+    return [[0.0] + [c * lt - c * math.log(m) - math.lgamma(c + 1)
+                     for c in range(1, n // m + 1)] if m else []
+            for m, lt in enumerate(theta_log_array(w, max(n, 1)).tolist())]
+
+
+def _type_logs(w: WeightSequence, n: int
+               ) -> Iterator[Tuple[Dict[int, int], float, float]]:
+    """(counts, ln of the weight of its parts > 1, ln of the type weight)
+    of every cycle type of size n: ln of prod theta_m^{C_m} / prod
+    (m^{C_m} C_m!), summed over the parts from one _log_terms table, parts
+    1 last.  counts follow the partition, largest part first."""
     if n > ENUMERATION_CAP:
         raise CapacityError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
-    # terms[m][c] = c ln theta_m - c ln m - ln c!: -inf where theta_m = 0,
-    # which a sum keeps
-    terms = [[c * lt - c * math.log(m) - math.lgamma(c + 1)
-              for c in range(n // m + 1)] if m else []
-             for m, lt in enumerate(theta_log_array(w, max(n, 1)).tolist())]
+    terms = _log_terms(w, n)
     for part in partitions(n):
         counts: Dict[int, int] = {}
         for p in part:
             counts[p] = counts.get(p, 0) + 1
-        total = 0.0
+        rest = 0.0
         for m, c in counts.items():
-            total += terms[m][c]
-        yield counts, total
+            if m > 1:
+                rest += terms[m][c]
+        yield counts, rest, rest + terms[1][counts.get(1, 0)]
 
 
 def _log_sum(logs: List[float]) -> float:
@@ -179,9 +186,24 @@ def _log_sum(logs: List[float]) -> float:
     return top + math.log(math.fsum(math.exp(x - top) for x in logs))
 
 
+def log_h_exact(w: WeightSequence, n: int) -> List[float]:
+    """ln h_0..ln h_n (-inf where h_m = 0) by one enumeration of the
+    partitions of n.  A partition of m <= n is one of n less n - m parts 1,
+    so with A_s the log-sum of the weights without their parts 1 of the
+    partitions of n whose other parts sum to s,
+    ln h_m = logsum_{s <= m} A_s + (m - s) ln theta_1 - ln (m - s)!."""
+    groups: List[List[float]] = [[] for _ in range(n + 1)]
+    for counts, rest, _ in _type_logs(w, n):
+        groups[n - counts.get(1, 0)].append(rest)
+    a, ones = [_log_sum(g) for g in groups], _log_terms(w, n)[1]
+    return [_log_sum([a[s] + ones[m - s] for s in range(m + 1)])
+            for m in range(n + 1)]
+
+
 def h_exact(w: WeightSequence, n: int) -> ScaledReal:
-    """h_n as the sum over all partitions of the per-type weights."""
-    return ScaledReal.from_log(_log_sum([lw for _, lw in _type_logs(w, n)]))
+    """h_n, the sum of the weights of the cycle types of size n: the last
+    entry of log_h_exact."""
+    return ScaledReal(log_h_exact(w, n)[n])
 
 
 def _type_probs(w: WeightSequence, n: int, key: Callable[[Dict[int, int]], Any]
@@ -191,7 +213,7 @@ def _type_probs(w: WeightSequence, n: int, key: Callable[[Dict[int, int]], Any]
     are ValueErrors, raised on the call."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    types = [(key(counts), lw) for counts, lw in _type_logs(w, n)]
+    types = [(key(counts), lw) for counts, _, lw in _type_logs(w, n)]
     log_h = _log_sum([lw for _, lw in types])
     if log_h == -math.inf:
         raise zero_row_error(w, n)
@@ -299,44 +321,15 @@ class HTable:
         return tab
 
 
-class ScaledReal:
-    """mantissa * 2**exponent with mantissa in [1, 2), or 0: what h_exact
-    and saddle_h_estimate return.  Table rows are read as arrays, by
-    HTable.log_array or _ratio."""
+class ScaledReal(NamedTuple):
+    """A nonnegative number kept as its natural log (-inf for 0): what
+    h_exact and saddle_h_estimate return.  Table rows are read as arrays,
+    by HTable.log_array or _ratio."""
 
-    __slots__ = ("mantissa", "exponent")
-
-    def __init__(self, mantissa: float = 0.0, exponent: int = 0):
-        if mantissa < 0.0:
-            raise ValueError("ScaledReal is nonnegative")
-        if mantissa == 0.0:
-            self.mantissa = 0.0
-            self.exponent = 0
-        else:
-            m, e = math.frexp(mantissa)  # m in [0.5, 1)
-            self.mantissa = 2.0 * m
-            self.exponent = e - 1 + exponent
-
-    @classmethod
-    def from_log(cls, log_value: float) -> "ScaledReal":
-        """Build from a natural logarithm (use -inf for zero)."""
-        if log_value == -math.inf:
-            return cls(0.0, 0)
-        e = math.floor(log_value / _LN2)
-        return cls(math.exp(log_value - e * _LN2), e)  # mantissa in [1, 2)
-
-    def to_float(self) -> float:
-        """Nearest double; overflows to inf / underflows to 0 silently."""
-        return _ratio(self.mantissa, self.exponent, 1.0, 0)
+    ln: float
 
     def log(self) -> float:
-        """Natural logarithm; -inf for zero."""
-        if self.mantissa == 0.0:
-            return -math.inf
-        return math.log(self.mantissa) + self.exponent * _LN2
-
-    def __repr__(self):
-        return f"ScaledReal({self.mantissa!r}, {self.exponent})"
+        return self.ln
 
 
 def _ratio(m1: float, e1: int, m2: float, e2: int) -> float:

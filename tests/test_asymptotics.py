@@ -363,7 +363,7 @@ def test_h_estimate_table_weights():
 
 def test_h_estimate_ewens():
     est, _ = cw.saddle_h_estimate(cw.ewens(1.0), 1000)
-    assert est.to_float() == pytest.approx(1.0, abs=0.15)
+    assert math.exp(est.log()) == pytest.approx(1.0, abs=0.15)
 
 
 def test_expected_tail_count_full_sum():

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import time
 
@@ -370,7 +371,7 @@ def test_unmet_checks_and_bad_input_are_named(capsys, monkeypatch):
     for patch, command, code, named in [
             ({}, ["verify", "bn", "--alpha", "1", "--n", "300", "--samples",
                   "20", "--tol", "bn_freq"], 2, "got 'bn_freq'"),
-            ({"h_exact": lambda w, m: oracle.ScaledReal(0.25)}, argv, 1,
+            ({"log_h_exact": lambda w, n: [math.log(0.25)] * (n + 1)}, argv, 1,
              "[FAIL] h_1: recurrence vs enumeration rel err 3\n"),
             ({"exact_statistic_pmf": lambda w, n, statistic: {4: 0.5}}, argv,
              1, "[FAIL] pmf mass 0.5")]:
@@ -380,3 +381,20 @@ def test_unmet_checks_and_bad_input_are_named(capsys, monkeypatch):
             assert run_command(command) == code
         out, err = capsys.readouterr()
         assert named in out + err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--alpha", "1", "--n", "50", "--samples", "3", "--out", "DIR"],
+    ["verify", "bn", "--alpha", "1", "--n", "300", "--samples", "20",
+     "--out", "DIR"],
+    ["expansions", "--deltas", "0.5", "--vs", "0.1", "--out", "DIR"],
+    ["htable", "--alpha", "1", "--n", "50", "--cache-dir", "FILE"]],
+    ids=["sample", "verify", "expansions", "htable"])
+def test_unusable_path_is_validation_error(argv, tmp_path, capsys):
+    # an --out that is a directory, or a --cache-dir that is a file
+    (tmp_path / "file").write_text("")
+    paths = {"DIR": str(tmp_path), "FILE": str(tmp_path / "file")}
+    assert run_command([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert repr(paths[argv[-1]]) in err, err

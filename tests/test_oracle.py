@@ -86,10 +86,29 @@ def test_enumeration_cap():
 
 
 def test_h_exact_values():
-    assert cw.h_exact(cw.ewens(1.0), 7).to_float() == pytest.approx(1.0)
-    assert cw.h_exact(cw.polynomial(1.0), 2).to_float() == pytest.approx(1.5)
+    assert math.exp(cw.h_exact(cw.ewens(1.0), 7).log()) == pytest.approx(1.0)
+    assert math.exp(cw.h_exact(cw.polynomial(1.0), 2).log()) == pytest.approx(1.5)
     # rising factorial 2*3*4/3!
-    assert cw.h_exact(cw.ewens(2.0), 3).to_float() == pytest.approx(4.0)
+    assert math.exp(cw.h_exact(cw.ewens(2.0), 3).log()) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("w", [
+    cw.polynomial(0.5), cw.polynomial(1.0), cw.polynomial(2.5), cw.ewens(0.3),
+    cw.ewens(2.0), cw.table([1, 0, 0, 1]), cw.table([0, 1]),
+    cw.table([0, 1, 1]), cw.table([0, 0, 1]), cw.table([1, 2, 3])],
+    ids=["poly0.5", "poly1", "poly2.5", "ewens0.3", "ewens2", "table1001",
+         "table01", "table011", "table001", "table123"])
+def test_one_pass_matches_per_size_enumeration(w):
+    # the reference sums each size's own partitions; the one pass reads
+    # every size from the partitions of 30 (theta_1 = 0 in three tables)
+    logs = oracle.log_h_exact(w, 30)
+    assert oracle.log_h_exact(w, 0) == [0.0] and len(logs) == 31
+    for m in range(31):
+        ref = oracle._log_sum([lw for _, _, lw in oracle._type_logs(w, m)])
+        if ref == -math.inf:
+            assert logs[m] == -math.inf, m
+        else:
+            assert abs(math.expm1(logs[m] - ref)) <= 1e-14, m
 
 
 def test_h_table_small_values():
