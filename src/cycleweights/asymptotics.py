@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from .oracle import ScaledReal
-from .weights import (EWENS, POLYNOMIAL, WeightSequence, exp_sums,
+from .weights import (EWENS, POLYNOMIAL, WeightSequence, ewens, exp_sums,
                       theta_log_range)
 
 if TYPE_CHECKING:
@@ -258,7 +258,7 @@ def polylog_asymp(delta: float, v: float) -> Tuple[float, float, float]:
     # the series first: its terms reject an excluded delta
     head = itertools.islice(_series_terms(delta, np.float64(-v)), 2)
     approx = float(sum(head))
-    direct = exp_sums(None, v, 1, (delta,))[0][0]
+    direct = exp_sums(ewens(1.0), v, 1, (delta,))[0][0]
     return approx, direct, abs(direct - approx)
 
 
@@ -292,7 +292,7 @@ def partial_sum_asymp(delta: float, v: float, x: float,
                  for j in range(n_terms + 1))
     integral_part = f_x / v * series
     correction = BOUNDARY_C0 * f_x
-    direct = exp_sums(None, v, int(xc), (delta,))[0][0]
+    direct = exp_sums(ewens(1.0), v, int(xc), (delta,))[0][0]
     return integral_part, correction, direct, in_regime
 
 
@@ -340,12 +340,13 @@ def threshold_x(sd: SaddleData, y: float) -> float:
     return sd.n_star * (sd.ell_n + min(-math.log(y), sd.ell_n))
 
 
-def expected_tail_count(w: WeightSequence, sd: SaddleData, x: float) -> float:
-    """sum_{k >= max(x,1)} (theta_k/k) e^{-k v_n}, by exp_sums."""
+def expected_tail_count(sd: SaddleData, x: float) -> float:
+    """sum_{k >= max(x,1)} (theta_k/k) e^{-k v_n} for the weights of sd,
+    by exp_sums."""
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     lo = max(1, int(math.ceil(x)))
-    return exp_sums(w, sd.v_n, lo, (-1,))[0][0]
+    return exp_sums(sd.weight, sd.v_n, lo, (-1,))[0][0]
 
 
 @dataclass
@@ -370,9 +371,10 @@ def _cos_sums(w: WeightSequence, v: float, phis: np.ndarray, lo: int,
     return out
 
 
-def admissibility_diagnostics(w: WeightSequence, n: int, s: float,
+def admissibility_diagnostics(sd: SaddleData, s: float,
                               y: float) -> AdmissibilityReport:
-    """Numeric admissibility diagnostics for the tilted generating function.
+    """Numeric admissibility diagnostics for the tilted generating function
+    at the saddle sd, of weights w = sd.weight at size n = sd.n.
 
     Works on g_{n,s}(t) = (e^s - 1) * sum_{k >= x_n(y)} (theta_k/k) t^k + g(t):
     reports the normalized saddle residual, the width-of-convergence
@@ -387,12 +389,12 @@ def admissibility_diagnostics(w: WeightSequence, n: int, s: float,
     With s != 0 the tilt's share, over ceil(x_n) <= k <= K_x (exp_sums'
     K from ceil(x_n)), is such a scan in every case.
     """
+    w, n = sd.weight, sd.n
     if n < 100:
         raise ValueError("diagnostics need n >= 100")
     if y <= 0:
         raise ValueError(f"y must be > 0, got {y}")
     alpha = w.growth_alpha
-    sd = solve_saddle(w, n)
     x_n = threshold_x(sd, y)
     lo = max(1, math.ceil(x_n))
     tilt = math.expm1(s)

@@ -102,12 +102,13 @@ def cmd_htable(args) -> int:
 
 def cmd_oracle(args) -> int:
     w = _weight_from_args(args)
-    pmf = oracle.exact_statistic_pmf(w, args.n, "L1")
+    # one enumeration gives the pmf of the longest cycle, the largest part,
+    # and every ln h_m
+    pmf, exact = oracle._pmf(w, args.n, max)
     logs = oracle.build_h_table(w, args.n).log_array()
     print(f"L1 pmf at n={args.n}:")
     for k in sorted(pmf):
         print(f"  {k}: {_fmt(pmf[k])}")
-    exact = oracle.log_h_exact(w, args.n)
     ok = True
     for m in range(1, args.n + 1):
         rel = abs(math.expm1(logs[m] - exact[m]))
@@ -126,7 +127,7 @@ def cmd_saddle(args) -> int:
     w = _weight_from_args(args)
     sd = asymptotics.solve_saddle(w, args.n)
     # computed before any output, so that a rejected n prints nothing
-    rep = (asymptotics.admissibility_diagnostics(w, args.n, s=0.0, y=1.0)
+    rep = (asymptotics.admissibility_diagnostics(sd, s=0.0, y=1.0)
            if args.diagnostics else None)
     for name, value in [("v_n", sd.v_n), ("n*", sd.n_star), ("ell_n", sd.ell_n),
                         ("r_n", sd.r_n), ("a_n", sd.a_n), ("b_n", sd.b_n),

@@ -54,13 +54,12 @@ def zero_row_error(w: WeightSequence, n: int) -> ValueError:
                       f"has positive weight")
 
 
-def check_row(n: int, w: WeightSequence, mant: np.ndarray) -> None:
-    """Reject a size n outside the table whose mantissas are mant, or with
-    h_n = 0."""
-    if n < 1 or n >= len(mant):
-        raise CapacityError(f"n={n} outside table range 1..{len(mant) - 1}")
-    if mant[n] == 0.0:
-        raise zero_row_error(w, n)
+def _check_row(h: HTable, n: int) -> None:
+    """Reject a size n outside the table h, or with h_n = 0."""
+    if n < 1 or n > h.n_max:
+        raise CapacityError(f"n={n} outside table range 1..{h.n_max}")
+    if h.mant[n] == 0.0:
+        raise zero_row_error(h.weight, n)
 
 
 class Columns(NamedTuple):
@@ -186,18 +185,26 @@ def _log_sum(logs: List[float]) -> float:
     return top + math.log(math.fsum(math.exp(x - top) for x in logs))
 
 
-def log_h_exact(w: WeightSequence, n: int) -> List[float]:
-    """ln h_0..ln h_n (-inf where h_m = 0) by one enumeration of the
-    partitions of n.  A partition of m <= n is one of n less n - m parts 1,
-    so with A_s the log-sum of the weights without their parts 1 of the
-    partitions of n whose other parts sum to s,
-    ln h_m = logsum_{s <= m} A_s + (m - s) ln theta_1 - ln (m - s)!."""
-    groups: List[List[float]] = [[] for _ in range(n + 1)]
-    for counts, rest, _ in _type_logs(w, n):
+def _enumerate(w: WeightSequence, n: int, key: Callable[[Dict[int, int]], Any]
+               ) -> Tuple[List[Tuple[Any, float]], List[float]]:
+    """(key(counts), ln of the type weight) of every cycle type of size n,
+    in the order of _type_logs, and ln h_0..ln h_n (-inf where h_m = 0),
+    by one enumeration of the partitions of n.  A partition of m <= n is
+    one of n less n - m parts 1, so with A_s the log-sum of the weights
+    without their parts 1 of the partitions of n whose other parts sum to
+    s, ln h_m = logsum_{s <= m} A_s + (m - s) ln theta_1 - ln (m - s)!."""
+    types, groups = [], [[] for _ in range(n + 1)]
+    for counts, rest, lw in _type_logs(w, n):
+        types.append((key(counts), lw))
         groups[n - counts.get(1, 0)].append(rest)
     a, ones = [_log_sum(g) for g in groups], _log_terms(w, n)[1]
-    return [_log_sum([a[s] + ones[m - s] for s in range(m + 1)])
-            for m in range(n + 1)]
+    return types, [_log_sum([a[s] + ones[m - s] for s in range(m + 1)])
+                   for m in range(n + 1)]
+
+
+def log_h_exact(w: WeightSequence, n: int) -> List[float]:
+    """ln h_0..ln h_n (-inf where h_m = 0), by _enumerate."""
+    return _enumerate(w, n, bool)[1]
 
 
 def h_exact(w: WeightSequence, n: int) -> ScaledReal:
@@ -206,18 +213,22 @@ def h_exact(w: WeightSequence, n: int) -> ScaledReal:
     return ScaledReal(log_h_exact(w, n)[n])
 
 
-def _type_probs(w: WeightSequence, n: int, key: Callable[[Dict[int, int]], Any]
-                ) -> Iterator[Tuple[Any, float]]:
-    """(key(counts), exact probability) of every cycle type of size n, in
-    the order of _type_logs; only the keys are kept.  n < 1 and h_n = 0
-    are ValueErrors, raised on the call."""
+def _pmf(w: WeightSequence, n: int, key: Callable[[Dict[int, int]], Any]
+         ) -> Tuple[Dict[Any, float], List[float]]:
+    """The exact pmf of key(counts) over the cycle types of size n, each
+    probability added in the order of _type_logs, and ln h_0..ln h_n, by
+    one _enumerate.  The probabilities are normalised by their own
+    log-sum.  n < 1 and h_n = 0 are ValueErrors."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    types = [(key(counts), lw) for counts, _, lw in _type_logs(w, n)]
+    types, log_hs = _enumerate(w, n, key)
     log_h = _log_sum([lw for _, lw in types])
     if log_h == -math.inf:
         raise zero_row_error(w, n)
-    return ((k, math.exp(lw - log_h)) for k, lw in types)
+    pmf: Dict[Any, float] = {}
+    for k, lw in types:
+        pmf[k] = pmf.get(k, 0.0) + math.exp(lw - log_h)
+    return pmf, log_hs
 
 
 def enumerate_cycle_types(w: WeightSequence, n: int
@@ -226,8 +237,9 @@ def enumerate_cycle_types(w: WeightSequence, n: int
 
     Ordered lexicographically by partition with largest part descending.
     """
-    return list(_type_probs(w, n,
-                            lambda counts: CycleType.from_dict(counts, n)))
+    # handles compare by identity: each type is its own key
+    return list(_pmf(w, n, lambda counts: CycleType.from_dict(counts, n))
+                [0].items())
 
 
 def _weight_digest(w: WeightSequence) -> bytes:
@@ -528,16 +540,13 @@ def exact_statistic_pmf(w: WeightSequence, n: int, statistic: str,
     """
     if statistic == "tail_count" and x is None:
         raise ValueError("tail_count needs the threshold x")
-    key = {"L1": lambda counts: next(iter(counts)),  # the largest part
+    key = {"L1": max,  # the largest part
            "tail_count": lambda counts: sum(c for m, c in counts.items()
                                             if m >= x),
            "total_cycles": lambda counts: sum(counts.values())}.get(statistic)
     if key is None:
         raise ValueError(f"unknown statistic {statistic!r}")
-    pmf: Dict[int, float] = {}
-    for v, p in _type_probs(w, n, key):
-        pmf[v] = pmf.get(v, 0.0) + p
-    return pmf
+    return _pmf(w, n, key)[0]
 
 
 def _tilted_ratio(w: WeightSequence, n: int, lo: int, c: float,
@@ -571,7 +580,7 @@ def tail_count_mean(h: HTable, n: int, x: float) -> float:
     """Exact E[number of cycles of length >= x] at size n, in O(n) from the
     table: sum_{max(x,1) <= k <= n} (theta_k / k) h_{n-k} / h_n, summed over
     the (mantissa, exponent) rows by _scaled_dot."""
-    check_row(n, h.weight, h.mant)
+    _check_row(h, n)
     lo = max(1, math.ceil(x))
     if lo > n:
         return 0.0
@@ -585,7 +594,7 @@ def longest_cycle_cdf(h: HTable, n: int, x: float) -> float:
     h^(<=x) is the table of the weights with theta_k = 0 for k > x, by
     _tilted_ratio.  x >= n and x < 1 need no table; nor does x >= n/2,
     where at most one cycle is longer than x: 1 - E[#cycles > x]."""
-    check_row(n, h.weight, h.mant)
+    _check_row(h, n)
     if x >= n:
         return 1.0
     if x < 1:

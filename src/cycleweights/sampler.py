@@ -89,14 +89,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .oracle import CapacityError, Columns, CycleType, HTable, check_row, tail_count_mean
+from .oracle import CapacityError, Columns, CycleType, HTable, tail_count_mean
 from .weights import EWENS, POLYNOMIAL, WeightSequence, theta_log_array
 
 _MASK64 = (1 << 64) - 1
@@ -138,7 +138,8 @@ def _chunk_size(n: int) -> int:
 class SamplerConfig:
     """A batch's size n, sample count and seed.  An n past _MAX_N, whose
     keys do not fit int32, and a sample count below 1 are refused when the
-    config is made, before any table is built for it."""
+    config is made, before any table is built for it; an n outside the
+    table, or with h_n = 0, when sample_batch is called."""
 
     n: int
     num_samples: int
@@ -149,9 +150,6 @@ class SamplerConfig:
             raise CapacityError(f"n={self.n} exceeds the sampler's limit {_MAX_N}")
         if self.num_samples < 1:
             raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
-
-    def validate(self, h: HTable) -> None:
-        check_row(self.n, h.weight, h.mant)
 
 
 def substream_keys(seed: int, indices) -> np.ndarray:
@@ -320,18 +318,15 @@ def _split_keys(runs: np.ndarray, count: int, n: int) -> np.ndarray:
 
 
 class CycleTypeSampler:
-    """Reusable sampler bound to one weight sequence and HTable."""
+    """Reusable sampler bound to one HTable and its weights, h.weight."""
 
-    def __init__(self, w: WeightSequence, h: HTable):
-        if h.weight != w:
-            raise ValueError("HTable was built for a different weight sequence")
-        self.w = w
+    def __init__(self, h: HTable):
         # a table on the same arrays, not the table itself: HTable caches
         # its shared sampler, and a reference back would make the pair a
         # cycle that outlives its last user until the garbage collector runs
-        self.h = HTable(w, h.n_max, h.mant, h.expo)
+        self.h = replace(h)
         n = h.n_max
-        self.log_theta = theta_log_array(w, n)
+        self.log_theta = theta_log_array(h.weight, n)
         self.log_h = h.log_array()
         # scan inputs: -log m - log h_m per m, and the log h windows: row
         # n - m, column k holds log h_{m-k}, read from the reversed log h
@@ -380,8 +375,8 @@ class CycleTypeSampler:
         (only alpha >= 2, with L large) have short first cycles, and are
         scanned.
         """
-        n = self.h.n_max
-        alpha = {POLYNOMIAL: self.w.alpha, EWENS: 0.0}.get(self.w.family)
+        n, w = self.h.n_max, self.h.weight
+        alpha = {POLYNOMIAL: w.alpha, EWENS: 0.0}.get(w.family)
         # rows drawn by rejection: m > _SCAN_BLOCK with Q_m < 1 and a small
         # loss; Q_m is a prefix maximum, so L falls with m, and they are
         # the sizes from some m0 > _SCAN_BLOCK to some m*
@@ -698,11 +693,13 @@ def sample_cycle_type(w: WeightSequence, h: HTable, n: int,
 
 
 def _shared_sampler(w: WeightSequence, h: HTable) -> CycleTypeSampler:
-    cached = getattr(h, "_sampler", None)
-    if cached is None or cached.w != w:
-        cached = CycleTypeSampler(w, h)
-        h._sampler = cached
-    return cached
+    """h's sampler, built on first use; a table built for other weights
+    than w is refused."""
+    if h.weight != w:
+        raise ValueError("HTable was built for a different weight sequence")
+    if getattr(h, "_sampler", None) is None:
+        h._sampler = CycleTypeSampler(h)
+    return h._sampler
 
 
 def sample_batch(w: WeightSequence, h: HTable,
@@ -712,16 +709,17 @@ def sample_batch(w: WeightSequence, h: HTable,
     Sample i is drawn from the substream keyed by (cfg.seed, i), so a
     shorter batch with the same seed is a prefix of a longer one.  Each
     chunk's uniforms are computed together by philox_uniforms.  The
-    config is checked when the batch is made, before any sample is
-    drawn, and the expected number of cycles, which sizes every chunk's
-    read-ahead and key buffer, once per batch; the chunks are drawn one
-    at a time as the samples are read, and handed out through one
-    chained iterator, with no generator frame to resume per sample.
+    expected number of cycles, which sizes every chunk's read-ahead and
+    key buffer, is computed once per batch, when the batch is made; the
+    chunks are drawn one at a time as the samples are read, and handed
+    out through one chained iterator, with no generator frame to resume
+    per sample.
     """
-    cfg.validate(h)
+    # tail_count_mean refuses an n outside the table, or with h_n = 0,
+    # before a sampler is built or _chunk_size divides by n
+    cycles = tail_count_mean(h, cfg.n, 1)
     sampler = _shared_sampler(w, h)
     chunk = _chunk_size(cfg.n)
-    cycles = tail_count_mean(h, cfg.n, 1)
 
     def draw(lo: int) -> Iterator[CycleType]:
         keys = substream_keys(cfg.seed,

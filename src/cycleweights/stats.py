@@ -365,7 +365,7 @@ def cumulative_profile(batch: Iterable, alpha: float,
          "x_grid": xs})
     for j, (x, thr) in enumerate(zip(xs, thrs)):
         emp = float(np.mean(counts[:, j]))
-        pred = expected_tail_count(w, sd, thr)
+        pred = expected_tail_count(sd, thr)
         rep.add(f"w_n({x})", emp, pred, rel_tol * max(pred, 1e-12))
     return rep
 
@@ -384,7 +384,7 @@ def bn_event_frequency(batch: Iterable, sd: SaddleData,
                       lambda run: tail_counts(run, math.floor(cap) + 1))
     num = len(above)
     freq = float(np.mean(above >= 1))
-    bound = 2.0 * expected_tail_count(w, sd, math.floor(cap) + 1)
+    bound = 2.0 * expected_tail_count(sd, math.floor(cap) + 1)
     limit = max(3.0 * bound, 5.0 / math.sqrt(num))
     rep = VerificationReport(
         "bn_event",

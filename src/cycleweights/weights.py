@@ -37,7 +37,7 @@ class WeightSequence:
     alpha: Optional[float] = None
     vartheta: Optional[float] = None
     values: Optional[Tuple[float, ...]] = None
-    _fit_alpha: Optional[float] = field(default=None, repr=False)
+    _fit_alpha: Optional[float] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # the negated comparisons also reject nan
@@ -124,10 +124,10 @@ def theta_log_array(w: WeightSequence, k_max: int) -> np.ndarray:
     return np.concatenate(([-np.inf], theta_log_range(w, 1, k_max)))
 
 
-def exp_sums(w: Optional[WeightSequence], v: float, lo: int,
+def exp_sums(w: WeightSequence, v: float, lo: int,
              exps: Sequence[float]) -> Tuple[List[float], int, List[float]]:
-    """Sums over k >= lo of theta_k k^e e^{-kv} for e in exps (theta = 1
-    when w is None), with the K they stop at and bounds on their tails.
+    """Sums over k >= lo of theta_k k^e e^{-kv} for e in exps, with the K
+    they stop at and bounds on their tails; ewens(1.0) gives theta_k = 1.
 
     sums[i] runs over lo <= k <= K.  From k_min on (a table's last entry,
     else 1) a term's ratio to the one before is at most q_k = ((k+1)/k)^
@@ -147,17 +147,17 @@ def exp_sums(w: Optional[WeightSequence], v: float, lo: int,
     if not v > 0:
         raise ValueError(f"v must be positive, got {v}")
     e0 = exps[0]
-    poly = w is not None and w.family == POLYNOMIAL
+    poly = w.family == POLYNOMIAL
     power = e0 + w.alpha if poly else e0
-    a = 0.0 if w is None else w.growth_alpha
-    k_min = len(w.values) if w is not None and w.family == TABLE else 1
+    a = w.growth_alpha
+    k_min = len(w.values) if w.family == TABLE else 1
     p = np.maximum(a + np.asarray(exps, dtype=np.float64), 0.0)[:, None]
     totals = np.zeros(len(exps))
     start, size = lo, int(min(max(40.0 / v, 256), _CHUNK))
     while True:
         k = np.arange(start, start + size, dtype=np.float64)
         base = -k * v
-        if w is not None and not poly:
+        if not poly:
             base += theta_log_range(w, start, start + size - 1)
         terms = np.exp(base + power * np.log(k) if power else base)
         rows = np.array([terms if e == e0 else terms * k ** (e - e0)

@@ -132,8 +132,8 @@ def test_criterion_10_mgf_identity():
 
 
 def test_criterion_11_admissibility_diagnostics():
-    rep = cw.admissibility_diagnostics(cw.polynomial(1.0), 100000,
-                                       s=0.0, y=1.0)
+    rep = cw.admissibility_diagnostics(cw.solve_saddle(cw.polynomial(1.0),
+                                                       100000), s=0.0, y=1.0)
     ok = 0.9 <= rep.bn_ratio <= 1.1 and rep.monotonicity_violations == 0
     report("criterion 11 (admissibility diagnostics)", ok,
            f"bn_ratio {rep.bn_ratio:.4f}, "

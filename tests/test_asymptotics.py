@@ -10,6 +10,7 @@ import pytest
 
 import cycleweights as cw
 from cycleweights import asymptotics
+from cycleweights.cli import run_command
 from cycleweights.weights import exp_sums, g_theta_partial, theta_log_range
 
 
@@ -109,6 +110,45 @@ def test_zeta_values():
     assert asymptotics.zeta(-1.0) == pytest.approx(-1 / 12)
     assert asymptotics.zeta(0.0) == pytest.approx(-0.5)
     assert asymptotics.zeta(2.0) == pytest.approx(math.pi ** 2 / 6)
+    with pytest.raises(ValueError, match="pole at 1"):
+        asymptotics.zeta(1.0)
+
+
+def test_newton_stops_where_its_step_vanishes(monkeypatch):
+    # sums just below n with a steep derivative: the step f / sk is
+    # -5e-16 v, inside the bracket and below 1e-15 v, so the solve stops
+    # at the first v, with the sum's residual, where it would otherwise
+    # step down by that much until its _MAX_NEWTON_ITERS steps ran out
+    calls = []
+
+    def flat(w, v, exps, zetas=None):
+        calls.append(v)
+        return 1000.0 * (1.0 - 1e-6), 2e12 / calls[0]
+
+    monkeypatch.setattr(asymptotics, "_weight_sums", flat)
+    sd = cw.solve_saddle(cw.polynomial(1.0), 1000)
+    assert len(calls) == 1 and sd.v_n == calls[0]
+    assert sd.residual == pytest.approx(1e-6)
+
+
+def test_newton_without_convergence_is_a_saddle_error(monkeypatch, capsys):
+    # sums that stay above n, with a step of 0.036 times the first v:
+    # 200 steps stay inside the bracket (v/10, 10 v) and never vanish, so
+    # after _MAX_NEWTON_ITERS steps the solve raises, and `saddle` exits 3
+    calls = []
+
+    def never(w, v, exps, zetas=None):
+        calls.append(v)
+        return 1001.0, 1.0 / (0.036 * calls[0])
+
+    monkeypatch.setattr(asymptotics, "_weight_sums", never)
+    with pytest.raises(asymptotics.SaddleError, match="did not converge"):
+        cw.solve_saddle(cw.polynomial(1.0), 1000)
+    assert len(calls) == asymptotics._MAX_NEWTON_ITERS
+    assert run_command(["saddle", "--alpha", "1", "--n", "1000"]) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("numeric error: saddle equation did not converge")
+    assert out == ""
 
 
 # v over the range the `tables` saddles reach (alpha = 0.05 at n = 1e6
@@ -127,7 +167,7 @@ def _mpmath_polylog(delta, mu):
 def test_polylog_series_matches_exp_sums(alpha):
     deltas = (alpha - 1.0, alpha, alpha + 1.0)
     for v in SERIES_VS:
-        direct = exp_sums(None, v, 1, deltas)[0]
+        direct = exp_sums(cw.ewens(1.0), v, 1, deltas)[0]
         for delta, ref in zip(deltas, direct):
             value, bound = asymptotics.polylog_series(delta, -v)
             assert value == pytest.approx(ref, rel=1e-12), (delta, v)
@@ -179,7 +219,8 @@ def test_saddle_and_scan_skip_exp_sums(monkeypatch):
     monkeypatch.setattr(asymptotics, "exp_sums", _raise)
     sd = cw.solve_saddle(cw.polynomial(0.05), 10**6)
     assert sd.residual <= 1e-12
-    rep = cw.admissibility_diagnostics(cw.polynomial(0.5), 10**5, 0.0, 1.0)
+    rep = cw.admissibility_diagnostics(
+        cw.solve_saddle(cw.polynomial(0.5), 10**5), 0.0, 1.0)
     assert rep.monotonicity_violations == 0
 
 
@@ -302,7 +343,7 @@ def test_large_alpha_sums_reach_their_tails():
     assert sd.a_n == pytest.approx(_sum_to_20K(w, sd.v_n, 1, 0), rel=1e-15)
     w = cw.polynomial(20.0)
     sd = cw.solve_saddle(w, 10**6)
-    assert cw.expected_tail_count(w, sd, 1) == pytest.approx(
+    assert cw.expected_tail_count(sd, 1) == pytest.approx(
         _sum_to_20K(w, sd.v_n, 1, -1), rel=1e-15)
 
 
@@ -369,7 +410,7 @@ def test_h_estimate_ewens():
 def test_expected_tail_count_full_sum():
     w = cw.polynomial(1.0)
     sd = cw.solve_saddle(w, 10000)
-    total = cw.expected_tail_count(w, sd, 1)
+    total = cw.expected_tail_count(sd, 1)
     # Gamma(1)/v + zeta(0) at delta = alpha - 1 = 0
     assert total == pytest.approx(1 / sd.v_n - 0.5, rel=0.01)
 
@@ -377,9 +418,9 @@ def test_expected_tail_count_full_sum():
 def test_expected_tail_count_at_grid_points():
     w = cw.polynomial(1.0)
     sd = cw.solve_saddle(w, 20000)
-    near_one = cw.expected_tail_count(w, sd, cw.threshold_x(sd, 1.0))
+    near_one = cw.expected_tail_count(sd, cw.threshold_x(sd, 1.0))
     assert 0.8 <= near_one <= 1.2
-    cap_tail = cw.expected_tail_count(w, sd, cw.threshold_x(sd, 0.0))
+    cap_tail = cw.expected_tail_count(sd, cw.threshold_x(sd, 0.0))
     assert cap_tail < 0.05
 
 
@@ -404,8 +445,8 @@ def test_threshold_x():
 
 def test_diagnostics_s0_matches_saddle():
     w = cw.polynomial(1.0)
-    rep = cw.admissibility_diagnostics(w, 10000, s=0.0, y=1.0)
     sd = cw.solve_saddle(w, 10000)
+    rep = cw.admissibility_diagnostics(sd, s=0.0, y=1.0)
     # tilt-free case: a_n is the saddle sum, so the residual is tiny
     assert rep.residual < 1e-6
     assert rep.bn_ratio == pytest.approx(
@@ -414,7 +455,8 @@ def test_diagnostics_s0_matches_saddle():
 
 
 def test_diagnostics_tilted():
-    rep = cw.admissibility_diagnostics(cw.polynomial(1.0), 10000, s=0.5, y=1.0)
+    sd = cw.solve_saddle(cw.polynomial(1.0), 10000)
+    rep = cw.admissibility_diagnostics(sd, s=0.5, y=1.0)
     assert rep.monotonicity_violations == 0
     assert rep.residual < 1.0  # o(1) relative to sqrt(b_n)
 
@@ -454,7 +496,7 @@ def dense_diagnostics(w, n, s, y):
 def test_diagnostics_match_dense_sums(w, n, s, y):
     # the sixth case has K = 6 500 terms, so its scan runs over 7 chunks
     residual, width, violations, bn_ratio, b_n = dense_diagnostics(w, n, s, y)
-    rep = cw.admissibility_diagnostics(w, n, s, y)
+    rep = cw.admissibility_diagnostics(cw.solve_saddle(w, n), s, y)
     assert rep.residual == pytest.approx(residual,
                                          abs=1e-12 * n / math.sqrt(b_n))
     assert rep.width == pytest.approx(width, rel=1e-12)
@@ -466,8 +508,8 @@ def test_diagnostics_bounded_memory():
     # K = 140 106 terms; the scan must not hold PHI_POINTS x K cosines
     tracemalloc.start()
     try:
-        rep = cw.admissibility_diagnostics(cw.polynomial(0.5), 10**5,
-                                           s=0.0, y=1.0)
+        rep = cw.admissibility_diagnostics(
+            cw.solve_saddle(cw.polynomial(0.5), 10**5), s=0.0, y=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -477,7 +519,8 @@ def test_diagnostics_bounded_memory():
 
 def test_diagnostics_json_fields():
     import dataclasses
-    rep = cw.admissibility_diagnostics(cw.polynomial(1.0), 1000, s=0.0, y=0.5)
+    sd = cw.solve_saddle(cw.polynomial(1.0), 1000)
+    rep = cw.admissibility_diagnostics(sd, s=0.0, y=0.5)
     assert list(dataclasses.asdict(rep)) == [
         "residual", "width", "monotonicity_violations", "bn_ratio"]
 
@@ -489,9 +532,9 @@ def test_diagnostics_json_fields():
     (lambda w: asymptotics.polylog_asymp(0.5, 0.0), "got 0.0"),
     (lambda w: asymptotics.partial_sum_asymp(0.5, -0.1, 10.0), "v=-0.1"),
     (lambda w: asymptotics.expected_tail_count(
-        w, asymptotics.solve_saddle(w, 100), -2.0), "got -2.0"),
-    (lambda w: asymptotics.admissibility_diagnostics(w, 100, 0.0, 0.0),
-     "got 0.0"),
+        asymptotics.solve_saddle(w, 100), -2.0), "got -2.0"),
+    (lambda w: asymptotics.admissibility_diagnostics(
+        asymptotics.solve_saddle(w, 100), 0.0, 0.0), "got 0.0"),
 ], ids=["saddle-n", "estimate-n", "polylog-v-one", "polylog-v-zero",
         "partial-sum-v", "tail-count-x", "diagnostics-y"])
 def test_bad_input_is_refused_by_name(call, named):

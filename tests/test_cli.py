@@ -308,6 +308,16 @@ def test_expansions_csv(tmp_path):
     assert float(row[0]) == 0.0 and float(row[1]) == 0.2
 
 
+def test_expansions_stdout_matches_out_file(tmp_path, capsys):
+    argv = ["expansions", "--deltas", "0,1.5", "--vs", "0.2,0.1"]
+    assert run_command(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "sweep.csv"
+    assert run_command(argv + ["--out", str(out)]) == 0
+    assert printed == out.read_text()
+    assert len(printed.splitlines()) == 5
+
+
 @pytest.mark.parametrize("delta", ["nan", "inf"])
 def test_expansions_non_finite_delta_is_validation_error(delta, capsys):
     assert run_command(["expansions", "--deltas", delta, "--vs", "0.5"]) == 2
@@ -371,10 +381,11 @@ def test_unmet_checks_and_bad_input_are_named(capsys, monkeypatch):
     for patch, command, code, named in [
             ({}, ["verify", "bn", "--alpha", "1", "--n", "300", "--samples",
                   "20", "--tol", "bn_freq"], 2, "got 'bn_freq'"),
-            ({"log_h_exact": lambda w, n: [math.log(0.25)] * (n + 1)}, argv, 1,
-             "[FAIL] h_1: recurrence vs enumeration rel err 3\n"),
-            ({"exact_statistic_pmf": lambda w, n, statistic: {4: 0.5}}, argv,
-             1, "[FAIL] pmf mass 0.5")]:
+            ({"_pmf": lambda w, n, key: ({4: 1.0},
+                                         [math.log(0.25)] * (n + 1))},
+             argv, 1, "[FAIL] h_1: recurrence vs enumeration rel err 3\n"),
+            ({"_pmf": lambda w, n, key: ({4: 0.5}, oracle.log_h_exact(w, n))},
+             argv, 1, "[FAIL] pmf mass 0.5")]:
         with monkeypatch.context() as m:
             for name, value in patch.items():
                 m.setattr(oracle, name, value)

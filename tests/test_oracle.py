@@ -712,8 +712,13 @@ def _load_cache(path, head):
      ValueError, "'L2'"),
     (lambda tmp: oracle.exact_statistic_pmf(POLY1, 5, "tail_count"),
      ValueError, "tail_count needs the threshold x"),
+    (lambda tmp: oracle.exact_statistic_pmf(POLY1, 0, "L1"),
+     ValueError, "n must be >= 1, got 0"),
+    (lambda tmp: oracle.enumerate_cycle_types(POLY1, 0),
+     ValueError, "n must be >= 1, got 0"),
 ], ids=["load-short-header", "load-version", "table-n", "mgf-x",
-        "corollary-u-v", "corollary-cap", "pmf-statistic", "pmf-no-x"])
+        "corollary-u-v", "corollary-cap", "pmf-statistic", "pmf-no-x",
+        "pmf-n-zero", "enumerate-n-zero"])
 def test_bad_input_is_refused_by_name(call, error, named, tmp_path):
     with pytest.raises(error, match=named):
         call(tmp_path)

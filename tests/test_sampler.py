@@ -86,7 +86,7 @@ def test_exactness_irregular_weights(values, n):
     tab = cw.build_h_table(w, n)
     assert empirical_tv(w, tab, n, 60000, seed=1234) < 0.02
     # one lockstep pass over 5000 rows draws what the batch's chunks draw
-    scan = smp.CycleTypeSampler(w, tab)
+    scan = smp.CycleTypeSampler(tab)
     num = 5000
     rngs = [smp.substream_rng(1234, i) for i in range(num)]
     drawn = scan._sample_lockstep(
@@ -148,7 +148,7 @@ def test_tabulated_draw_matches_row_gather(w, n):
     # incidents counts: uniforms on every CDF entry of every row m <= 16,
     # on both of its neighbours, and at 0 and 1 - 2^-53, in groups of
     # every largest row.  table([0, 1]) has h_1 = 0, a NaN row never read
-    s = smp.CycleTypeSampler(w, cw.build_h_table(w, n))
+    s = smp.CycleTypeSampler(cw.build_h_table(w, n))
     cdf = s._small_cdf.T  # row m, column j: row m's CDF at k = j + 1
     assert cdf.shape == (n + 1, n)
     sizes = np.flatnonzero(s.h.mant[1:]) + 1  # rows with h_m > 0
@@ -177,7 +177,7 @@ def test_tabulated_draw_matches_row_gather(w, n):
 def test_kernel_matches_one_row_reference(htable_2000, poly1):
     # uniforms on and just above every reference CDF value: the kernel must
     # reproduce the reference's arithmetic to the last bit to match
-    s = smp.CycleTypeSampler(poly1, htable_2000)
+    s = smp.CycleTypeSampler(htable_2000)
     rng = np.random.default_rng(5)
     ms, us = [], []
     for m in (1, 2, 3, 40, 1024, 1025, 1500, 2000):
@@ -196,8 +196,8 @@ def test_kernel_matches_one_row_reference(htable_2000, poly1):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for s, sizes in [
-                (smp.CycleTypeSampler(poly1, htable_2000), range(2, 17)),
-                (smp.CycleTypeSampler(w, cw.build_h_table(w, 40)),
+                (smp.CycleTypeSampler(htable_2000), range(2, 17)),
+                (smp.CycleTypeSampler(cw.build_h_table(w, 40)),
                  range(2, 17, 2))]:
             groups = []
             for m in sizes:
@@ -216,7 +216,7 @@ def test_output_depends_only_on_seed_and_index(small_table, n):
     # shorter batch is a prefix of a longer one.  Below n = 40 the
     # read-ahead can end before a sample does
     w = cw.polynomial(1.0)
-    fresh = smp.CycleTypeSampler(w, small_table)
+    fresh = smp.CycleTypeSampler(small_table)
     full = [ct.counts for ct in cw.sample_batch(
         w, small_table, cw.SamplerConfig(n=n, num_samples=64, seed=99))]
     assert full == [fresh.sample(n, smp.substream_rng(99, i)).counts
@@ -234,11 +234,22 @@ def test_seed_changes_output(small_table):
     assert run(1) != run(2)
 
 
-def test_config_validation(small_table):
+def test_config_validation():
+    # a sample count below 1 is refused when the config is made; an n
+    # outside the table, or with h_n = 0, when sample_batch is called,
+    # before it builds a sampler (n = 0 would divide by zero in
+    # _chunk_size).  table([0, 1, 0]) allows 2-cycles only, so h_9 = 0
     with pytest.raises(ValueError):
-        cw.SamplerConfig(n=40, num_samples=0, seed=0).validate(small_table)
-    with pytest.raises(CapacityError):
-        cw.SamplerConfig(n=100, num_samples=1, seed=0).validate(small_table)
+        cw.SamplerConfig(n=40, num_samples=0, seed=0)
+    poly = cw.build_h_table(cw.polynomial(1.0), 64)
+    zero = cw.build_h_table(cw.table([0, 1, 0]), 9)
+    for tab, n, error in [(poly, 100, CapacityError),
+                          (poly, 65, CapacityError),
+                          (poly, 0, CapacityError), (zero, 9, ValueError)]:
+        with pytest.raises(error):
+            cw.sample_batch(tab.weight, tab,
+                            cw.SamplerConfig(n=n, num_samples=1, seed=0))
+        assert not hasattr(tab, "_sampler")
 
 
 def test_sampler_refuses_another_weights_table():
@@ -250,9 +261,9 @@ def test_sampler_refuses_another_weights_table():
         assert hasattr(tab, "_sampler") == cached
         with pytest.raises(ValueError, match="different weight"):
             cw.sample_batch(w, tab, cfg)
+        with pytest.raises(ValueError, match="different weight"):
+            cw.sample_cycle_type(w, tab, 40, smp.substream_rng(0, 0))
         list(cw.sample_batch(tab.weight, tab, cfg))
-    with pytest.raises(ValueError, match="different weight"):
-        smp.CycleTypeSampler(w, tab)
 
 
 def test_zero_row_is_rejected():
@@ -281,7 +292,7 @@ def test_expected_scan_work(alpha):
     w = cw.polynomial(alpha)
     num = 200
     n = 2000
-    s = smp.CycleTypeSampler(w, cw.build_h_table(w, n))
+    s = smp.CycleTypeSampler(cw.build_h_table(w, n))
     for i in range(num):
         s.sample(n, smp.substream_rng(17, i))
     assert s.scanned / num <= 2 * n
@@ -298,7 +309,7 @@ def test_envelope_bounds_h_ratios(w):
     # h_{m-k} / h_m <= Q_m^k for every k < m <= 2000, Q_m the largest
     # h_{j-1} / h_j over 2 <= j <= m; every row m > 16 has an envelope
     n = 2000
-    s = smp.CycleTypeSampler(w, cw.build_h_table(w, n))
+    s = smp.CycleTypeSampler(cw.build_h_table(w, n))
     log_h = s.log_h
     log_q = np.full(n + 1, -np.inf)
     log_q[2:] = log_h[1:-1] - log_h[2:]
@@ -317,7 +328,7 @@ def test_rows_without_envelope_are_scanned(w):
     # Q_m >= 1 (Ewens with vartheta <= 1), a table, or first cycles so
     # short at alpha = 10 that the envelope would lose a large factor: the
     # scan draws every row
-    s = smp.CycleTypeSampler(w, cw.build_h_table(w, 2000))
+    s = smp.CycleTypeSampler(cw.build_h_table(w, 2000))
     assert not s._envelope.any()
     for i in range(20):
         ct = s.sample(2000, smp.substream_rng(3, i))
@@ -352,14 +363,14 @@ def exact_first_cycle_cdf(s, m):
 @pytest.mark.parametrize("m", [17, 100, 2000])
 @pytest.mark.parametrize("w", ENVELOPE_WEIGHTS, ids=ENVELOPE_IDS)
 def test_first_cycle_law_by_rejection(w, m):
-    s = smp.CycleTypeSampler(w, cw.build_h_table(w, 2000))
+    s = smp.CycleTypeSampler(cw.build_h_table(w, 2000))
     num = 200000
     k = kernel_first_cycles(s, m, num, seed=m)
     assert ks_to_exact(k, exact_first_cycle_cdf(s, m)) <= dkw_bound(num)
 
 
 def test_first_cycle_law_by_rejection_desk(poly1, htable_desk):
-    s = smp.CycleTypeSampler(poly1, htable_desk)
+    s = smp.CycleTypeSampler(htable_desk)
     n, num = htable_desk.n_max, 200000
     k = kernel_first_cycles(s, n, num, seed=4)
     assert ks_to_exact(k, exact_first_cycle_cdf(s, n)) <= dkw_bound(num)
@@ -382,7 +393,7 @@ def test_rejection_work():
     # every proposal is accepted
     w = cw.polynomial(1.0)
     n, num = 2000, 200
-    s = smp.CycleTypeSampler(w, cw.build_h_table(w, n))
+    s = smp.CycleTypeSampler(cw.build_h_table(w, n))
     step, accepted = s._step, [0]
 
     def counting(m, pending, u):
@@ -442,7 +453,7 @@ def test_one_pass_step_matches_reference(alpha):
     w = cw.polynomial(alpha)
     n = 2000
     tab = cw.build_h_table(w, n)
-    new, ref = smp.CycleTypeSampler(w, tab), smp.CycleTypeSampler(w, tab)
+    new, ref = smp.CycleTypeSampler(tab), smp.CycleTypeSampler(tab)
     d = 1 + new._width
     assert d == math.floor(alpha) + 3
     rng = np.random.default_rng(int(10 * alpha))
@@ -613,7 +624,7 @@ def test_row_starts_match_binary_search(monkeypatch):
 
 def test_batch_counters_match_single_draws(poly1):
     tab = cw.build_h_table(poly1, 2000)
-    single = smp.CycleTypeSampler(poly1, tab)
+    single = smp.CycleTypeSampler(tab)
     for i in range(100):
         single.sample(2000, smp.substream_rng(7, i))
     shared = smp._shared_sampler(poly1, tab)
@@ -641,7 +652,7 @@ def test_batch_size_does_not_change_samples():
     full = batch(chunk + 40)
     for num in (1, chunk - 1, chunk, chunk + 1):
         assert batch(num) == full[:num]
-    fresh = smp.CycleTypeSampler(w, tab)
+    fresh = smp.CycleTypeSampler(tab)
     for i in (0, chunk - 1, chunk, chunk + 1, chunk + 39):
         assert fresh.sample(500, smp.substream_rng(21, i)).counts == full[i]
 
@@ -660,7 +671,7 @@ def test_chunk_size_does_not_change_small_n_samples(small_table, n, budget,
     assert chunk > smp._CHUNK
     cfg = cw.SamplerConfig(n=n, num_samples=chunk + 40, seed=5)
     full = [ct.counts for ct in cw.sample_batch(w, small_table, cfg)]
-    fresh = smp.CycleTypeSampler(w, small_table)
+    fresh = smp.CycleTypeSampler(small_table)
     for i in (chunk - 1, chunk, chunk + 1):
         assert fresh.sample(n, smp.substream_rng(5, i)).counts == full[i]
     for name, value in budget.items():
@@ -783,7 +794,7 @@ def test_lockstep_reads_uniforms_in_place(poly1, htable_desk, desk_batch,
         return step(self, m, pending, u)
 
     monkeypatch.setattr(smp.CycleTypeSampler, "_step", watched_step)
-    sampler = smp.CycleTypeSampler(poly1, htable_desk)
+    sampler = smp.CycleTypeSampler(htable_desk)
     drawn = sampler._sample_lockstep(n, count, fill,
                                      cw.tail_count_mean(htable_desk, n, 1))
     assert [ct.counts for ct in drawn] == [ct.counts for ct in desk_batch]
@@ -933,7 +944,7 @@ def test_philox_uniforms_into_out(start, width):
 def test_seed_outside_uint64(small_table, seed):
     # a seed is taken mod 2^64 by both paths
     w = cw.polynomial(1.0)
-    fresh = smp.CycleTypeSampler(w, small_table)
+    fresh = smp.CycleTypeSampler(small_table)
     batch = [ct.counts for ct in cw.sample_batch(
         w, small_table, cw.SamplerConfig(n=40, num_samples=20, seed=seed))]
     assert batch == [fresh.sample(40, smp.substream_rng(seed, i)).counts

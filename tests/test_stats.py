@@ -235,7 +235,7 @@ def test_bn_bound_decreases_with_n():
     for n in (1000, 10000):
         sd = cw.solve_saddle(w, n)
         cap = 2 * sd.n_star * sd.ell_n
-        bounds.append(2 * cw.expected_tail_count(w, sd, math.floor(cap) + 1))
+        bounds.append(2 * cw.expected_tail_count(sd, math.floor(cap) + 1))
     assert bounds[1] < bounds[0]
 
 

@@ -146,7 +146,7 @@ def test_theta_log_range_matches_array(w):
 
 def _fsum_reference(w, v, lo, hi, e):
     k = np.arange(lo, hi + 1, dtype=np.float64)
-    theta = 1.0 if w is None else weights.theta_array(w, hi)[lo:]
+    theta = weights.theta_array(w, hi)[lo:]
     return math.fsum(theta * k ** e * np.exp(-k * v))
 
 
@@ -165,9 +165,10 @@ def test_exp_sums_against_fsum(w):
 
 @pytest.mark.parametrize("delta", [-0.5, 0.0, 2.5])
 def test_exp_sums_without_weights(delta):
-    (got,), K, _ = weights.exp_sums(None, 1e-4, 1, (delta,))
+    one = weights.ewens(1.0)  # theta_k = 1
+    (got,), K, _ = weights.exp_sums(one, 1e-4, 1, (delta,))
     assert K > 3 * weights._CHUNK
-    assert got == pytest.approx(_fsum_reference(None, 1e-4, 1, K, delta),
+    assert got == pytest.approx(_fsum_reference(one, 1e-4, 1, K, delta),
                                 rel=1e-12)
 
 
@@ -175,7 +176,8 @@ TAIL_CASES = {**{f"poly{a}": (weights.polynomial(a), (-1, 0, 1))
                  for a in (0.05, 0.5, 1.0, 3.0, 20.0, 40.0)},
               "ewens2": (weights.ewens(2.0), (-1, 0, 1)),
               "table1001": (weights.table([1, 0, 0, 1]), (-1, 0, 1)),
-              **{f"none{d}": (None, (d,)) for d in (-0.5, 0.0, 2.5)}}
+              **{f"none{d}": (weights.ewens(1.0), (d,))
+                 for d in (-0.5, 0.0, 2.5)}}
 
 
 @pytest.mark.parametrize("v", [0.05, 10.5])
@@ -185,7 +187,7 @@ def test_exp_sums_tail_bounds(case, v):
     # 2^-52 of its sum, from k = 1 and from past the largest term; 1e-12
     # is the terms' own round-off (~k v ulps)
     w, exps = case
-    a = 0.0 if w is None else w.growth_alpha
+    a = w.growth_alpha
     for lo in (1, int(2.0 * (a + 1.0) / v) + 1):
         sums, K, tails = weights.exp_sums(w, v, lo, exps)
         assert K >= lo
@@ -207,6 +209,15 @@ def test_ewens_rejects_non_finite_vartheta(bad):
         weights.ewens(bad)
 
 
+def test_fit_alpha_is_not_an_argument():
+    # a table's fitted exponent is computed from its values; no caller
+    # can set it, so two sequences with the same parameters are equal
+    with pytest.raises(TypeError, match="_fit_alpha"):
+        weights.WeightSequence("polynomial", alpha=1.0, _fit_alpha=5.0)
+    assert weights.table([1, 2, 4])._fit_alpha == pytest.approx(
+        math.log(2) / math.log(1.5))
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_table_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="values"):
@@ -215,7 +226,7 @@ def test_table_rejects_non_finite_values(bad):
 
 @pytest.mark.parametrize("call, named", [
     (lambda: weights.WeightSequence("foo"), "'foo'"),
-    (lambda: weights.exp_sums(None, 0.0, 1, (0,)), "got 0.0"),
+    (lambda: weights.exp_sums(weights.ewens(1.0), 0.0, 1, (0,)), "got 0.0"),
     (lambda: weights.exp_sums(weights.polynomial(1.0), -0.5, 1, (-1, 0)),
      "got -0.5"),
 ], ids=["unknown-family", "exp-sums-v-zero", "exp-sums-v-negative"])
