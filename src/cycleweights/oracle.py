@@ -41,6 +41,7 @@ _TILT_BITS = 20
 _BLOCK_MAX = 4096
 _NOISE_BITS = 8
 _LEAF = 16
+_CHUNK = 1 << 16  # entries per array in the window cut's running maximum
 
 
 class CapacityError(ValueError):
@@ -251,6 +252,20 @@ def _weight_digest(w: WeightSequence) -> bytes:
                           + np.asarray(params, dtype="<f8").tobytes()).digest()
 
 
+def residual_rows(n_max: int) -> np.ndarray:
+    """The rows whose recurrence residuals HTable.load checks, ascending:
+    k = max(1, n_max // 100) of the rows 1..n_max (all of them if fewer),
+    one in each of k strata of widths within one of each other, at an
+    offset in stratum i = 0..k-1 from a Fibonacci hash: the top 32 bits of
+    (i + 1) * 0x9E3779B97F4A7C15 mod 2**64, mod the stratum's width."""
+    k = min(max(1, n_max // 100), n_max)
+    starts = 1 + np.arange(k + 1) * n_max // max(k, 1)
+    mix = (np.arange(1, k + 1, dtype=np.uint64)
+           * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(32))
+    offset = mix % np.diff(starts).astype(np.uint64)
+    return starts[:-1] + offset.astype(np.int64)
+
+
 @dataclass
 class HTable:
     """Normalization constants h_0..h_n_max for one weight sequence."""
@@ -295,12 +310,13 @@ class HTable:
     def load(cls, path: str, weight: WeightSequence) -> "HTable":
         """The table saved at path for weight, checked: its header (magic,
         version, weight digest and row count) must match, every mantissa
-        must be 0 or in [1, 2), and its sampled recurrence residuals
-        (recurrence_residuals) must be at most 1e-9 on max(1, n_max // 100)
-        rows drawn by default_rng(0), else ValueError names the first
-        failing row.  A NaN fails both tests.  Each row's sum is O(n), so
-        the check is O(n_max^2), by one theta split and one reversed copy
-        of the table for all its rows."""
+        must be 0 or in [1, 2), and its recurrence residuals
+        (recurrence_residuals) must be at most 1e-9 on the rows
+        residual_rows(n_max), one in each hundred, else ValueError names
+        the first failing row.  A NaN fails both tests.  Each row's sum is
+        O(n), so the check is O(n_max^2), by one theta split and one
+        reversed copy of the table for all its rows.  The rows are fixed,
+        so a load draws no random numbers."""
         with open(path, "rb") as f:
             if f.read(4) != _MAGIC:
                 raise ValueError(f"{path}: bad magic, not an HTable cache")
@@ -323,9 +339,7 @@ class HTable:
         bad = np.flatnonzero(~((tab.mant == 0.0)
                                | ((tab.mant >= 1.0) & (tab.mant < 2.0))))
         if not bad.size:
-            k = min(max(1, tab.n_max // 100), tab.n_max)
-            rows = np.random.default_rng(0).choice(tab.n_max, k,
-                                                   replace=False) + 1
+            rows = residual_rows(tab.n_max)
             bad = rows[~(tab.recurrence_residuals(rows) <= 1e-9)]
         if bad.size:
             raise ValueError(f"{path}: mantissa or recurrence residual "
@@ -353,9 +367,15 @@ def _ratio(m1: float, e1: int, m2: float, e2: int) -> float:
 
 
 def _times_pow2(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m * 2**x without intermediate overflow; floor(x) must be exact."""
+    """m * 2**x without intermediate overflow, written over x, which the
+    caller gives up; floor(x) must be exact."""
     fl = np.floor(x)
-    return np.ldexp(m * np.exp2(x - fl), fl.astype(np.int64))
+    x -= fl
+    ex = fl.astype(np.int64)
+    del fl
+    np.exp2(x, out=x)
+    x *= m
+    return np.ldexp(x, ex, out=x)
 
 
 # 2^0, 2^-1, ..., 2^-1020, then 0 for every larger shift
@@ -402,7 +422,8 @@ def _middle_product(x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarra
     """Entries lo..hi-1 of the linear convolution x*y, for len(x) <= lo: a
     cyclic FFT of length >= len(y) aliases only onto indices below len(x)."""
     size = 1 << (len(y) - 1).bit_length()
-    f = np.fft.rfft(x, size) * np.fft.rfft(y, size)
+    f = np.fft.rfft(x, size)
+    f *= np.fft.rfft(y, size)
     return np.fft.irfft(f, size)[lo:hi]
 
 
@@ -440,6 +461,40 @@ def _leaf_solve(cross: np.ndarray, u: np.ndarray, s: int) -> np.ndarray:
     return rev[::-1]
 
 
+def _tilted(i: int, j: int, slope: float, base=None) -> np.ndarray:
+    """k * slope + base (base None: 0) for k = i..j-1, as one new float
+    array, with no index or temporary array: the same bits as
+    base - k * -slope, as negation is exact and addition commutes."""
+    x = np.arange(i, j, dtype=np.float64)
+    x *= slope
+    if base is not None:
+        x += base
+    return x
+
+
+def _window_start(mant: np.ndarray, expo: np.ndarray, log_c: np.ndarray,
+                  lo: int, a: int, tilt: float) -> int:
+    """The window start of exp_coefficients: the first row j of lo..a-1
+    whose tilted log2 relative to row a, plus the largest tilted
+    lu_k = log2 c_k - k tilt it can still meet (k >= a - j), is at least
+    log2(a) - _WINDOW_BITS.  lu_k is made for k <= a - lo, and the max of
+    the rest in chunks of _CHUNK, so no array outlives the call or holds
+    more than the window or a chunk."""
+    top = -math.inf
+    for k in range(a - lo + 1, len(log_c) - lo, _CHUNK):
+        end = min(k + _CHUNK, len(log_c) - lo)
+        top = max(top, float(np.max(_tilted(k, end, -tilt, log_c[k:end]))))
+    # lu_k for k = a-lo down to 1, then their running max: the reach of
+    # rows lo..a-1
+    reach = _tilted(lo - a, 0, tilt, log_c[a - lo:0:-1])
+    np.maximum.accumulate(reach, out=reach)
+    np.maximum(reach, top, out=reach)
+    with np.errstate(divide="ignore"):  # zero rows have log -inf
+        reach += _tilted(lo - a, 0, -tilt, np.log2(mant[lo:a] / mant[a])
+                         + (expo[lo:a] - expo[a]))
+    return lo + int(np.argmax(reach >= math.log2(a) - _WINDOW_BITS))
+
+
 def exp_coefficients(c: np.ndarray, n_max: int):
     """Coefficients b_0..b_n_max of exp(A(t)) as (mantissa, exponent) arrays.
 
@@ -459,7 +514,6 @@ def exp_coefficients(c: np.ndarray, n_max: int):
     c[0] = 0.0
     log_c = np.log2(c, out=np.full(n_max + 1, -np.inf), where=c > 0)
     gaps = not np.all(c[1:] > 0)
-    ks = np.arange(n_max + 1)
     mant = np.zeros(n_max + 1)
     expo = np.zeros(n_max + 1, dtype=np.int64)
     mant[0] = 1.0
@@ -477,19 +531,12 @@ def exp_coefficients(c: np.ndarray, n_max: int):
         tilt = (round((slope - bend * (e - 1 - a) / 2) * 2 ** _TILT_BITS)
                 / 2 ** _TILT_BITS)
         if a > lo:
-            with np.errstate(divide="ignore"):  # zero rows have log -inf
-                lhist = (np.log2(mant[lo:a] / mant[a]) + (expo[lo:a] - expo[a])
-                         - np.arange(lo - a, 0) * tilt)
-            lu = log_c[1:n_max + 1 - lo] - ks[1:n_max + 1 - lo] * tilt
-            # max of lu[k:] for k = a-lo-1 down to 0, the reach of rows lo..a-1
-            reach = np.maximum(np.maximum.accumulate(lu[a - lo - 1::-1]),
-                               np.max(lu[a - lo:]))
-            lo += int(np.argmax(lhist + reach >= math.log2(a) - _WINDOW_BITS))
+            lo = _window_start(mant, expo, log_c, lo, a, tilt)
         H, B = s - lo, e - s
         with np.errstate(over="ignore", invalid="ignore"):
-            hist = _times_pow2(mant[lo:s] / mant[a], (expo[lo:s] - expo[a])
-                               - np.arange(lo - a, s - a) * tilt)
-            u = _times_pow2(c[:e - lo], -np.arange(e - lo) * tilt)
+            hist = _times_pow2(mant[lo:s] / mant[a], _tilted(
+                lo - a, s - a, -tilt, expo[lo:s] - expo[a]))
+            u = _times_pow2(c[:e - lo], _tilted(0, e - lo, -tilt))
             cross = _middle_product(hist, u, H, H + B)
             # round-off must not fill rows whose every term is zero
             zero = gaps and _middle_product((mant[lo:s] != 0).astype(np.float64),

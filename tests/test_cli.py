@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -136,6 +139,26 @@ def test_htable_cache_and_sample(tmp_path, capsys):
     rows = [json.loads(line) for line in open(out)]
     assert len(rows) == 10
     assert all(sum(m * c for m, c in r["cycles"]) == 200 for r in rows)
+
+
+def test_htable_imports_no_numpy_random(tmp_path):
+    # htable cold (build, save), then warm (load, check the residual rows)
+    # in a fresh interpreter: neither draws a random number, so neither
+    # imports numpy.random
+    probe = ("import sys\n"
+             "from cycleweights.cli import run_command\n"
+             f"argv = ['htable', '--alpha', '1', '--n', '300', "
+             f"'--cache-dir', {str(tmp_path)!r}]\n"
+             "print(run_command(argv), run_command(argv),\n"
+             "      'numpy.random' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    cold, warm, last = out.stdout.splitlines()
+    assert cold == warm and cold.startswith("htable ready: n_max=300 ")
+    assert last == "0 0 False"
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_cache_keeps_weights_that_format_alike_apart(tmp_path, capsys):

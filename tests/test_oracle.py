@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -168,10 +169,8 @@ def test_recurrence_residuals_match_one_row_reference(w):
     n_max = 3000
     tab = cw.build_h_table(w, n_max)
     zero_h4 = tab.mant[4] == 0.0
-    rows = np.concatenate([
-        np.random.default_rng(0).choice(np.arange(1, n_max + 1),
-                                        size=n_max // 100, replace=False),
-        np.arange(1, 41), [n_max]])
+    rows = np.concatenate([oracle.residual_rows(n_max), np.arange(1, 41),
+                           [n_max]])
     for case in ("built", "tampered"):
         got = tab.recurrence_residuals(rows)
         want = np.array([residual_reference(tab, int(n)) for n in rows])
@@ -250,6 +249,23 @@ def test_kernel_full_sum_residual_alpha3():
     tab = cw.build_h_table(cw.polynomial(3.0), 20000)
     rows = np.random.default_rng(5).choice(np.arange(1, 20001), 200, replace=False)
     assert max(tab.recurrence_residuals(rows)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha,bound", [(0.5, 5.0), (1.0, 3.0)])
+def test_build_working_memory_follows_the_table(alpha, bound):
+    # the build's traced peak over the table's bytes at n = 1e5 was 4.43
+    # (alpha 0.5) and 2.72 (alpha 1) when these bounds were set; one
+    # window-cut array as long as the table, kept through each block,
+    # reads 3.71 at alpha 1 (tools/mutants.py build-keeps-window-arrays)
+    w = cw.polynomial(alpha)
+    cw.build_h_table(w, 100)  # first calls outside the trace
+    tracemalloc.start()
+    try:
+        tab = cw.build_h_table(w, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * (tab.mant.nbytes + tab.expo.nbytes)
 
 
 def row_by_row_solve(cross, u, s):
@@ -494,9 +510,12 @@ def test_htable_cache_rejects_wrong_family(tmp_path):
 
 
 def test_htable_cache_detects_corruption(tmp_path):
+    # every even row times 1.25 before saving, each mantissa kept in
+    # [1, 2): only the sampled residuals can see it
     tab = cw.build_h_table(cw.polynomial(1.0), 200)
     path = str(tmp_path / "t.cwht")
-    tab.mant[2::2] *= 1.25  # corrupt entries before saving
+    m, e = np.frexp(tab.mant[2::2] * 1.25)
+    tab.mant[2::2], tab.expo[2::2] = 2.0 * m, tab.expo[2::2] + e - 1
     tab.save(path)
     with pytest.raises(ValueError, match="residual"):
         cw.HTable.load(path, cw.polynomial(1.0))
@@ -509,6 +528,21 @@ def test_htable_cache_rejects_other_table(tmp_path):
     with pytest.raises(ValueError, match="other weights"):
         cw.HTable.load(path, cw.table([1.0, 5.0, 3.0]))
     assert cw.HTable.load(path, cw.table([1.0, 2.0, 3.0])).n_max == 100
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 99, 199, 200, 2000, 12345,
+                                   10**6])
+def test_residual_rows_spread_one_per_stratum(n_max):
+    # max(1, n_max // 100) rows (all of them below), one in each stratum
+    # of 1..n_max, the same at every call
+    rows = oracle.residual_rows(n_max).tolist()
+    k = min(max(1, n_max // 100), n_max)
+    assert len(rows) == k
+    edges = [1 + i * n_max // max(k, 1) for i in range(k + 1)]
+    assert all(lo <= r < hi for r, lo, hi in zip(rows, edges, edges[1:]))
+    assert oracle.residual_rows(n_max).tolist() == rows
+    if n_max == 2000:
+        assert rows[:3] == [70, 143, 213]
 
 
 def test_htable_cache_rejects_truncated(tmp_path):

@@ -844,13 +844,15 @@ def test_key_type_limit():
 
 
 def test_config_refuses_n_past_the_keys():
-    # the largest n has chunks of one sample; the next has none, and its
-    # config is refused when made, with no table to check it against
-    assert smp._chunk_size(smp._MAX_N) == 1
-    assert smp._chunk_size(smp._MAX_N + 1) == 0
-    cw.SamplerConfig(n=smp._MAX_N, num_samples=1, seed=0)
-    with pytest.raises(CapacityError, match=f"n={smp._MAX_N + 1} exceeds"):
-        cw.SamplerConfig(n=smp._MAX_N + 1, num_samples=1, seed=0)
+    # the largest n, 2^31 - 2, has chunks of one sample; the next has none,
+    # and its config is refused when made, with no table to check it
+    # against.  The limit is a literal here: read from _MAX_N, it would
+    # follow a raised limit whose row bounds count * (n + 1) overflow int32
+    assert smp._chunk_size(2**31 - 2) == 1
+    assert smp._chunk_size(2**31 - 1) == 0
+    cw.SamplerConfig(n=2**31 - 2, num_samples=1, seed=0)
+    with pytest.raises(CapacityError, match=f"n={2**31 - 1} exceeds"):
+        cw.SamplerConfig(n=2**31 - 1, num_samples=1, seed=0)
 
 
 def test_refill_past_read_ahead():

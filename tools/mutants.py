@@ -120,6 +120,26 @@ MUTANTS = [
            "                                     np.roll(rev_e[-n - 1:], 1))",
            ("tests/test_oracle.py::"
             "test_recurrence_residuals_match_one_row_reference",)),
+    # the h-table build's working memory and the load's residual rows
+    Mutant("build-keeps-window-arrays", "oracle.py",
+           "            lo = _window_start(mant, expo, log_c, lo, a, tilt)\n",
+           "            lu = (log_c[1:n_max + 1 - lo]\n"
+           "                  - np.arange(1, n_max + 1 - lo) * tilt)\n"
+           "            lo = _window_start(mant, expo, log_c, lo, a, tilt)\n",
+           ("tests/test_oracle.py::"
+            "test_build_working_memory_follows_the_table[1.0-3.0]",)),
+    Mutant("load-checks-no-rows", "oracle.py",
+           "    k = min(max(1, n_max // 100), n_max)\n",
+           "    k = 0\n",
+           ("tests/test_oracle.py::test_htable_cache_detects_corruption",
+            "tests/test_cli.py::"
+            "test_htable_cache_row_off_scale_is_validation_error")),
+    Mutant("load-rows-by-default-rng", "oracle.py",
+           "            rows = residual_rows(tab.n_max)\n",
+           "            rows = np.random.default_rng(0).choice(\n"
+           "                tab.n_max, min(max(1, tab.n_max // 100), tab.n_max),\n"
+           "                replace=False) + 1\n",
+           ("tests/test_cli.py::test_htable_imports_no_numpy_random",)),
     Mutant("row-scaled-without-avx512-spr", "oracle.py",
            "    return HTable(weight=w, n_max=n_max, mant=hm, expo=he)\n",
            '    if "AVX512_SPR" in __import__("os").environ.get(\n'
@@ -166,12 +186,11 @@ MUTANTS = [
            "field(default=None, init=False, repr=False)",
            "field(default=None, repr=False)",
            ("tests/test_weights.py::test_fit_alpha_is_not_an_argument",)),
-    # test_config_refuses_n_past_the_keys, which caught it when it was
-    # recorded, reads the limit from _MAX_N itself and no longer does
     Mutant("key-limit-one-up", "sampler.py",
            "_MAX_N = 2**31 - 2\n",
            "_MAX_N = 2**31 - 1\n",
            ("tests/test_sampler.py::test_key_type_limit",
+            "tests/test_sampler.py::test_config_refuses_n_past_the_keys",
             "tests/test_cli.py::"
             "test_n_past_sampler_keys_is_refused_before_any_build")),
     Mutant("sample-builds-before-config", "cli.py",
