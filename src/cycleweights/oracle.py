@@ -69,8 +69,10 @@ class Columns(NamedTuple):
     Row i holds pairs starts[i] up to starts[i + 1] (or the end), with m
     ascending, so a row's longest cycles are its last pairs.  A sampler
     chunk is one Columns, and each of its samples a CycleType row of it.
+    Columns compare and hash by identity, not by their arrays.
     """
 
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
     starts: np.ndarray
     m: np.ndarray
     c: np.ndarray
@@ -266,9 +268,10 @@ def residual_rows(n_max: int) -> np.ndarray:
     return starts[:-1] + offset.astype(np.int64)
 
 
-@dataclass
+@dataclass(eq=False)
 class HTable:
-    """Normalization constants h_0..h_n_max for one weight sequence."""
+    """Normalization constants h_0..h_n_max for one weight sequence.
+    Tables compare and hash by identity, not by their arrays."""
 
     weight: WeightSequence
     n_max: int
@@ -418,13 +421,14 @@ def _scaled_dot(cm: np.ndarray, ce: np.ndarray, mant: np.ndarray,
     return float(np.sum(m)), top
 
 
-def _middle_product(x: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Entries lo..hi-1 of the linear convolution x*y, for len(x) <= lo: a
-    cyclic FFT of length >= len(y) aliases only onto indices below len(x)."""
-    size = 1 << (len(y) - 1).bit_length()
-    f = np.fft.rfft(x, size)
-    f *= np.fft.rfft(y, size)
-    return np.fft.irfft(f, size)[lo:hi]
+def _middle_product(fx: np.ndarray, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Entries lo..hi-1 of the linear convolution x*y, for len(x) <= lo,
+    from fx = np.fft.rfft(x, size), which the caller gives up, for an even
+    size >= len(y): a cyclic FFT of that length aliases only onto indices
+    below len(x)."""
+    size = 2 * (len(fx) - 1)
+    fx *= np.fft.rfft(y, size)
+    return np.fft.irfft(fx, size)[lo:hi]
 
 
 def _leaf_solve(cross: np.ndarray, u: np.ndarray, s: int) -> np.ndarray:
@@ -533,21 +537,27 @@ def exp_coefficients(c: np.ndarray, n_max: int):
         if a > lo:
             lo = _window_start(mant, expo, log_c, lo, a, tilt)
         H, B = s - lo, e - s
+        nfft = 1 << (e - lo - 1).bit_length()  # even: e - lo >= 2
         with np.errstate(over="ignore", invalid="ignore"):
             hist = _times_pow2(mant[lo:s] / mant[a], _tilted(
                 lo - a, s - a, -tilt, expo[lo:s] - expo[a]))
             u = _times_pow2(c[:e - lo], _tilted(0, e - lo, -tilt))
-            cross = _middle_product(hist, u, H, H + B)
-            # round-off must not fill rows whose every term is zero
-            zero = gaps and _middle_product((mant[lo:s] != 0).astype(np.float64),
-                                            (c[:e - lo] != 0).astype(np.float64),
-                                            H, H + B) < 0.5
-            cross = np.where(zero, 0.0, np.maximum(cross, 0.0))
-            rows = _leaf_solve(cross, u, s)
             # each FFT entry carries round-off of about eps*|hist|*|u|; the
-            # norms are summed by einsum, as BLAS runs long dots in threads
+            # norms are summed by einsum, as BLAS runs long dots in threads.
+            # hist is read only through its transform after this, and u
+            # only up to the block's size
             noise = (math.sqrt(np.einsum("i,i", hist, hist))
                      * math.sqrt(np.einsum("i,i", u, u)) * 2.0 ** -_NOISE_BITS)
+            hist = np.fft.rfft(hist, nfft)
+            cross = _middle_product(hist, u, H, H + B)
+            del hist
+            u = u[:B].copy()
+            # round-off must not fill rows whose every term is zero
+            zero = gaps and _middle_product(
+                np.fft.rfft((mant[lo:s] != 0).astype(np.float64), nfft),
+                (c[:e - lo] != 0).astype(np.float64), H, H + B) < 0.5
+            cross = np.where(zero, 0.0, np.maximum(cross, 0.0))
+            rows = _leaf_solve(cross, u, s)
             fast = (math.isfinite(noise) and np.max(rows) < 2.0 ** 1000
                     and np.all(zero | (rows * np.arange(s, e) >= noise)))
         if fast:

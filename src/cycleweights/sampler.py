@@ -20,7 +20,9 @@ drawn by an inverse-CDF scan in increasing k with early stopping, whose
 length telescopes with the removed cycle lengths: O(n) per sample.
 
 One vectorised kernel scans the first cycles of many rows at once, side
-by side in doubling blocks.  The first block of every row m <= 16 is the
+by side in doubling blocks, each row reading log h_{m-k} from a window on
+one reversed copy of log h padded with -inf, which is also the only log h
+the sampler holds.  The first block of every row m <= 16 is the
 same on every draw, so the sampler tabulates its CDF once, with the
 scan's own arithmetic, a column per k, and a group of rows that are all
 <= 16 counts the CDF values below each row's uniform a column at a time,
@@ -49,15 +51,18 @@ or more where all are smaller.  A chunk writes each first cycle as the
 int32 key sample * (n + 1) + length, which the cap above keeps below
 2^31, into one buffer sized by the expected number of cycles, and counts
 C_m from the runs of its sorted keys, in int32 arrays only, into one
-Columns of read-only int32 arrays.  Where samples average fewer than
-_FEW_RUNS (8) runs, as at n = 6 (1.9), its row starts cumulate each
-sample's run count, in O(runs), and m is the key less sample * (n + 1);
-where they average more, as at n = 2 * 10^4 (113), the row starts are
-binary-searched, in O(samples log runs), and m is the key's remainder,
-taken in place a block of keys at a time.  Each of its samples is
-handed out as a CycleType row handle on it, with no per-sample array:
-the tuple (cols, start, end), built by tuple's own constructor from one
-zip of the row bounds, with no Python frame per sample.  Sample i reads
+Columns of read-only int32 arrays: the keys at the run starts are one
+boolean gather, and the run lengths the differences of the run starts'
+positions, written into the counts in one blockwise pass.  Where samples
+average fewer than _FEW_RUNS (8) runs, as at n = 6 (1.9), its row starts
+cumulate each sample's run count, in O(runs), and m is the key less
+sample * (n + 1); where they average more, as at n = 2 * 10^4 (113), the
+row starts are binary-searched, in O(samples log runs), and m is the
+key's remainder, taken in place a block of keys at a time.  Each of its
+samples is handed out as a CycleType row handle on it, with no
+per-sample array: the tuple (cols, start, end), built by tuple's own
+constructor from one zip of the row bounds, with no Python frame per
+sample.  Sample i reads
 its uniforms, in order, from its own counter-based random stream keyed
 by (seed, i), the same number at every step: one where no row of the
 draw has an envelope (n <= 16, or tables), else one for the scan or the
@@ -327,14 +332,15 @@ class CycleTypeSampler:
         self.h = replace(h)
         n = h.n_max
         self.log_theta = theta_log_array(h.weight, n)
-        self.log_h = h.log_array()
-        # scan inputs: -log m - log h_m per m, and the log h windows: row
-        # n - m, column k holds log h_{m-k}, read from the reversed log h
-        # padded with -inf, so that k > m has probability 0
+        # the log h windows: row n - m, column k holds log h_{m-k}, read
+        # from the reversed log h padded with -inf, so that k > m has
+        # probability 0.  log h is held once, as its reversed view
+        h_rev = np.concatenate((h.log_array()[::-1], np.full(n, -np.inf)))
+        self._windows = sliding_window_view(h_rev, n + 1)
+        self.log_h = h_rev[n::-1]
+        # scan inputs: -log m - log h_m per m
         with np.errstate(divide="ignore"):
             self._scan_base = -np.log(np.arange(n + 1)) - self.log_h
-        h_rev = np.concatenate((self.log_h[::-1], np.full(n, -np.inf)))
-        self._windows = sliding_window_view(h_rev, n + 1)
         # the first scan block of each row m <= _SCAN_BLOCK, cumulated with
         # the scan's own arithmetic and stored by column: row j, column m
         # holds row m's CDF at k = j + 1, and its total from k = m on.
@@ -586,12 +592,12 @@ class CycleTypeSampler:
         not depend on L.
 
         The chunk's first-cycle keys are sorted, and C_m of each (sample,
-        length) is the length of a run of equal keys.  The run starts'
-        positions are found a block of keys at a time; the keys there,
-        which give m, are read before the keys are freed, and the run
-        lengths are the positions' differences, taken in place; the row
-        starts and m come from _split_keys.  Every array as long as the
-        chunk's pairs is int32."""
+        length) is the length of a run of equal keys.  The keys at the run
+        starts, which give m, are taken by one boolean gather before the
+        keys are freed; the run starts' positions are written into the
+        counts a block of keys at a time, and the run lengths are their
+        differences, taken in place; the row starts and m come from
+        _split_keys.  Every array as long as the chunk's pairs is int32."""
         d = 1 + (self._width if self._envelope[:n + 1].any() else 0)
         # steps per refill: a read-ahead of whole Philox blocks that covers
         # the expected steps, where that is below min(n, _LOOKAHEAD)
@@ -654,25 +660,17 @@ class CycleTypeSampler:
         first = np.empty(drawn, dtype=bool)
         first[0] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        pairs = np.count_nonzero(first)
-
-        def at_run_starts(put: Callable[[np.ndarray, np.ndarray], None]
-                          ) -> np.ndarray:
-            # put(at, dst) for the run starts' positions at, _BUFFER // 4
-            # keys at a time (int64 positions of 2^17 bytes), into
-            # consecutive slices dst of one int32 array
-            out = np.empty(pairs, dtype=np.int32)
-            done = 0
-            for i in range(0, drawn, _BUFFER // 4):
-                at = np.flatnonzero(first[i:i + _BUFFER // 4])
-                at += i
-                put(at, out[done:done + at.size])
-                done += at.size
-            return out
-
-        runs = at_run_starts(lambda at, dst: np.take(keys, at, out=dst))
+        runs = keys[first]
         del keys
-        counts = at_run_starts(lambda at, dst: np.copyto(dst, at))
+        # the run starts' positions, _BUFFER // 4 keys at a time (int64
+        # positions of 2^17 bytes), written into the int32 counts
+        counts = np.empty(runs.size, dtype=np.int32)
+        done = 0
+        for i in range(0, drawn, _BUFFER // 4):
+            at = np.flatnonzero(first[i:i + _BUFFER // 4])
+            at += i
+            counts[done:done + at.size] = at
+            done += at.size
         del first
         # the run lengths: the differences of the run starts' positions
         np.subtract(counts[1:], counts[:-1], out=counts[:-1])

@@ -251,12 +251,14 @@ def test_kernel_full_sum_residual_alpha3():
     assert max(tab.recurrence_residuals(rows)) <= 1e-12
 
 
-@pytest.mark.parametrize("alpha,bound", [(0.5, 5.0), (1.0, 3.0)])
+@pytest.mark.parametrize("alpha,bound", [(0.5, 5.0), (0.5, 4.25), (1.0, 3.0)])
 def test_build_working_memory_follows_the_table(alpha, bound):
     # the build's traced peak over the table's bytes at n = 1e5 was 4.43
-    # (alpha 0.5) and 2.72 (alpha 1) when these bounds were set; one
-    # window-cut array as long as the table, kept through each block,
-    # reads 3.71 at alpha 1 (tools/mutants.py build-keeps-window-arrays)
+    # (alpha 0.5) and 2.72 (alpha 1) when the bounds 5.0 and 3.0 were set,
+    # and 4.10 at alpha 0.5 once each block let go of its history after its
+    # transform (the bound 4.25); one window-cut array as long as the
+    # table, kept through each block, reads 3.71 at alpha 1
+    # (tools/mutants.py build-keeps-window-arrays)
     w = cw.polynomial(alpha)
     cw.build_h_table(w, 100)  # first calls outside the trace
     tracemalloc.start()

@@ -990,6 +990,37 @@ def test_handles_are_read_only_tuples(small_table):
     assert len({*one, *two, one[0]}) == 100
 
 
+def test_tables_and_chunks_compare_by_identity(small_table):
+    # two tables, and two batches' chunks, that hold equal arrays are not
+    # equal, and ==, membership and hashing never compare their arrays
+    w = cw.polynomial(1.0)
+    again = cw.build_h_table(w, small_table.n_max)
+    one, two = (next(cw.sample_batch(w, tab, cw.SamplerConfig(6, 50, 3))).cols
+                for tab in (small_table, again))
+    for a, b in ((small_table, again), (one, two)):
+        assert a != b and not a == b and a == a
+        assert a in [b, a] and b not in [a]
+        assert hash(a) != hash(b) and len({a, b, a}) == 2
+    assert all(np.array_equal(x, y) for x, y in zip(one[:3], two[:3]))
+    assert np.array_equal(small_table.mant, again.mant)
+
+
+def test_sampler_holds_few_bytes_per_row():
+    # what a sampler holds besides its table: log theta, log h once (as
+    # the reversed, padded array its windows read), the scan base and the
+    # envelope's arrays.  4.57 table bytes at n = 1e5 when this bound was
+    # set, 5.07 with log h held twice
+    tab = cw.build_h_table(cw.polynomial(1.0), 10**5)
+    tracemalloc.start()
+    try:
+        kept = smp.CycleTypeSampler(tab)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept.h.mant is tab.mant
+    assert held <= 4.8 * (tab.mant.nbytes + tab.expo.nbytes)
+
+
 def test_substream_keys_distinct():
     keys = set(smp.substream_keys(42, range(10000)).tolist())
     assert len(keys) == 10000

@@ -62,9 +62,9 @@ MUTANTS = [
     # every log h window one row off (row n - m + 1), in the scan and in
     # the tabulated rows m <= 16
     Mutant("log-h-window-row-off", "sampler.py",
-           "        h_rev = np.concatenate((self.log_h[::-1], np.full(n, -np.inf)))\n",
-           "        h_rev = np.concatenate((self.log_h[::-1][1:],\n"
-           "                                np.full(n + 1, -np.inf)))\n",
+           "        self._windows = sliding_window_view(h_rev, n + 1)\n",
+           "        self._windows = sliding_window_view(\n"
+           "            np.append(h_rev[1:], -np.inf), n + 1)\n",
            tuple(LAWS + f"[{case}]" for case in
                  ("poly0.5", "poly3", "poly5", "ewens2", "table1001"))),
     # the first-cycle kernel against its one-row reference
@@ -128,6 +128,13 @@ MUTANTS = [
            "            lo = _window_start(mant, expo, log_c, lo, a, tilt)\n",
            ("tests/test_oracle.py::"
             "test_build_working_memory_follows_the_table[1.0-3.0]",)),
+    Mutant("build-keeps-history", "oracle.py",
+           "            hist = np.fft.rfft(hist, nfft)\n"
+           "            cross = _middle_product(hist, u, H, H + B)\n"
+           "            del hist\n",
+           "            cross = _middle_product(np.fft.rfft(hist, nfft), u, H, H + B)\n",
+           ("tests/test_oracle.py::"
+            "test_build_working_memory_follows_the_table[0.5-4.25]",)),
     Mutant("load-checks-no-rows", "oracle.py",
            "    k = min(max(1, n_max // 100), n_max)\n",
            "    k = 0\n",
@@ -147,6 +154,10 @@ MUTANTS = [
            "        hm[n_max // 2] *= 1 + 1e-11\n"
            "    return HTable(weight=w, n_max=n_max, mant=hm, expo=he)\n",
            (DISPATCH,)),
+    Mutant("tables-compare-arrays", "oracle.py",
+           "@dataclass(eq=False)\nclass HTable:\n",
+           "@dataclass\nclass HTable:\n",
+           ("tests/test_sampler.py::test_tables_and_chunks_compare_by_identity",)),
     # the saddle, and the sums it reads
     Mutant("ewens-b-n-times-1+1e-11", "asymptotics.py",
            "1: a / one_minus_z}",
@@ -229,6 +240,10 @@ MUTANTS = [
            "        runs -= sample * (n + 1)\n",
            "        runs -= sample * n\n",
            (ROW_STARTS,)),
+    Mutant("run-starts-unshifted", "sampler.py",
+           "            at += i\n",
+           "",
+           (ROW_STARTS, LAWS + "[poly3]")),
     Mutant("row-start-paths-swapped", "sampler.py",
            "    if runs.size < _FEW_RUNS * count:\n",
            "    if runs.size >= _FEW_RUNS * count:\n",
