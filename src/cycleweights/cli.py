@@ -96,7 +96,7 @@ def cmd_htable(args) -> int:
         os.makedirs(args.cache_dir, exist_ok=True)
         tab.save(path)
     print(f"htable ready: n_max={tab.n_max} "
-          f"log h_n={tab.log_array()[tab.n_max]:.6f}")
+          f"log h_n={tab.log_array(tab.n_max)[0]:.6f}")
     return EXIT_OK
 
 

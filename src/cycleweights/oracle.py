@@ -247,11 +247,20 @@ def enumerate_cycle_types(w: WeightSequence, n: int
 
 def _weight_digest(w: WeightSequence) -> bytes:
     """SHA-256 of the family name and its exact parameters or table values."""
-    import hashlib  # only the cache needs it; loads libcrypto, so kept off import
+    # CPython's own SHA-256, taken as random.py takes its SHA-512: the same
+    # bytes as hashlib's, without mapping OpenSSL's libcrypto, as hashlib
+    # does.  Imported here, as only the cache needs it.
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10, 3.11
+        except ImportError:
+            from hashlib import sha256
     params = {"polynomial": (w.alpha,), "ewens": (w.vartheta,),
               "table": w.values}[w.family]
-    return hashlib.sha256(w.family.encode()
-                          + np.asarray(params, dtype="<f8").tobytes()).digest()
+    return sha256(w.family.encode()
+                  + np.asarray(params, dtype="<f8").tobytes()).digest()
 
 
 def residual_rows(n_max: int) -> np.ndarray:
@@ -278,22 +287,27 @@ class HTable:
     mant: np.ndarray  # float64, mantissas in [1,2) (or 0)
     expo: np.ndarray  # int64
 
-    def log_array(self) -> np.ndarray:
-        """Natural logs of h_0..h_n_max; -inf where h_m = 0."""
-        logm = np.log(self.mant, out=np.full(self.n_max + 1, -np.inf),
-                      where=self.mant > 0)
-        return logm + self.expo * math.log(2.0)
+    def log_array(self, start: int = 0) -> np.ndarray:
+        """Natural logs of h_start..h_n_max; -inf where h_m = 0."""
+        mant = self.mant[start:]
+        logm = np.log(mant, out=np.full(mant.size, -np.inf), where=mant > 0)
+        return logm + self.expo[start:] * math.log(2.0)
 
     def recurrence_residuals(self, rows) -> np.ndarray:
         """Relative residual of n*h_n against the full convolution sum
         sum_k theta_k h_{n-k}, at each n of rows: 0 at a zero row whose
-        terms are all zero, inf at one whose terms are not.  theta is split
-        and the table reversed once, so each row is one _scaled_dot over
+        terms are all zero, inf at one whose terms are not.  A row that is
+        not an integer in 1..n_max is a CapacityError.  theta is split and
+        the table reversed once, so each row is one _scaled_dot over
         contiguous slices."""
+        rows = np.asarray(rows)
+        bad = rows[~((rows >= 1) & (rows <= self.n_max) & (rows % 1 == 0))]
+        if bad.size:
+            raise CapacityError(f"n={bad[0]} outside table range 1..{self.n_max}")
         cm, ce = _split(theta_array(self.weight, self.n_max))
         rev_m, rev_e = self.mant[::-1].copy(), self.expo[::-1].copy()
         out = np.empty(len(rows))
-        for i, n in enumerate(map(int, rows)):
+        for i, n in enumerate(map(int, rows.tolist())):
             total, top = _scaled_dot(cm[:n + 1], ce[:n + 1], rev_m[-n - 1:],
                                      rev_e[-n - 1:])
             if self.mant[n] == 0.0:

@@ -141,23 +141,25 @@ def test_htable_cache_and_sample(tmp_path, capsys):
     assert all(sum(m * c for m, c in r["cycles"]) == 200 for r in rows)
 
 
-def test_htable_imports_no_numpy_random(tmp_path):
+def test_htable_imports_no_numpy_random_or_openssl(tmp_path):
     # htable cold (build, save), then warm (load, check the residual rows)
     # in a fresh interpreter: neither draws a random number, so neither
-    # imports numpy.random
+    # imports numpy.random, and the weight digest is CPython's own SHA-256,
+    # so neither imports hashlib, which maps OpenSSL's libcrypto
     probe = ("import sys\n"
              "from cycleweights.cli import run_command\n"
              f"argv = ['htable', '--alpha', '1', '--n', '300', "
              f"'--cache-dir', {str(tmp_path)!r}]\n"
              "print(run_command(argv), run_command(argv),\n"
-             "      'numpy.random' in sys.modules)\n")
+             "      [m for m in ('numpy.random', 'hashlib', '_hashlib')\n"
+             "       if m in sys.modules])\n")
     src = os.path.dirname(os.path.dirname(oracle.__file__))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": src})
     cold, warm, last = out.stdout.splitlines()
     assert cold == warm and cold.startswith("htable ready: n_max=300 ")
-    assert last == "0 0 False"
+    assert last == "0 0 []"
     assert len(list(tmp_path.iterdir())) == 1
 
 

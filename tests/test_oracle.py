@@ -1,6 +1,9 @@
 import collections
 import hashlib
 import math
+import re
+import struct
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -530,6 +533,33 @@ def test_htable_cache_rejects_other_table(tmp_path):
     with pytest.raises(ValueError, match="other weights"):
         cw.HTable.load(path, cw.table([1.0, 5.0, 3.0]))
     assert cw.HTable.load(path, cw.table([1.0, 2.0, 3.0])).n_max == 100
+
+
+@pytest.mark.parametrize("row", [0, 51, -1, 1.5])
+def test_recurrence_residuals_refuse_rows_outside_the_table(row):
+    # unchecked, row 0 divides by zero, 51 indexes past the table, -1
+    # fails to broadcast and 1.5 is read as row 1
+    tab = cw.build_h_table(cw.polynomial(1.0), 50)
+    with pytest.raises(oracle.CapacityError,
+                       match=re.escape(f"n={row} outside table range 1..50")):
+        tab.recurrence_residuals([1, row])
+
+
+@pytest.mark.parametrize("sha2", ["builtin", "hashlib"])
+@pytest.mark.parametrize("w, data", [
+    (cw.polynomial(1.0), b"polynomial" + struct.pack("<d", 1.0)),
+    (cw.ewens(0.3), b"ewens" + struct.pack("<d", 0.3)),
+    (cw.table([1, 0, 0, 1]), b"table" + struct.pack("<4d", 1, 0, 0, 1))],
+    ids=["poly1", "ewens0.3", "table1001"])
+def test_weight_digest_is_sha256_of_family_and_parameters(w, data, sha2,
+                                                          monkeypatch):
+    # the cache's file names and headers carry it: CPython's own SHA-256
+    # and hashlib's fallback, taken where neither _sha2 nor _sha256
+    # imports, give hashlib.sha256's bytes
+    if sha2 == "hashlib":
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert oracle._weight_digest(w) == hashlib.sha256(data).digest()
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 99, 199, 200, 2000, 12345,

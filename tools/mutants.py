@@ -146,7 +146,27 @@ MUTANTS = [
            "            rows = np.random.default_rng(0).choice(\n"
            "                tab.n_max, min(max(1, tab.n_max // 100), tab.n_max),\n"
            "                replace=False) + 1\n",
-           ("tests/test_cli.py::test_htable_imports_no_numpy_random",)),
+           ("tests/test_cli.py::"
+            "test_htable_imports_no_numpy_random_or_openssl",)),
+    Mutant("digest-by-hashlib", "oracle.py",
+           "    try:\n"
+           "        from _sha2 import sha256  # Python 3.12+\n"
+           "    except ImportError:\n"
+           "        try:\n"
+           "            from _sha256 import sha256  # Python 3.10, 3.11\n"
+           "        except ImportError:\n"
+           "            from hashlib import sha256\n",
+           "    from hashlib import sha256\n",
+           ("tests/test_cli.py::"
+            "test_htable_imports_no_numpy_random_or_openssl",)),
+    Mutant("residual-rows-unchecked", "oracle.py",
+           "        bad = rows[~((rows >= 1) & (rows <= self.n_max) & (rows % 1 == 0))]\n"
+           "        if bad.size:\n"
+           "            raise CapacityError(f\"n={bad[0]} outside table range "
+           "1..{self.n_max}\")\n",
+           "",
+           ("tests/test_oracle.py::"
+            "test_recurrence_residuals_refuse_rows_outside_the_table",)),
     Mutant("row-scaled-without-avx512-spr", "oracle.py",
            "    return HTable(weight=w, n_max=n_max, mant=hm, expo=he)\n",
            '    if "AVX512_SPR" in __import__("os").environ.get(\n'
