@@ -43,17 +43,19 @@ the expected steps, so that a sample computes few uniforms it never
 reads.  At alpha = 1 that is 32 uniforms, 8 steps, at n = 2 * 10^4, and
 4 at n = 6, where 99.2% of samples end within 4 steps and the rest take
 a second refill.  One budget of 2^16 cells bounds the work inside a
-chunk: a refill computes its uniforms in Philox tiles of at most 2^16 //
-width keys (2048 at a width of 32; at n = 6 all 10922 of a chunk), and a
-scan group holds max(256, 2^16 // max m) rows, and no block is wider
-than max m, so a group of rows of size <= 16 takes up to 4096 of them,
-or more where all are smaller.  A chunk writes each first cycle as the
-int32 key sample * (n + 1) + length, which the cap above keeps below
-2^31, into one buffer sized by the expected number of cycles, and counts
-C_m from the runs of its sorted keys, in int32 arrays only, into one
-Columns of read-only int32 arrays: the keys at the run starts are one
-boolean gather, and the run lengths the differences of the run starts'
-positions, written into the counts in one blockwise pass.  Where samples
+chunk: a refill of K keys computes its uniforms in ceil(K / cap) Philox
+tiles of equal size, to one key, for cap = 2^16 // width (5000 keys at a
+width of 32 run as 3 tiles of 1667 or 1666; at n = 6 all 10922 of a
+chunk are one tile), and a scan group holds max(256, 2^16 // max m)
+rows, and no block is wider than max m, so a group of rows of size
+<= 16 takes up to 4096 of them, or more where all are smaller.  A chunk
+writes each first cycle as the int32 key sample * (n + 1) + length,
+which the cap above keeps below 2^31, into one buffer sized by the
+expected number of cycles, and counts C_m from the runs of its sorted
+keys, in int32 arrays only, into one Columns of read-only int32 arrays:
+the keys at the run starts are one boolean gather, and the run lengths
+the differences of the run starts' positions, written into the counts in
+one blockwise pass.  Where samples
 average fewer than _FEW_RUNS (8) runs, as at n = 6 (1.9), its row starts
 cumulate each sample's run count, in O(runs), and m is the key less
 sample * (n + 1); where they average more, as at n = 2 * 10^4 (113), the
@@ -86,8 +88,10 @@ The streams are numpy's Philox4x64-10, bit for bit.  Philox maps (key,
 counter) to random words, so a batch computes each refill's uniforms in
 in-place numpy array operations, a tile of keys at a time with keys and
 counters side by side, the first two rounds on the key and counter
-vectors alone;
-substream_rng gives the same stream as a Generator.
+vectors alone.  Round 2's per-key words are computed once per chunk: the
+first fill, whose rows are the whole chunk, reads them as they are, and
+a later refill gathers the running samples'.  substream_rng gives the
+same stream as a Generator.
 """
 
 from __future__ import annotations
@@ -206,16 +210,36 @@ def _philox_mul(m: np.ndarray, c: np.ndarray, lo: np.ndarray = None,
     return c, lo
 
 
-def philox_uniforms(keys: np.ndarray, start: int, count: int,
+def philox_key_words(keys) -> np.ndarray:
+    """Round 2's per-key words of each uint64 key k, one row per key:
+    k + W0 (mod 2^64), and the high and low words of the 128-bit product
+    M0 k.  philox_uniforms reads them in place of the keys, so a caller
+    that refills the same keys computes them once."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    hi, lo = _philox_mul(_M[0, 0, 0], keys.copy())
+    # allocated after the product's work arrays are freed: the other
+    # order grows and trims the heap, and took 2.5 times as long at
+    # 10^4 keys
+    words = np.empty((len(keys), 3), np.uint64)
+    np.add(keys, _W[0, 0, 0], out=words[:, 0])
+    words[:, 1] = hi
+    words[:, 2] = lo
+    return words
+
+
+def philox_uniforms(keys, start: int, count: int,
                     out: np.ndarray = None) -> np.ndarray:
     """Uniforms start .. start + count - 1 of each key's stream, one row per
     key: the values np.random.Generator(np.random.Philox(key=k)).random()
-    returns, computed for all keys at once, in tiles of at most
-    _BUFFER // count keys, so that each tile's work arrays stay small.
-    Each tile writes its rows of out, a (keys, count) float64 array, if
-    given; else one tile's uniforms are returned in the memory of its work
-    arrays, and several tiles' in one new array, both uniform-major: the
-    transpose of a C-contiguous (count, keys) array.
+    returns, computed for all keys at once.  keys are uint64 keys, or the
+    (keys, 3) array philox_key_words gives for them.  The keys are split
+    into ceil(keys / cap) tiles of equal size, to one key, with
+    cap = _BUFFER // count, so that each tile's work arrays stay small and
+    no tile is a small remainder.  Each tile writes its rows of out, a
+    (keys, count) float64 array, if given; else one tile's uniforms are
+    returned in the memory of its work arrays, and several tiles' in one
+    new array, both uniform-major: the transpose of a C-contiguous
+    (count, keys) array.  A start below 0 or a count below 1 is refused.
 
     Philox4x64-10 (Salmon et al., SC'11) turns a counter (c0, c1, c2, c3)
     into four 64-bit words by ten rounds under key (k0, k1), bumped by
@@ -225,10 +249,17 @@ def philox_uniforms(keys: np.ndarray, start: int, count: int,
     to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)),
     so round 1 gives (k, 0, hi(M0 c), lo(M0 c)), and round 2 words that
     are a per-key word, a per-block word, or the XOR of one of each: those
-    two rounds run on the key and block vectors, the other eight on
-    (pair, block, key) arrays.
+    two rounds run on the key and block vectors, the per-key words once
+    per call (or once per caller, by philox_key_words), and the other
+    eight on (pair, block, key) arrays.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    words = np.asarray(keys, dtype=np.uint64)
+    if words.ndim == 1:
+        words = philox_key_words(words)
     first, skip = divmod(start, 4)
     blocks = -(-(skip + count) // 4)
     # round 1 on the block counters c, and round 2's block words: shared
@@ -237,42 +268,45 @@ def philox_uniforms(keys: np.ndarray, start: int, count: int,
         _M[0, 0, 0], np.arange(first + 1, first + blocks + 1, dtype=np.uint64))
     b_hi, b_lo = _philox_mul(_M[1, 0, 0], c_hi)
     c_lo ^= _W[1, 0, 0]
-    tile = max(1, _BUFFER // count)
-    if out is None and len(keys) <= tile:
+    cap = max(1, _BUFFER // count)
+    if out is None and len(words) <= cap:
         # a single tile's uniforms take the memory of its work arrays: a
         # separate output array doubles the page faults of a 10^4-sample
         # round at n = 6
-        return _philox_tile(keys, b_hi, b_lo, c_lo)[:, skip:skip + count]
+        return _philox_tile(words, b_hi, b_lo, c_lo)[:, skip:skip + count]
     if out is None:
-        out = np.empty((count, len(keys))).T
-    for i in range(0, len(keys), tile):
-        _philox_tile(keys[i:i + tile], b_hi, b_lo, c_lo, out[i:i + tile], skip)
+        out = np.empty((count, len(words))).T
+    # tile i holds keys ceil(i K / tiles) up to ceil((i + 1) K / tiles):
+    # their sizes differ by at most one, the larger first
+    tiles = max(1, -(-len(words) // cap))
+    ends = [-(-i * len(words) // tiles) for i in range(tiles + 1)]
+    for lo, hi in zip(ends, ends[1:]):
+        _philox_tile(words[lo:hi], b_hi, b_lo, c_lo, out[lo:hi], skip)
     return out
 
 
-def _philox_tile(keys: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray,
+def _philox_tile(words: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray,
                  c_lo: np.ndarray, out: np.ndarray = None,
                  skip: int = 0) -> np.ndarray:
-    """Rounds 2-10 of philox_uniforms for the uint64 keys, from the block
-    words b_hi, b_lo (round 2's product of round 1's high word) and
-    c_lo ^ W1.  Uniform 4 j + i is word i of block j; out, one row per
-    key, holds uniforms skip .. skip + out.shape[1] - 1.  Without out, every
-    block's uniforms are returned, shaped (key, 4 blocks), in the memory of
-    the work arrays."""
-    rows = len(keys)
+    """Rounds 2-10 of philox_uniforms for the keys whose per-key words
+    (philox_key_words) are the rows of words, from the block words b_hi,
+    b_lo (round 2's product of round 1's high word) and c_lo ^ W1.
+    Uniform 4 j + i is word i of block j; out, one row per key, holds
+    uniforms skip .. skip + out.shape[1] - 1.  Without out, every block's
+    uniforms are returned, shaped (key, 4 blocks), in the memory of the
+    work arrays."""
+    rows = len(words)
     # round 2 under key (k + W0, W1)
-    k_hi, k_lo = _philox_mul(_M[0, 0, 0], keys.copy())
     key = np.empty((2, 1, rows), dtype=np.uint64)
-    key[0, 0] = keys
-    key[0] += _W[0, 0, 0]
+    key[0, 0] = words[:, 0]
     key[1] = _W[1, 0, 0]
     # counter words (c0, c2) and (c1, c3)
     even = np.empty((2, len(b_hi), rows), dtype=np.uint64)
     np.bitwise_xor(b_hi[:, None], key[0], out=even[0])
-    np.bitwise_xor(c_lo[:, None], k_hi, out=even[1])
+    np.bitwise_xor(c_lo[:, None], words[:, 1], out=even[1])
     odd = np.empty_like(even)
     odd[0] = b_lo[:, None]
-    odd[1] = k_lo
+    odd[1] = words[:, 2]
     # rounds 3-10 in place: each round's low words go to the free array,
     # and the array it multiplied becomes free
     free = np.empty_like(even)
@@ -706,12 +740,12 @@ def sample_batch(w: WeightSequence, h: HTable,
 
     Sample i is drawn from the substream keyed by (cfg.seed, i), so a
     shorter batch with the same seed is a prefix of a longer one.  Each
-    chunk's uniforms are computed together by philox_uniforms.  The
-    expected number of cycles, which sizes every chunk's read-ahead and
-    key buffer, is computed once per batch, when the batch is made; the
-    chunks are drawn one at a time as the samples are read, and handed
-    out through one chained iterator, with no generator frame to resume
-    per sample.
+    chunk's uniforms are computed together by philox_uniforms, from
+    round 2's per-key words, computed once per chunk.  The expected
+    number of cycles, which sizes every chunk's read-ahead and key buffer,
+    is computed once per batch, when the batch is made; the chunks are
+    drawn one at a time as the samples are read, and handed out through
+    one chained iterator, with no generator frame to resume per sample.
     """
     # tail_count_mean refuses an n outside the table, or with h_n = 0,
     # before a sampler is built or _chunk_size divides by n
@@ -720,11 +754,19 @@ def sample_batch(w: WeightSequence, h: HTable,
     chunk = _chunk_size(cfg.n)
 
     def draw(lo: int) -> Iterator[CycleType]:
-        keys = substream_keys(cfg.seed,
-                              np.arange(lo, min(lo + chunk, cfg.num_samples)))
-        return sampler._sample_lockstep(
-            cfg.n, len(keys), lambda rows, start, width, out=None:
-            philox_uniforms(keys[rows], start, width, out), cycles)
+        # round 2's per-key words, once per chunk.  The running samples are
+        # an ascending subset of the chunk, so a fill of as many rows as
+        # words, as the first always is, reads the words as they are, with
+        # no gather; a later one gathers the running samples'
+        words = philox_key_words(substream_keys(
+            cfg.seed, np.arange(lo, min(lo + chunk, cfg.num_samples))))
+
+        def fill(rows, start, width, out=None):
+            return philox_uniforms(
+                words if len(rows) == len(words)
+                else np.take(words, rows, axis=0), start, width, out)
+
+        return sampler._sample_lockstep(cfg.n, len(words), fill, cycles)
 
     return chain.from_iterable(map(draw, range(0, cfg.num_samples, chunk)))
 

@@ -942,6 +942,74 @@ def test_philox_uniforms_into_out(start, width):
     assert peaks[1] <= peaks[0] - 0.9 * out.nbytes
 
 
+def test_philox_uniforms_refuses_bad_start_and_count():
+    # a negative start would read counter block 0, which numpy's stream
+    # never produces, and a count of 0 has no tile size; an empty key set
+    # is no error
+    keys = smp.substream_keys(3, np.arange(4))
+    with pytest.raises(ValueError, match="start must be >= 0, got -1"):
+        smp.philox_uniforms(keys, -1, 4)
+    for count in (0, -2):
+        with pytest.raises(ValueError,
+                           match=f"count must be >= 1, got {count}"):
+            smp.philox_uniforms(keys, 0, count)
+    empty = np.array([], np.uint64)
+    assert smp.philox_uniforms(empty, 5, 7).shape == (0, 7)
+    assert smp.philox_uniforms(empty, 0, 7, np.empty((0, 7))).shape == (0, 7)
+
+
+def test_philox_tiles_are_even(monkeypatch):
+    # a refill of K keys runs as ceil(K / cap) tiles of equal size, to one
+    # key, with cap = _BUFFER // width: no tile is a small remainder
+    tiles, tile = [], smp._philox_tile
+
+    def counted_tile(words, *args):
+        tiles.append(len(words))
+        return tile(words, *args)
+
+    monkeypatch.setattr(smp, "_philox_tile", counted_tile)
+    cap = smp._BUFFER // 32
+    for num, want in ((5000, [1667, 1667, 1666]), (2147, [1074, 1073]),
+                      (cap, [cap]), (cap + 1, [cap // 2 + 1, cap // 2])):
+        keys = smp.substream_keys(9, np.arange(num))
+        for out in (None, np.empty((32, num)).T):
+            tiles.clear()
+            got = smp.philox_uniforms(keys, 3, 32, out)
+            assert tiles == want
+            assert np.array_equal(
+                got[-1], smp.substream_rng(9, num - 1).random(35)[3:])
+
+
+@pytest.mark.parametrize("width", [4, 37])
+def test_chunk_key_words_give_numpy_streams_on_compacted_rows(
+        small_table, monkeypatch, width):
+    # a batch computes its chunk's round-2 key words once: the first fill
+    # reads them whole, and a refill gathers the running samples', which
+    # the chunk has compacted to its first columns.  Each row is its own
+    # key's numpy stream, also at the edge keys, where k + W0 wraps
+    keys = smp.substream_keys(7, np.arange(300))
+    keys[[5, 6, 7, 8, 299]] = np.array(EDGE_KEYS, np.uint64)
+    fills = []
+    monkeypatch.setattr(smp, "substream_keys", lambda seed, idx: keys[idx])
+    monkeypatch.setattr(smp.CycleTypeSampler, "_sample_lockstep",
+                        lambda self, n, count, fill, cycles:
+                        fills.append(fill) or iter(()))
+    cfg = cw.SamplerConfig(n=40, num_samples=300, seed=7)
+    assert list(cw.sample_batch(cw.polynomial(1.0), small_table, cfg)) == []
+    (fill,) = fills
+    streams = np.array([np.random.Generator(np.random.Philox(
+        key=int(k))).random(64 + width) for k in keys])
+    subsets = [np.arange(300, dtype=np.int32),
+               np.array([5, 6, 7, 8, 57, 200, 299], np.int32),
+               np.array([299], np.int32), np.arange(1, 300, 2, dtype=np.int32)]
+    for start in (0, 3, 32, 64):
+        for rows in subsets:
+            for out in (None, np.full((width, 300), -1.0)[:, :rows.size].T):
+                got = fill(rows, start, width, out)
+                assert np.array_equal(
+                    got, streams[rows, start:start + width])
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64 + 5])
 def test_seed_outside_uint64(small_table, seed):
     # a seed is taken mod 2^64 by both paths

@@ -101,6 +101,16 @@ MUTANTS = [
            "                below = (cum < u[:, None]).sum(axis=1)\n",
            "                below = (cum <= u[:, None]).sum(axis=1)\n",
            (KERNEL,)),
+    # the Philox tiles and the chunk's round-2 key words
+    Mutant("tiles-remainder", "sampler.py",
+           "    ends = [-(-i * len(words) // tiles) for i in range(tiles + 1)]\n",
+           "    ends = [*range(0, len(words), cap), len(words)]\n",
+           ("tests/test_sampler.py::test_philox_tiles_are_even",)),
+    Mutant("chunk-words-first-rows", "sampler.py",
+           "else np.take(words, rows, axis=0)",
+           "else words[:len(rows)]",
+           ("tests/test_sampler.py::"
+            "test_chunk_key_words_give_numpy_streams_on_compacted_rows",)),
     # the h-table kernel and its row sums
     Mutant("fallback-exponent", "oracle.py",
            "(ex - 1 + top if m else 0)",
