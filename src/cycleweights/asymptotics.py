@@ -9,10 +9,11 @@ residual, width of convergence, monotonicity scan on the saddle circle).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -20,13 +21,10 @@ from .oracle import ScaledReal
 from .weights import (EWENS, POLYNOMIAL, WeightSequence, ewens, exp_sums,
                       theta_log_range)
 
-if TYPE_CHECKING:
-    import mpmath
-
 _MAX_NEWTON_ITERS = 200
 
-# zeta values by exact argument, shared by the zeta series (_series_terms)
-Zetas = Dict["mpmath.mpf", float]
+# zeta values that _zeta_at keeps; one solve reads a few dozen arguments
+_ZETA_MEMO = 256
 
 # the zeta series of polylog_series is used for |mu| <= SERIES_RADIUS < 2 pi;
 # its terms shrink like (|mu|/2pi)^j, so 4 keeps them below 0.64^j
@@ -75,37 +73,34 @@ def ell_n(n_star: float, alpha: float) -> float:
     return core + (alpha - 1.0) * math.log(core)
 
 
-def _weight_sums(w: WeightSequence, v: float, exps: Tuple[int, ...],
-                 zetas: Optional[Zetas] = None) -> Tuple[float, ...]:
+def _weight_sums(w: WeightSequence, v: float,
+                 exps: Tuple[int, ...]) -> Tuple[float, ...]:
     """sum_{k>=1} k^e theta_k e^{-kv} for each e in exps: closed forms for
     Ewens (-log(1-z), z/(1-z) and z/(1-z)^2 times vartheta at e = -1, 0
     and 1, z = e^{-v}), the zeta series for polynomial weights with
-    v <= SERIES_RADIUS, each series reading and filling the zeta values
-    `zetas`, else exp_sums."""
+    v <= SERIES_RADIUS, else exp_sums."""
     if w.family == EWENS:
         z, one_minus_z = math.exp(-v), -math.expm1(-v)
         a = w.vartheta * z / one_minus_z
         closed = {-1: -w.vartheta * math.log1p(-z), 0: a, 1: a / one_minus_z}
         return tuple(closed[e] for e in exps)
     if w.family == POLYNOMIAL and v <= SERIES_RADIUS:
-        return tuple(float(polylog_series(w.alpha + e, -v, zetas)[0])
+        return tuple(float(polylog_series(w.alpha + e, -v)[0])
                      for e in exps)
     return tuple(exp_sums(w, v, 1, exps)[0])
 
 
-def solve_saddle(w: WeightSequence, n: int, zetas: Optional[Zetas] = None) -> SaddleData:
+def solve_saddle(w: WeightSequence, n: int) -> SaddleData:
     """Solve sum theta_k e^{-kv} = n by safeguarded Newton iteration.
 
     The map v -> sum theta_k e^{-kv} is strictly decreasing, so a bisection
     bracket around the asymptotic initial guess keeps Newton safe.
 
-    The zeta values of the series are computed once per solve and shared
-    by every Newton step, and by a_n's and b_n's series: b_n's
-    zeta(-(alpha+1)-j) is a_n's zeta(-alpha-(j+1)) wherever alpha + 1 is
-    exact in floating point.  zetas, if given, is that map of zeta values
-    (see _series_terms): the solve reads it and adds what it computes, so
-    a caller can share them with a later series; by default each solve
-    starts from an empty one.
+    The series' zeta values depend on alpha alone, and each is computed
+    once per process per exact argument (see _series_terms): every Newton
+    step, a_n's and b_n's series and every later solve at the same alpha
+    share them.  b_n's zeta(-(alpha+1)-j) is a_n's zeta(-alpha-(j+1))
+    wherever alpha + 1 is exact in floating point.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -117,10 +112,9 @@ def solve_saddle(w: WeightSequence, n: int, zetas: Optional[Zetas] = None) -> Sa
     else:
         v = (n / math.gamma(alpha + 1.0)) ** (-1.0 / (1.0 + alpha))
     lo, hi = v / 10.0, 10.0 * v
-    zetas = {} if zetas is None else zetas
     for _ in range(_MAX_NEWTON_ITERS):
         # the sums of the last v evaluated are the returned a_n, b_n
-        s, sk = _weight_sums(w, v, (0, 1), zetas)
+        s, sk = _weight_sums(w, v, (0, 1))
         f = s - n
         if abs(f) <= 1e-12 * n:
             break
@@ -151,43 +145,51 @@ def solve_saddle(w: WeightSequence, n: int, zetas: Optional[Zetas] = None) -> Sa
 
 def zeta(s: float) -> float:
     """Riemann zeta at a real argument (excluding the pole at 1); an mpmath
-    number is taken exactly."""
+    number is taken exactly.  For |s| < 2^-60, zeta(s) = -1/2 - s log(2 pi)/2
+    + O(s^2) rounds to -0.5, which is returned without mpmath: mpmath's
+    zeta raises for negative s closer to 0 than about 1e-220."""
+    if s == 1.0:
+        raise ValueError("zeta has a pole at 1")
+    if abs(s) < 2.0 ** -60:
+        return -0.5
     # imported on first use: only the zeta series needs it, and its ~20 ms
     # import would otherwise land on every command
     import mpmath
 
-    if s == 1.0:
-        raise ValueError("zeta has a pole at 1")
     return float(mpmath.zeta(s))
 
 
-def _series_terms(delta: float, mu: np.ndarray,
-                  zetas: Optional[Zetas] = None) -> Iterator[np.ndarray]:
+@functools.lru_cache(maxsize=_ZETA_MEMO)
+def _zeta_at(s) -> float:
+    """zeta(s) at an exact mpmath argument, computed once per process for
+    each of the last _ZETA_MEMO arguments: a miss calls the module's
+    zeta."""
+    return zeta(s)
+
+
+def _series_terms(delta: float, mu: np.ndarray) -> Iterator[np.ndarray]:
     """Terms of the zeta series of sum_{k>=1} k^delta e^{k mu}: the Gamma
     term, then zeta(-delta-j) mu^j/j! for j = 0, 1, ...  Each zeta argument
-    is -delta-j exactly, not rounded to a float.  zetas maps such exact
-    arguments to their zeta values; the terms read it first and add what
-    they compute.  delta must be finite and not a negative integer, where
-    the Gamma term and one zeta term have poles."""
+    is -delta-j exactly, not rounded to a float, and each zeta value is
+    computed once per process per exact argument (_zeta_at keeps the last
+    _ZETA_MEMO), so series at the same delta, or at deltas an exact
+    integer apart, share them.  zeta(s) is -0.5 for |s| < 2^-60.  delta
+    must be finite and not a negative integer, where the Gamma term and
+    one zeta term have poles."""
     import mpmath
 
     if not math.isfinite(delta):
         raise ValueError(f"delta={delta} is not finite")
     if delta == round(delta) and delta <= -1:
         raise ValueError(f"delta={delta} is an excluded negative integer")
-    zetas = {} if zetas is None else zetas
     yield math.gamma(1.0 + delta) * (-mu) ** (-1.0 - delta)
     power = np.ones_like(mu)
     for j in itertools.count():
-        s = mpmath.fsub(-delta, j, exact=True)
-        if s not in zetas:
-            zetas[s] = zeta(s)
-        yield zetas[s] * power
+        yield _zeta_at(mpmath.fsub(-delta, j, exact=True)) * power
         power = power * mu / (j + 1)
 
 
-def polylog_series(delta: float, mu, zetas: Optional[Zetas] = None
-                   ) -> Tuple[np.ndarray, np.ndarray]:
+def polylog_series(delta: float, mu) -> Tuple[np.ndarray, np.ndarray]:
     """sum_{k>=1} k^delta e^{k mu} from its zeta series, with an error bound.
 
     For Re mu < 0, |mu| <= SERIES_RADIUS and delta not a negative integer
@@ -204,9 +206,9 @@ def polylog_series(delta: float, mu, zetas: Optional[Zetas] = None
     each term's relative error in ulps (the Gamma term's power grows with
     |(1+delta) log(-mu)|, the j-th term's mu^j/j! with j) times its size,
     plus one ulp of every partial sum.  The terms are added smallest first,
-    which keeps the partial sums near the total.  zetas, if given, holds
-    zeta values at exact arguments to reuse and is filled with those the
-    series computes (see _series_terms).
+    which keeps the partial sums near the total.  Each zeta value is
+    computed once per process per exact argument, and zeta(s) is -0.5 for
+    |s| < 2^-60 (see _series_terms).
     """
     mu = np.asarray(mu, dtype=np.result_type(mu, np.float64))
     rho = np.abs(mu)
@@ -216,7 +218,7 @@ def polylog_series(delta: float, mu, zetas: Optional[Zetas] = None
     log_rho = np.log(rho)
     terms, ulps = [], []
     total, tail = 0.0, np.inf
-    for j, t in enumerate(_series_terms(delta, mu, zetas), start=-1):
+    for j, t in enumerate(_series_terms(delta, mu), start=-1):
         terms.append(t)
         total = total + t
         # math.gamma's ~10 ulp and the power's 1 + |p log(-mu)|; zeta's and
@@ -300,17 +302,18 @@ def saddle_h_estimate(w: WeightSequence, n: int) -> Tuple[ScaledReal, SaddleData
     """Saddle-point estimate of h_n = [t^n] exp(g(t)).
 
     estimate = (2 pi)^{-1/2} r^{-n} b_n^{-1/2} exp(g(r)) at r = r_n, with
-    g(r) = sum (theta_k/k) r^k taken as solve_saddle takes its sums.  For
-    polynomial weights g(r)'s series (delta = alpha - 1) reads the solve's
-    zeta values: zeta(1-alpha-j) for j >= 1 is the solve's zeta(-alpha-(j-1))
-    wherever alpha - 1 is exact in floating point, so it computes only
-    zeta(1-alpha) and any term past the solve's.
+    g(r) = sum (theta_k/k) r^k taken as solve_saddle takes its sums.  Each
+    zeta value is computed once per process per exact argument, and
+    zeta(s) is -0.5 for |s| < 2^-60 (see _series_terms).  For polynomial
+    weights g(r)'s series (delta = alpha - 1) reuses the solve's values:
+    zeta(1-alpha-j) for j >= 1 is the solve's zeta(-alpha-(j-1)) wherever
+    alpha - 1 is exact in floating point, so after the solve it computes
+    only zeta(1-alpha) and any term past the solve's.
     """
     if n < 10:
         raise ValueError(f"saddle estimate needs n >= 10, got {n}")
-    zetas: Zetas = {}
-    sd = solve_saddle(w, n, zetas)
-    (g_r,) = _weight_sums(w, sd.v_n, (-1,), zetas)
+    sd = solve_saddle(w, n)
+    (g_r,) = _weight_sums(w, sd.v_n, (-1,))
     log_est = (-0.5 * math.log(2.0 * math.pi)
                + n * sd.v_n
                - 0.5 * math.log(sd.b_n)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -249,6 +250,8 @@ def test_saddle_computes_each_zeta_once(alpha, n, monkeypatch):
         return plain(s)
 
     monkeypatch.setattr(asymptotics, "zeta", counted)
+    # from an empty memo, so that the solve computes every value it reads
+    asymptotics._zeta_at.cache_clear()
     w = cw.polynomial(alpha)
     sd = cw.solve_saddle(w, n)
     want, calls_before = SADDLE_BEFORE_SHARING[alpha, n]
@@ -256,10 +259,12 @@ def test_saddle_computes_each_zeta_once(alpha, n, monkeypatch):
     assert len(set(args)) == len(args)
     if calls_before is not None:
         assert len(args) <= calls_before / 4
-    # nothing is kept between solves, and fresh series give the same sums
+    # a second solve computes no zeta value, and fresh series give the same
+    # sums
     again = len(args)
     assert cw.solve_saddle(w, n) == sd
-    assert len(args) == 2 * again
+    assert len(args) == again
+    asymptotics._zeta_at.cache_clear()
     assert sd.a_n == float(asymptotics.polylog_series(alpha, -sd.v_n)[0])
     assert sd.b_n == float(asymptotics.polylog_series(alpha + 1.0,
                                                       -sd.v_n)[0])
@@ -281,16 +286,52 @@ def test_h_estimate_computes_each_zeta_once(alpha, monkeypatch):
         return plain(s)
 
     monkeypatch.setattr(asymptotics, "zeta", counted)
+    asymptotics._zeta_at.cache_clear()
     w = cw.polynomial(alpha)
     cw.solve_saddle(w, 20000)
     solve = len(args)
     est, _ = cw.saddle_h_estimate(w, 20000)
     assert est.log().hex() == H_ESTIMATE_BEFORE_SHARING[alpha]
-    estimate = args[solve:]
-    assert len(set(estimate)) == len(estimate)
-    # g(r)'s series adds zeta(1 - alpha) to the solve's values, and no other
-    assert len(estimate) == solve + 1
-    assert 1 - alpha in estimate
+    # the estimate's solve computes nothing, and g(r)'s series adds
+    # zeta(1 - alpha) to the solve's values, and no other
+    assert args[solve:] == [1 - alpha]
+
+
+def test_zeta_values_are_computed_once_across_n(monkeypatch):
+    # the series' zeta values depend on alpha alone: solves at four n and
+    # an estimate at a fifth compute no exact argument twice
+    args = []
+    plain = asymptotics.zeta
+
+    def counted(s):
+        args.append(s)
+        return plain(s)
+
+    monkeypatch.setattr(asymptotics, "zeta", counted)
+    asymptotics._zeta_at.cache_clear()
+    w = cw.polynomial(0.5)
+    for n in (10**3, 10**4, 10**5, 10**6):
+        cw.solve_saddle(w, n)
+    cw.saddle_h_estimate(w, 20000)
+    assert args and len(set(args)) == len(args)
+
+
+def test_zeta_near_zero(capsys):
+    # zeta(s) rounds to -1/2 for |s| < 2^-60, and mpmath gives exactly that
+    # wherever it works there; it raises "zeta(1) pole" for negative s
+    # closer to 0 than ~1e-220, so alpha below that could not be solved
+    for s in (0.0, 2.0 ** -61, -2.0 ** -61, -2.0 ** -56, "-1e-100",
+              -2.0 ** -700):
+        s = mpmath.mpf(s)
+        assert asymptotics.zeta(s) == float(mpmath.zeta(s)) == -0.5
+    assert asymptotics.zeta(mpmath.mpf("-1e-300")) == -0.5
+    v = {}
+    for argv in (["--alpha", "1e-300"], ["--vartheta", "1"]):
+        assert run_command(["saddle", *argv, "--n", "100"]) == 0
+        out = capsys.readouterr().out
+        v[argv[0]] = float(re.search(r"^v_n\s+= (\S+)$", out, re.M)[1])
+    assert v["--vartheta"] == 0.0099503308531680833
+    assert v["--alpha"] == pytest.approx(v["--vartheta"], abs=1e-12)
 
 
 def test_mpmath_is_imported_on_first_zeta():

@@ -205,10 +205,15 @@ MUTANTS = [
            "_SERIES_RTOL = 1e-16\n",
            "_SERIES_RTOL = 1e-9\n",
            ("tests/test_asymptotics.py::test_polylog_series_matches_exp_sums",)),
-    Mutant("estimate-drops-its-zetas", "asymptotics.py",
-           "    (g_r,) = _weight_sums(w, sd.v_n, (-1,), zetas)\n",
-           "    (g_r,) = _weight_sums(w, sd.v_n, (-1,))\n",
-           ("tests/test_asymptotics.py::test_h_estimate_computes_each_zeta_once",)),
+    Mutant("zeta-memo-off", "asymptotics.py",
+           "        yield _zeta_at(mpmath.fsub(-delta, j, exact=True)) * power\n",
+           "        yield zeta(mpmath.fsub(-delta, j, exact=True)) * power\n",
+           ("tests/test_asymptotics.py::"
+            "test_zeta_values_are_computed_once_across_n",)),
+    Mutant("zeta-near-zero-to-mpmath", "asymptotics.py",
+           "    if abs(s) < 2.0 ** -60:\n        return -0.5\n",
+           "",
+           ("tests/test_asymptotics.py::test_zeta_near_zero",)),
     Mutant("newton-no-stagnation-exit", "asymptotics.py",
            "        if abs(v_new - v) <= 1e-15 * v:\n            break\n",
            "        if abs(v_new - v) <= 1e-15 * v:\n            pass\n",
